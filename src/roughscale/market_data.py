@@ -8,8 +8,9 @@ import csv
 import datetime as dt
 import io
 import math
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,13 +95,13 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0,
                 venue_label: str = "") -> TickSeries:
     """Parse a tick CSV stream of `timestamp,price[,amount]` rows.
 
-    `source` may be a path, bytes, or a text/binary file object. Out-of-order
-    rows are stably sorted by timestamp; rows with non-positive price are
-    dropped and counted. More than `max_malformed` unparsable rows aborts with
-    a DataError naming the offending line.
+    `source` may be a path (`str` or `os.PathLike`), bytes, or a text/binary
+    file object. Out-of-order rows are stably sorted by timestamp; rows with
+    non-positive price are dropped and counted. More than `max_malformed`
+    unparsable rows aborts with a DataError naming the offending line.
     """
     close_after = False
-    if isinstance(source, (str, bytes)) and not isinstance(source, bytes):
+    if isinstance(source, (str, os.PathLike)):
         stream = open(source, "r", encoding="utf-8")
         close_after = True
     elif isinstance(source, bytes):

@@ -6,7 +6,8 @@ regression.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,11 +87,14 @@ class GHECurve:
     points: list[GHEPoint]
     fit_range: tuple[int, int]
 
-    def h_at(self, q: float) -> float:
+    def point_at(self, q: float) -> GHEPoint:
         for p in self.points:
             if abs(p.q - q) < 1e-9:
-                return p.h
+                return p
         raise ValueError(f"q = {q} is not on the estimated curve")
+
+    def h_at(self, q: float) -> float:
+        return self.point_at(q).h
 
     @property
     def q_values(self) -> np.ndarray:
@@ -107,6 +111,23 @@ def profile(series) -> np.ndarray:
     if len(x) < 2:
         raise DataError("need at least 2 points to build a profile")
     return np.cumsum(x - x.mean())
+
+
+# Largest scale whose projector is kept: above it, building one costs little
+# next to the projection, and keeping it would hold O(s) memory per scale.
+_PROJECTOR_CACHE_MAX_SCALE = 1024
+
+
+def _detrend_projector(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (pinv(V).T, V.T) for the order-m Vandermonde design V on 0..s-1."""
+    design = np.vander(np.arange(s, dtype=float), m + 1)
+    pinv = np.linalg.pinv(design)
+    design.flags.writeable = False
+    pinv.flags.writeable = False
+    return pinv.T, design.T
+
+
+_cached_detrend_projector = functools.lru_cache(maxsize=256)(_detrend_projector)
 
 
 def segment_variances(Y: np.ndarray, s: int, m: int = 1) -> np.ndarray:
@@ -126,10 +147,11 @@ def segment_variances(Y: np.ndarray, s: int, m: int = 1) -> np.ndarray:
     bwd = Y[N - n_seg * s:].reshape(n_seg, s)
     seg = np.concatenate([fwd, bwd], axis=0)
     # shared design matrix: one batched projection instead of 2*N_s polyfits
-    t = np.arange(s, dtype=float)
-    design = np.vander(t, m + 1)
-    coef = seg @ np.linalg.pinv(design).T
-    resid = seg - coef @ design.T
+    projector = (_cached_detrend_projector if s <= _PROJECTOR_CACHE_MAX_SCALE
+                 else _detrend_projector)
+    pinv_t, design_t = projector(s, m)
+    coef = seg @ pinv_t
+    resid = seg - coef @ design_t
     return (resid ** 2).mean(axis=1)
 
 
@@ -216,9 +238,4 @@ def mfdfa_h2(series, config: MfdfaConfig | None = None) -> GHEPoint:
     if config is None:
         config = MfdfaConfig(q_values=np.array([2.0]),
                              scales=default_scales(len(x)))
-    surface = fluctuation_function(x, config)
-    curve = generalized_hurst(surface)
-    for p in curve.points:
-        if abs(p.q - 2.0) < 1e-9:
-            return p
-    raise ValueError("config does not include q = 2")
+    return generalized_hurst(fluctuation_function(x, config)).point_at(2.0)

@@ -7,7 +7,6 @@ import datetime as dt
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -91,51 +90,70 @@ def build_rv_by_delta(ticks: TickSeries, deltas: list[int],
     return out
 
 
-def _slice_rv(rv: RVSeries, start: dt.date, end: dt.date) -> RVSeries:
-    keep = [i for i, d in enumerate(rv.dates) if start <= d < end]
-    return RVSeries(delta_minutes=rv.delta_minutes,
-                    dates=[rv.dates[i] for i in keep],
-                    rv=rv.rv[keep], daily_return=rv.daily_return[keep],
-                    samples_per_day=rv.samples_per_day)
+def _delta_cells(rv: RVSeries, starts: np.ndarray, window_days: int,
+                 q_values: np.ndarray, detrend_order: int) -> list[tuple | None]:
+    """One delta's share of every window, in window order.
+
+    Log-increments are taken once over the full span. A window is the index
+    range [i0, i1) of its days, and its series is the run of full-span
+    increments between those days: exactly the increments the window's own
+    `log_increments` would keep, since one that bridges a zero-RV day is
+    dropped either way and none crosses the window's edges. A cell is None
+    when the window holds fewer than 2 days, else (dropped_days, curve,
+    zero-variance segments), with curve None when the series is too short.
+    """
+    try:
+        incr = log_increments(rv, zero_policy="drop").values
+    except DataError:  # fewer than 2 positive-RV days in the whole span
+        incr = np.empty(0)
+    usable = rv.rv > 0
+    kept = np.concatenate([[0], np.cumsum(usable[1:] & usable[:-1])])
+    zeros = np.concatenate([[0], np.cumsum(~usable)])
+    ordinals = np.array([d.toordinal() for d in rv.dates], dtype=np.int64)
+    lo = np.searchsorted(ordinals, starts).tolist()
+    hi = np.searchsorted(ordinals, starts + window_days).tolist()
+    cells = []
+    for i0, i1 in zip(lo, hi):
+        if i1 - i0 < 2:
+            cells.append(None)
+            continue
+        series = incr[kept[i0]:kept[i1 - 1]]
+        dropped = int(zeros[i1] - zeros[i0])
+        if len(series) < MIN_WINDOW_SERIES:
+            cells.append((dropped, None, 0))
+            continue
+        config = MfdfaConfig(q_values=q_values, scales=default_scales(len(series)),
+                             detrend_order=detrend_order)
+        surface = fluctuation_function(series, config)
+        cells.append((dropped, generalized_hurst(surface),
+                      int(surface.excluded_segments.sum())))
+    return cells
 
 
-def _window_report(rv_by_delta: Mapping[int, RVSeries], start: dt.date,
-                   end: dt.date, deltas: list[int], reference_delta: int,
-                   detrend_order: int, q_values,
-                   exclude_deltas: list[int]) -> WindowReport:
+def _window_report(start: dt.date, end: dt.date, cells: list[tuple[int, tuple | None]],
+                   reference_delta: int, exclude_deltas: list[int]) -> WindowReport:
+    """Assemble one window from its (delta, cell) pairs in delta order."""
     report = WindowReport(window_start=start, window_end=end,
                           reference_delta=reference_delta,
                           reference_n=1440 // reference_delta)
     dropped_days = 0
     short_deltas = []
-    for delta in deltas:
-        window_rv = _slice_rv(rv_by_delta[delta], start, end)
-        if len(window_rv) < 2:
+    for delta, cell in cells:
+        if cell is None:
             short_deltas.append(delta)
             continue
-        incr = log_increments(window_rv, zero_policy="drop")
-        dropped_days += incr.dropped_days
-        if len(incr) < MIN_WINDOW_SERIES:
+        dropped, curve, zero_variance = cell
+        dropped_days += dropped
+        if curve is None:
             short_deltas.append(delta)
             continue
-        if delta == reference_delta:
-            config = MfdfaConfig(q_values=q_values,
-                                 scales=default_scales(len(incr)),
-                                 detrend_order=detrend_order)
-        else:
-            config = MfdfaConfig(q_values=np.array([2.0]),
-                                 scales=default_scales(len(incr)),
-                                 detrend_order=detrend_order)
-        surface = fluctuation_function(incr.values, config)
-        curve = generalized_hurst(surface)
-        report.h2_by_delta[delta] = curve.h_at(2.0)
-        for p in curve.points:
-            if abs(p.q - 2.0) < 1e-9:
-                report.h2_stderr_by_delta[delta] = p.stderr
+        h2 = curve.point_at(2.0)
+        report.h2_by_delta[delta] = h2.h
+        report.h2_stderr_by_delta[delta] = h2.stderr
         if delta == reference_delta:
             report.curve_q = [p.q for p in curve.points]
             report.curve_h = [p.h for p in curve.points]
-            report.diagnostics["zero_variance_segments"] = int(surface.excluded_segments.sum())
+            report.diagnostics["zero_variance_segments"] = zero_variance
             try:
                 report.delta_h3 = curve.h_at(-3.0) - curve.h_at(3.0)
                 report.b0, report.b1 = taylor_b1(curve, 3.0)
@@ -169,8 +187,9 @@ def run_rolling(data, rolling: RollingSpec, deltas: list[int] | None = None,
 
     `data` is either a TickSeries or a precomputed {delta: RVSeries} mapping
     (the latter lets synthetic oracles bypass tick handling). Windows advance
-    by `rolling.step_days`; each window is computed independently, so the
-    result is identical for any worker count.
+    by `rolling.step_days`. Each window's MFDFA sees only that window's own
+    increments, and `workers` threads share out the deltas, so the result is
+    identical for any worker count.
     """
     if deltas is None:
         deltas = divisors_of_1440()
@@ -202,19 +221,25 @@ def run_rolling(data, rolling: RollingSpec, deltas: list[int] | None = None,
         raise DataError(f"data span of {total_days} days is shorter than the "
                         f"{rolling.window_days}-day window")
     count = (total_days - rolling.window_days) // rolling.step_days + 1
-    starts = [first + dt.timedelta(days=i * rolling.step_days) for i in range(count)]
+    starts = first.toordinal() + rolling.step_days * np.arange(count, dtype=np.int64)
 
-    def one(i: int) -> WindowReport:
-        start = starts[i]
-        return _window_report(rv_by_delta, start,
-                              start + dt.timedelta(days=rolling.window_days),
-                              deltas, reference_delta, detrend_order, q_values,
-                              exclude_deltas or [])
+    def column(delta: int) -> list[tuple | None]:
+        q = q_values if delta == reference_delta else np.array([2.0])
+        return _delta_cells(rv_by_delta[delta], starts, rolling.window_days, q,
+                            detrend_order)
 
     if workers <= 1:
-        return [one(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(count)))
+        columns = [column(d) for d in deltas]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            columns = list(pool.map(column, deltas))
+    reports = []
+    for i in range(count):
+        start = first + dt.timedelta(days=i * rolling.step_days)
+        cells = [(d, col[i]) for d, col in zip(deltas, columns)]
+        reports.append(_window_report(start, start + dt.timedelta(days=rolling.window_days),
+                                      cells, reference_delta, exclude_deltas or []))
+    return reports
 
 
 def report_document(reports: list[WindowReport], config_echo: dict | None = None) -> dict:

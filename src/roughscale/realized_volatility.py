@@ -84,9 +84,7 @@ def log_increments(rv: RVSeries, zero_policy: str = "drop",
     else:
         raise ValueError(f"unknown zero_policy {zero_policy!r}")
 
-    keep = usable[1:] & usable[:-1]
-    if zero_policy == "drop" and dropped and len(values) - dropped >= 2:
-        pass  # increments bridging a dropped day are discarded by `keep`
+    keep = usable[1:] & usable[:-1]  # drops increments bridging a dropped day
     logs = np.log(np.where(values > 0, values, 1.0))
     incr = (logs[1:] - logs[:-1])[keep]
     dates = [d for d, k in zip(rv.dates[1:], keep) if k]

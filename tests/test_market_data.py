@@ -58,6 +58,15 @@ class TestParseTicks:
         ts = parse_ticks(io.StringIO("timestamp,price\n100,1.0"), header=True)
         assert len(ts) == 1
 
+    def test_pathlike_source_matches_str_path(self, tmp_path):
+        path = tmp_path / "ticks.csv"
+        path.write_text("101,2.0\n100,1.0\n102,-1.0\n")
+        via_path = parse_ticks(path)
+        via_str = parse_ticks(str(path))
+        assert via_path.timestamps.tolist() == via_str.timestamps.tolist() == [100, 101]
+        assert via_path.prices.tolist() == via_str.prices.tolist() == [1.0, 2.0]
+        assert via_path.dropped_nonpositive == via_str.dropped_nonpositive == 1
+
 
 class TestResample:
     def test_previous_tick_rule(self):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from roughscale.errors import DataError
-from roughscale.pipeline import (RollingSpec, build_rv_by_delta, emit_report,
-                                 report_document, run_rolling)
-from roughscale.realized_volatility import RVSeries
+from roughscale.mfdfa import (MfdfaConfig, default_scales, fluctuation_function,
+                              generalized_hurst)
+from roughscale.pipeline import (MIN_WINDOW_SERIES, RollingSpec, _window_report,
+                                 build_rv_by_delta, emit_report, report_document,
+                                 run_rolling)
+from roughscale.realized_volatility import RVSeries, log_increments
 from roughscale.synthetic import generate_fgn
 
 DAY0 = dt.date(2014, 1, 2)
@@ -100,6 +103,91 @@ class TestRolling:
         reports = run_rolling({5: broken}, RollingSpec(window_days=365, step_days=50),
                               deltas=[5])
         assert all(r.reason == "insufficient_data" for r in reports)
+
+    def test_window_with_fewer_than_two_positive_days_not_fatal(self):
+        rv = fgn_rv_series(400)
+        positive = (np.arange(400) == 0) | (np.arange(400) >= 390)
+        sparse = RVSeries(delta_minutes=5, dates=rv.dates,
+                          rv=np.where(positive, rv.rv, 0.0),
+                          daily_return=rv.daily_return, samples_per_day=288)
+        reports = run_rolling({5: sparse}, RollingSpec(window_days=365, step_days=50),
+                              deltas=[5])
+        assert len(reports) == 1
+        assert reports[0].reason == "insufficient_data"
+        assert reports[0].diagnostics["short_deltas"] == [5]
+        assert reports[0].diagnostics["dropped_days"] == 364
+
+
+def gappy_rv_series(num_days, seed, delta):
+    """fGn-driven RV series with missing dates and scattered zero-RV days."""
+    rv = fgn_rv_series(num_days, seed=seed, delta=delta)
+    rng = np.random.default_rng(seed)
+    values = rv.rv.copy()
+    values[rng.choice(num_days, 12, replace=False)] = 0.0
+    # a zero-RV day on the first and on the last day of the second window
+    values[[20, 20 + 364]] = 0.0
+    kept = np.ones(num_days, dtype=bool)
+    gaps = np.setdiff1d(np.arange(1, num_days - 1), [20, 20 + 364])
+    kept[rng.choice(gaps, 15, replace=False)] = False
+    return RVSeries(delta_minutes=delta, dates=[d for d, k in zip(rv.dates, kept) if k],
+                    rv=values[kept], daily_return=rv.daily_return[kept],
+                    samples_per_day=rv.samples_per_day)
+
+
+def direct_cell(rv, start, end, q_values):
+    """One window's MFDFA the direct way: date-filter, then log-increments."""
+    keep = [i for i, d in enumerate(rv.dates) if start <= d < end]
+    if len(keep) < 2:
+        return None
+    window = RVSeries(delta_minutes=rv.delta_minutes, dates=[rv.dates[i] for i in keep],
+                      rv=rv.rv[keep], daily_return=rv.daily_return[keep],
+                      samples_per_day=rv.samples_per_day)
+    dropped = int(np.count_nonzero(window.rv <= 0))
+    if len(window) - dropped < 2:
+        return dropped, None, 0
+    incr = log_increments(window, zero_policy="drop")
+    assert incr.dropped_days == dropped
+    if len(incr) < MIN_WINDOW_SERIES:
+        return dropped, None, 0
+    config = MfdfaConfig(q_values=q_values, scales=default_scales(len(incr)))
+    surface = fluctuation_function(incr.values, config)
+    return dropped, generalized_hurst(surface), int(surface.excluded_segments.sum())
+
+
+class TestIndexRangeWindows:
+    """Windows sliced from the full-span increments match the direct path."""
+
+    def test_report_matches_direct_computation(self):
+        data = {d: gappy_rv_series(470, seed=d, delta=d) for d in (5, 15, 30, 60, 120)}
+        # delta 60: a long zero-RV run leaves the early windows too short
+        rv60 = data[60]
+        data[60] = RVSeries(delta_minutes=60, dates=rv60.dates,
+                            rv=np.where(np.arange(len(rv60)) < 330, 0.0, rv60.rv),
+                            daily_return=rv60.daily_return, samples_per_day=24)
+        # delta 120: a single positive day, so no window has an increment
+        rv120 = data[120]
+        data[120] = RVSeries(delta_minutes=120, dates=rv120.dates,
+                             rv=np.where(np.arange(len(rv120)) == 200, 1.0, 0.0),
+                             daily_return=rv120.daily_return, samples_per_day=12)
+        rolling = RollingSpec(window_days=365, step_days=20)
+        deltas = sorted(data)
+        q_values = np.arange(-6, 7) / 2.0
+        first = data[5].dates[0]
+        count = (470 - 365) // 20 + 1
+        direct = []
+        for i in range(count):
+            start = first + dt.timedelta(days=i * 20)
+            end = start + dt.timedelta(days=365)
+            cells = [(d, direct_cell(data[d], start, end,
+                                     q_values if d == 5 else np.array([2.0])))
+                     for d in deltas]
+            direct.append(_window_report(start, end, cells, 5, []))
+        want = json.dumps(report_document(direct))
+        assert any(r.diagnostics.get("short_deltas") == [60, 120] for r in direct)
+        assert any(r.diagnostics.get("short_deltas") == [120] for r in direct)
+        for workers in (1, 2):
+            got = run_rolling(data, rolling, deltas=deltas, workers=workers)
+            assert json.dumps(report_document(got)) == want
 
 
 class TestEmitReport:

@@ -288,7 +288,8 @@ def build_parser() -> _Parser:
     p.add_argument("--reference-delta", type=int, default=5)
     p.add_argument("--detrend-order", type=int, default=1)
     p.add_argument("--exclude", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", required=True)
     p.add_argument("--h2-csv", default=None)
     p.add_argument("--hq-csv", default=None)

@@ -58,33 +58,20 @@ class TickSeries:
 
 
 @dataclass(frozen=True)
-class DayPrices:
-    date: dt.date
-    prices: np.ndarray  # length n+1: day-open plus one point per interval end
-    coverage: float     # fraction of the n intervals containing >= 1 trade
-
-
-@dataclass(frozen=True)
 class PriceGrid:
+    """Previous-tick prices on a delta-minute grid, one row per kept day."""
+
     delta_minutes: int
-    days: list[DayPrices]
-
-    @property
-    def points_per_day(self) -> int:
-        return MINUTES_PER_DAY // self.delta_minutes + 1
-
-
-@dataclass(frozen=True)
-class DayReturns:
-    date: dt.date
-    returns: np.ndarray  # length n = 1440/delta
-    coverage: float
+    days: list[dt.date]
+    prices: np.ndarray    # (days, n+1): day-open plus one point per interval end
+    coverage: np.ndarray  # (days,): fraction of the n intervals with >= 1 trade
 
 
 @dataclass(frozen=True)
 class IntradayReturnGrid:
     delta_minutes: int
-    days: list[DayReturns]
+    days: list[dt.date]
+    returns: np.ndarray  # (days, n), n = 1440/delta
 
     @property
     def samples_per_day(self) -> int:
@@ -100,14 +87,15 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0,
     non-positive price are dropped and counted. More than `max_malformed`
     unparsable rows aborts with a DataError naming the offending line.
     """
-    close_after = False
+    release = None
     if isinstance(source, (str, os.PathLike)):
         stream = open(source, "r", encoding="utf-8")
-        close_after = True
+        release = stream.close
     elif isinstance(source, bytes):
         stream = io.StringIO(source.decode("utf-8"))
     elif isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
         stream = io.TextIOWrapper(source, encoding="utf-8")
+        release = stream.detach  # a finalised wrapper would close the caller's stream
     else:
         stream = source
 
@@ -140,8 +128,8 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0,
             timestamps.append(ts)
             prices.append(price)
     finally:
-        if close_after:
-            stream.close()
+        if release is not None:
+            release()
 
     if not timestamps:
         raise DataError("empty tick stream (no usable records)")
@@ -177,55 +165,49 @@ def resample_prices(ticks: TickSeries, delta_minutes: int,
     if first_day > last_day:
         raise DataError("requested day span does not overlap the tick data")
 
-    days: list[DayPrices] = []
-    skipped_leading = 0
-    step = 60 * delta_minutes
-    for epoch_day in range(first_day, last_day + 1):
-        day_start = epoch_day * SECONDS_PER_DAY
-        day_end = day_start + SECONDS_PER_DAY
-        lo = int(np.searchsorted(ticks.timestamps, day_start, side="left"))
-        hi = int(np.searchsorted(ticks.timestamps, day_end, side="left"))
-        if lo == hi:
-            continue  # zero-trade day
-        grid_times = day_start + step * np.arange(n + 1, dtype=np.int64)
-        idx = np.searchsorted(ticks.timestamps, grid_times, side="right") - 1
-        if idx[0] < 0:
-            # no trade anywhere before the day-open: backfill the leading grid
-            # points from the day's first trade (only the data's leading edge
-            # can hit this, later day-opens forward-fill from prior days)
-            skipped_leading += 1
-            idx = np.where(idx < 0, lo, idx)
-        prices = ticks.prices[idx]
-        # interval k = [grid_times[k-1], grid_times[k]) so a day-open trade counts
-        counts = np.searchsorted(ticks.timestamps, grid_times, side="left")
-        coverage = float(np.count_nonzero(np.diff(counts) > 0)) / n
-        if coverage < min_coverage:
-            continue
-        days.append(DayPrices(date=_epoch_day_to_date(epoch_day),
-                              prices=prices, coverage=coverage))
-    if skipped_leading:
-        warnings.warn(f"backfilled the day-open of {skipped_leading} leading day(s) "
+    ts = ticks.timestamps
+    bounds = np.searchsorted(ts, np.arange(first_day, last_day + 2, dtype=np.int64)
+                             * SECONDS_PER_DAY)
+    traded = np.flatnonzero(bounds[1:] > bounds[:-1])  # zero-trade days are omitted
+    epoch_days = first_day + traded
+    grid_times = ((epoch_days * SECONDS_PER_DAY)[:, None]
+                  + 60 * delta_minutes * np.arange(n + 1, dtype=np.int64))
+    # interval k = [grid_times[k-1], grid_times[k]) so a day-open trade counts
+    counts = np.searchsorted(ts, grid_times, side="left")
+    coverage = np.count_nonzero(np.diff(counts, axis=1) > 0, axis=1) / n
+    idx = np.searchsorted(ts, grid_times, side="right") - 1
+    del counts, grid_times  # free two (days, n+1) arrays before the gather
+    # a day-open with no trade anywhere before it is backfilled from the day's
+    # first trade; only the data's leading edge can hit this, later day-opens
+    # forward-fill from prior days
+    leading = int(np.count_nonzero(idx[:, 0] < 0))
+    keep = ~(coverage < min_coverage)
+    idx, coverage, epoch_days = idx[keep], coverage[keep], epoch_days[keep]
+    first_trade = bounds[traded[keep]]
+    prices = ticks.prices[np.where(idx < 0, first_trade[:, None], idx)]
+    if leading:
+        warnings.warn(f"backfilled the day-open of {leading} leading day(s) "
                       "with no prior trade", stacklevel=2)
-    return PriceGrid(delta_minutes=delta_minutes, days=days)
+    return PriceGrid(delta_minutes=delta_minutes,
+                     days=[_epoch_day_to_date(d) for d in epoch_days],
+                     prices=prices, coverage=coverage)
 
 
 def intraday_log_returns(grid: PriceGrid) -> IntradayReturnGrid:
     """Log returns between consecutive grid prices, n per day."""
-    days = [DayReturns(date=d.date, returns=np.diff(np.log(d.prices)),
-                       coverage=d.coverage)
-            for d in grid.days]
-    return IntradayReturnGrid(delta_minutes=grid.delta_minutes, days=days)
+    return IntradayReturnGrid(delta_minutes=grid.delta_minutes, days=grid.days,
+                              returns=np.diff(np.log(grid.prices), axis=1))
 
 
 def grid_records(grid: PriceGrid):
     """Long-form (date, index, price) rows for CSV/JSON export."""
-    for day in grid.days:
-        for i, p in enumerate(day.prices):
-            yield day.date.isoformat(), i, float(p)
+    for day, row in zip(grid.days, grid.prices):
+        for i, p in enumerate(row.tolist()):
+            yield day.isoformat(), i, p
 
 
 def return_records(grid: IntradayReturnGrid):
     """Long-form (date, index, return) rows for CSV/JSON export."""
-    for day in grid.days:
-        for i, r in enumerate(day.returns):
-            yield day.date.isoformat(), i, float(r)
+    for day, row in zip(grid.days, grid.returns):
+        for i, r in enumerate(row.tolist()):
+            yield day.isoformat(), i, r

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +12,8 @@ import numpy as np
 from . import __version__
 from .errors import DataError, NumericError
 from .market_data import TickSeries, intraday_log_returns, resample_prices
-from .mfdfa import MfdfaConfig, default_scales, fluctuation_function, generalized_hurst
+from .mfdfa import (MfdfaConfig, default_q_values, fluctuation_function,
+                    generalized_hurst)
 from .multifractal_metrics import taylor_b1
 from .realized_volatility import RVSeries, compute_daily_rv, log_increments
 from .scaling import AnsatzFit, FrequencySweep, divisors_of_1440, fit_ansatz
@@ -122,8 +122,7 @@ def _delta_cells(rv: RVSeries, starts: np.ndarray, window_days: int,
         if len(series) < MIN_WINDOW_SERIES:
             cells.append((dropped, None, 0))
             continue
-        config = MfdfaConfig(q_values=q_values, scales=default_scales(len(series)),
-                             detrend_order=detrend_order)
+        config = MfdfaConfig.for_series(len(series), detrend_order, q_values)
         surface = fluctuation_function(series, config)
         cells.append((dropped, generalized_hurst(surface),
                       int(surface.excluded_segments.sum())))
@@ -188,8 +187,8 @@ def run_rolling(data, rolling: RollingSpec, deltas: list[int] | None = None,
     `data` is either a TickSeries or a precomputed {delta: RVSeries} mapping
     (the latter lets synthetic oracles bypass tick handling). Windows advance
     by `rolling.step_days`. Each window's MFDFA sees only that window's own
-    increments, and `workers` threads share out the deltas, so the result is
-    identical for any worker count.
+    increments. `workers` is accepted and has no effect: a thread pool over
+    the deltas was slower than one thread on every input measured.
     """
     if deltas is None:
         deltas = divisors_of_1440()
@@ -200,7 +199,7 @@ def run_rolling(data, rolling: RollingSpec, deltas: list[int] | None = None,
     if reference_delta not in deltas:
         deltas = sorted(deltas + [reference_delta])
     if q_values is None:
-        q_values = np.arange(-6, 7) / 2.0
+        q_values = default_q_values()
     else:
         q_values = np.asarray(q_values, dtype=float)
 
@@ -228,11 +227,7 @@ def run_rolling(data, rolling: RollingSpec, deltas: list[int] | None = None,
         return _delta_cells(rv_by_delta[delta], starts, rolling.window_days, q,
                             detrend_order)
 
-    if workers <= 1:
-        columns = [column(d) for d in deltas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(column, deltas))
+    columns = [column(d) for d in deltas]
     reports = []
     for i in range(count):
         start = first + dt.timedelta(days=i * rolling.step_days)

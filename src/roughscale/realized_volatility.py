@@ -57,11 +57,10 @@ class StandardizedReturns:
 
 def compute_daily_rv(returns: IntradayReturnGrid) -> RVSeries:
     """RV_t = sum of squared intraday returns; daily return = their plain sum."""
-    dates = [d.date for d in returns.days]
-    rv = np.array([float(np.sum(d.returns ** 2)) for d in returns.days])
-    daily = np.array([float(np.sum(d.returns)) for d in returns.days])
-    return RVSeries(delta_minutes=returns.delta_minutes, dates=dates, rv=rv,
-                    daily_return=daily, samples_per_day=returns.samples_per_day)
+    return RVSeries(delta_minutes=returns.delta_minutes, dates=returns.days,
+                    rv=np.sum(returns.returns ** 2, axis=1),
+                    daily_return=np.sum(returns.returns, axis=1),
+                    samples_per_day=returns.samples_per_day)
 
 
 def log_increments(rv: RVSeries, zero_policy: str = "drop",

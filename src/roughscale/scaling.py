@@ -7,8 +7,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import NumericError
-
-MINUTES_PER_DAY = 1440
+from .market_data import MINUTES_PER_DAY
 
 
 def divisors_of_1440() -> list[int]:

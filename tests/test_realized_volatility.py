@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from roughscale.errors import DataError
-from roughscale.market_data import DayReturns, IntradayReturnGrid
+from roughscale.market_data import IntradayReturnGrid
 from roughscale.realized_volatility import (RVSeries, compute_daily_rv,
                                             log_increments, standardize_returns)
 
@@ -12,9 +12,9 @@ DAY0 = dt.date(2020, 1, 1)
 
 
 def grid_from_days(rows, delta=720):
-    days = [DayReturns(DAY0 + dt.timedelta(days=i), np.asarray(r, dtype=float), 1.0)
-            for i, r in enumerate(rows)]
-    return IntradayReturnGrid(delta_minutes=delta, days=days)
+    returns = np.asarray(rows, dtype=float)
+    days = [DAY0 + dt.timedelta(days=i) for i in range(len(returns))]
+    return IntradayReturnGrid(delta_minutes=delta, days=days, returns=returns)
 
 
 def rv_series(values, n=288, daily=None):

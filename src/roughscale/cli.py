@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (including a file that
+cannot be opened), 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -159,9 +160,12 @@ def cmd_fit_ansatz(args) -> int:
                 if i == 0:
                     continue
                 raise DataError(f"bad sweep row at line {i + 1}")
-            h2.append(float(row[1]))
-            if len(row) > 2 and row[2] != "":
-                stderr.append(float(row[2]))
+            try:
+                h2.append(float(row[1]))
+                if len(row) > 2 and row[2] != "":
+                    stderr.append(float(row[2]))
+            except (ValueError, IndexError):
+                raise DataError(f"bad sweep row at line {i + 1}") from None
     if stderr and len(stderr) != len(h2):
         raise DataError("stderr column must be present for all rows or none")
     sweep = FrequencySweep(deltas=np.array(deltas), h2=np.array(h2),
@@ -304,29 +308,27 @@ _INT_KEYS = {"window_days", "step_days", "reference_delta", "detrend_order",
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        overrides = _load_config_file(args.config)
-        given = set()
-        raw = argv if argv is not None else sys.argv[1:]
-        for token in raw:
-            if token.startswith("--"):
-                given.add(token[2:].split("=", 1)[0].replace("-", "_"))
-        for key, value in overrides.items():
-            if key in given or not hasattr(args, key):
-                continue  # explicit flags win
-            if key in _INT_KEYS:
-                setattr(args, key, int(value))
-            elif key == "header":
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, key, value)
-    if getattr(args, "func", None) is cmd_rolling and not args.ticks:
-        print("roughscale rolling: error: --ticks is required (flag or config file)",
-              file=sys.stderr)
-        return 1
     try:
+        if getattr(args, "config", None):
+            overrides = _load_config_file(args.config)
+            given = set()
+            raw = argv if argv is not None else sys.argv[1:]
+            for token in raw:
+                if token.startswith("--"):
+                    given.add(token[2:].split("=", 1)[0].replace("-", "_"))
+            for key, value in overrides.items():
+                if key in given or not hasattr(args, key):
+                    continue  # explicit flags win
+                if key in _INT_KEYS:
+                    setattr(args, key, int(value))
+                elif key == "header":
+                    setattr(args, key, value.lower() in ("1", "true", "yes"))
+                else:
+                    setattr(args, key, value)
+        if args.func is cmd_rolling and not args.ticks:
+            raise ValueError("rolling: --ticks is required (flag or config file)")
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"roughscale: data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -32,6 +32,13 @@ class FrequencySweep:
             raise ValueError("delta values must be distinct")
         if np.any(MINUTES_PER_DAY % self.deltas != 0):
             raise ValueError("every delta must divide 1440")
+        stderr = self.h2_stderr
+        if any(len(v) != len(self.deltas) for v in (self.h2, stderr) if v is not None):
+            raise ValueError("h2 and h2_stderr need one entry per delta")
+        if not np.all(np.isfinite(self.h2)):
+            raise ValueError("h2 values must be finite")
+        if stderr is not None and not np.all(np.isfinite(stderr) & (stderr > 0)):
+            raise ValueError("h2 stderrs must be finite and positive")
 
     @property
     def n(self) -> np.ndarray:
@@ -49,72 +56,64 @@ class AnsatzFit:
     boundary_warning: bool = False
 
 
-_A_STARTS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+# the a bracket: a grid minimum on either edge means a is not resolved
+_LOG_A_GRID = np.linspace(np.log(1e-12), np.log(1e8), 80)
 
 
 def fit_ansatz(sweep: FrequencySweep, exclude: list[int] | None = None,
                weighted: bool | None = None) -> AnsatzFit:
-    """Nonlinear least squares for (H0, a), a kept positive via a = exp(alpha).
+    """Least squares for (H0, a = exp(alpha)) by variable projection.
 
-    Deterministic multi-start over a in {0.5, 1, 2, 4, 8, 16}; best residual
-    wins, ties broken by smaller a. Unweighted unless stderrs are present (or
-    `weighted` forces either mode). Parameter standard errors come from the
-    Jacobian at the optimum, scaled by the reduced chi-square.
+    H0 is linear for fixed a, so only alpha is searched: a fixed log-a grid
+    brackets the reduced cost's minimum (ties go to the smaller a) and one
+    `least_squares` call polishes it. Unweighted unless stderrs are present (or
+    `weighted` forces either mode). Standard errors come from the analytic
+    Jacobian in (H0, alpha) at the optimum, scaled by the reduced chi-square.
     """
     exclude = list(exclude or [])
     mask = ~np.isin(sweep.deltas, exclude)
-    deltas = sweep.deltas[mask]
     h2 = sweep.h2[mask]
-    n = (MINUTES_PER_DAY // deltas).astype(float)
-    if len(deltas) < 3:
+    n = sweep.n[mask].astype(float)
+    if len(h2) < 3:
         raise NumericError("need at least 3 sweep points after exclusion")
     if np.any(h2 <= 0):
         raise NumericError("h2 values must be positive to fit the ansatz")
 
-    if weighted is None:
-        weighted = sweep.h2_stderr is not None
-    if weighted:
-        if sweep.h2_stderr is None:
-            raise ValueError("weighted fit requested but sweep has no stderrs")
-        w = 1.0 / sweep.h2_stderr[mask]
-    else:
-        w = np.ones_like(h2)
+    weighted = sweep.h2_stderr is not None if weighted is None else weighted
+    if weighted and sweep.h2_stderr is None:
+        raise ValueError("weighted fit requested but sweep has no stderrs")
+    w = 1.0 / sweep.h2_stderr[mask] if weighted else np.ones_like(h2)
+    y = w * h2
 
-    def residuals(theta):
-        h0, alpha = theta
-        return w * (h2 - h0 * n / (n + np.exp(alpha)))
+    def reduced(alpha):
+        """Weighted residuals and H0 = (g.y)/(g.g) for each alpha of a 1-D array."""
+        g = w * n / (n + np.exp(alpha)[:, None])
+        h0 = (g @ y) / np.einsum("ij,ij->i", g, g)
+        return y - g * h0[:, None], h0
 
-    best = None
-    n_max = n.max()
-    for a0 in _A_STARTS:
-        h0_0 = float(h2[np.argmax(n)] * (n_max + a0) / n_max)
-        sol = least_squares(residuals, x0=[h0_0, np.log(a0)],
-                            ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=200)
-        if best is None or sol.cost < best.cost - 1e-15 or (
-                abs(sol.cost - best.cost) <= 1e-15 and sol.x[1] < best.x[1]):
-            best = sol
-    if best is None or not np.all(np.isfinite(best.x)):
-        raise NumericError("ansatz fit failed to converge from every start")
+    grid_resid, _ = reduced(_LOG_A_GRID)
+    i = int(np.argmin(np.einsum("ij,ij->i", grid_resid, grid_resid)))
+    if i in (0, len(_LOG_A_GRID) - 1):
+        raise NumericError("ansatz optimum on the edge of the a bracket [1e-12, 1e8]")
+    # lm, not trf: trf's gtol is absolute and stops early where the cost is flat
+    sol = least_squares(lambda x: reduced(x)[0][0], x0=_LOG_A_GRID[i:i + 1],
+                        method="lm", ftol=1e-12, xtol=1e-12, gtol=1e-12,
+                        max_nfev=200)
+    (resid,), (h0,) = reduced(sol.x)
+    a = float(np.exp(sol.x[0]))
 
-    h0, alpha = best.x
-    a = float(np.exp(alpha))
-    m, p = len(h2), 2
-    jac = best.jac
-    resid = best.fun
-    dof = max(m - p, 1)
-    s2 = float(resid @ resid) / dof
+    s2 = float(resid @ resid) / max(len(h2) - 2, 1)
+    jac = np.column_stack([-w * n / (n + a), w * h0 * n * a / (n + a) ** 2])
     try:
         cov_theta = np.linalg.inv(jac.T @ jac) * s2
     except np.linalg.LinAlgError as exc:
         raise NumericError("singular Jacobian at the ansatz optimum") from exc
+    h0_stderr, alpha_stderr = np.sqrt(np.diag(cov_theta))
     # delta method: var(a) = a^2 var(alpha)
-    h0_stderr = float(np.sqrt(cov_theta[0, 0]))
-    a_stderr = float(a * np.sqrt(cov_theta[1, 1]))
-    model = h0 * n / (n + a)
-    residual_rms = float(np.sqrt(np.mean((h2 - model) ** 2)))
-    return AnsatzFit(h0=float(h0), a=a, h0_stderr=h0_stderr, a_stderr=a_stderr,
-                     residual_rms=residual_rms, excluded_deltas=sorted(exclude),
-                     boundary_warning=a < 1e-6)
+    return AnsatzFit(h0=float(h0), a=a, h0_stderr=float(h0_stderr),
+                     a_stderr=float(a * alpha_stderr),
+                     residual_rms=float(np.sqrt(np.mean((h2 - h0 * n / (n + a)) ** 2))),
+                     excluded_deltas=sorted(exclude), boundary_warning=a < 1e-6)
 
 
 def predict_h(fit: AnsatzFit, delta_minutes: int) -> float:

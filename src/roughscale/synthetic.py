@@ -14,6 +14,10 @@ import numpy as np
 from .errors import NumericError
 
 
+# the parameters each kind needs, named as their CLI flags
+_REQUIRED = {"fgn": ("hurst",), "cascade": ("p", "levels"), "sv_day": ("n", "sigma")}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """CLI-facing description of one synthetic series."""
@@ -28,6 +32,10 @@ class GeneratorSpec:
     sigma: float | None = None
 
     def generate(self) -> np.ndarray:
+        missing = [f"--{name}" for name in _REQUIRED.get(self.kind, ())
+                   if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"{self.kind} needs {' and '.join(missing)}")
         if self.kind == "fgn":
             return generate_fgn(self.hurst, self.length, self.seed)
         if self.kind == "cascade":

@@ -132,9 +132,10 @@ class TestTickCommands:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 3 * 12
 
-    def test_missing_file_exit_nonzero(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["rv", "--ticks", str(tmp_path / "nope.csv"), "--out", "-"])
+    def test_missing_file_exit_nonzero(self, tmp_path, capsys):
+        rc = main(["rv", "--ticks", str(tmp_path / "nope.csv"), "--out", "-"])
+        assert rc == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_empty_ticks_exit_2(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -174,3 +175,54 @@ class TestRollingCommand:
     def test_usage_error_exit_1(self, tmp_path):
         rc = main(["rolling", "--out", str(tmp_path / "r.json")])
         assert rc == 1
+
+
+def _cli_case(name, tmp_path):
+    """Arguments for one broken invocation; files it names live in tmp_path."""
+    ticks = write_tick_fixture(tmp_path / "ticks.csv", days=3)
+    cfg = tmp_path / "run.cfg"
+    out = ["--out", str(tmp_path / "out")]
+    if name == "config_line_without_equals":
+        cfg.write_text(f"ticks = {ticks}\nwindow-days 60\n")
+        return ["rolling", "--config", str(cfg), *out]
+    if name == "config_value_not_an_int":
+        cfg.write_text(f"ticks = {ticks}\nwindow_days = sixty\n")
+        return ["rolling", "--config", str(cfg), *out]
+    if name == "missing_config_file":
+        return ["rolling", "--config", str(tmp_path / "nope.cfg"), *out]
+    if name == "missing_ticks_file":
+        return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *out]
+    sweeps = {"zero_stderr_in_sweep": "1,0.12,0.01\n5,0.11,0.0\n60,0.09,0.01\n",
+              "sweep_row_without_h2": "1,0.12\n5\n60,0.09\n",
+              "sweep_h2_not_a_number": "1,0.12\n5,abc\n60,0.09\n"}
+    if name in sweeps:
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("delta,h2,stderr\n" + sweeps[name])
+        return ["fit-ansatz", "--sweep", str(sweep), *out]
+    synth = {"fgn_without_hurst": ["--kind", "fgn", "--len", "1024"],
+             "cascade_without_p": ["--kind", "cascade", "--levels", "8"],
+             "cascade_without_levels": ["--kind", "cascade", "--p", "0.6"],
+             "sv_day_without_n": ["--kind", "sv_day", "--sigma", "0.01"]}
+    return ["synth", *synth[name], *out]
+
+
+class TestExitCodes:
+    """Each broken invocation exits with its contract code and a message."""
+
+    @pytest.mark.parametrize("name,code,message", [
+        ("config_line_without_equals", 2, "bad config line"),
+        ("config_value_not_an_int", 1, "sixty"),
+        ("missing_config_file", 2, "No such file or directory"),
+        ("missing_ticks_file", 2, "No such file or directory"),
+        ("zero_stderr_in_sweep", 1, "stderrs must be finite and positive"),
+        ("sweep_row_without_h2", 2, "bad sweep row at line 3"),
+        ("sweep_h2_not_a_number", 2, "bad sweep row at line 3"),
+        ("fgn_without_hurst", 1, "--hurst"),
+        ("cascade_without_p", 1, "--p"),
+        ("cascade_without_levels", 1, "--levels"),
+        ("sv_day_without_n", 1, "--n"),
+    ])
+    def test_exit_code(self, tmp_path, capsys, name, code, message):
+        rc = main(_cli_case(name, tmp_path))
+        assert rc == code
+        assert message in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from roughscale.errors import NumericError
 from roughscale.finite_sample import relative_error
@@ -13,6 +14,66 @@ def exact_sweep(h0, a, deltas=None, stderr=None):
     deltas = np.array(DIVISORS if deltas is None else deltas)
     n = 1440.0 / deltas
     return FrequencySweep(deltas=deltas, h2=h0 * n / (n + a), h2_stderr=stderr)
+
+
+def reference_fit(sweep, exclude=None):
+    """The six-start 2-D least-squares fit that variable projection replaced.
+
+    Returns (h0, a, h0_stderr, a_stderr), with the stderrs taken from the
+    solver's finite-difference Jacobian as before.
+    """
+    mask = ~np.isin(sweep.deltas, exclude or [])
+    h2 = sweep.h2[mask]
+    n = (1440 // sweep.deltas[mask]).astype(float)
+    w = 1.0 / sweep.h2_stderr[mask] if sweep.h2_stderr is not None else np.ones_like(h2)
+
+    def residuals(theta):
+        h0, alpha = theta
+        return w * (h2 - h0 * n / (n + np.exp(alpha)))
+
+    best = None
+    n_max = n.max()
+    for a0 in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
+        h0_0 = float(h2[np.argmax(n)] * (n_max + a0) / n_max)
+        sol = least_squares(residuals, x0=[h0_0, np.log(a0)],
+                            ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=200)
+        if best is None or sol.cost < best.cost - 1e-15 or (
+                abs(sol.cost - best.cost) <= 1e-15 and sol.x[1] < best.x[1]):
+            best = sol
+    h0, alpha = best.x
+    s2 = float(best.fun @ best.fun) / max(len(h2) - 2, 1)
+    cov = np.linalg.inv(best.jac.T @ best.jac) * s2
+    a = float(np.exp(alpha))
+    return float(h0), a, float(np.sqrt(cov[0, 0])), float(a * np.sqrt(cov[1, 1]))
+
+
+def weighted_cost(sweep, residuals):
+    w = 1.0 / sweep.h2_stderr if sweep.h2_stderr is not None else 1.0
+    return float(np.sum((w * residuals) ** 2))
+
+
+def gate_sweeps():
+    """One pytest.param(sweep, compare stderrs) per gate sweep."""
+    n = 1440.0 / np.array(DIVISORS)
+    clean = 0.13 * n / (n + 3.0)
+    cases = []
+    for seed in range(100):  # the noisy sweeps of acceptance criterion 5
+        rng = np.random.default_rng(seed)
+        sweep = FrequencySweep(deltas=np.array(DIVISORS),
+                               h2=clean + rng.normal(0, 0.002, len(n)))
+        cases.append(pytest.param(sweep, True, id=f"noisy-{seed}"))
+    for seed in range(20):
+        rng = np.random.default_rng(500 + seed)
+        stderr = rng.uniform(0.001, 0.01, len(n))
+        sweep = FrequencySweep(deltas=np.array(DIVISORS),
+                               h2=clean + stderr * rng.normal(0, 1, len(n)),
+                               h2_stderr=stderr)
+        cases.append(pytest.param(sweep, True, id=f"weighted-{seed}"))
+    for h0, a in ((0.13, 3.0), (0.5, 0.7), (0.12, 16.0), (0.9, 1.0)):
+        cases.append(pytest.param(exact_sweep(h0, a), False, id=f"exact-{h0}-{a}"))
+    cases.append(pytest.param(exact_sweep(0.13, 3.0, stderr=np.full(36, 0.001)),
+                              False, id="exact-weighted"))
+    return cases
 
 
 class TestDivisors:
@@ -73,6 +134,105 @@ class TestFitAnsatz:
                                h2=np.array([0.1, -0.1, 0.1, 0.1]))
         with pytest.raises(NumericError):
             fit_ansatz(sweep)
+
+
+class TestFrequencySweepValidation:
+    @pytest.mark.parametrize("kwargs", [
+        dict(deltas=DIVISORS[:5], h2=np.full(4, 0.1)),
+        dict(deltas=DIVISORS[:5], h2=np.full(6, 0.1)),
+        dict(deltas=DIVISORS[:5], h2=np.full(5, 0.1), h2_stderr=np.full(4, 0.01)),
+    ], ids=["h2_short", "h2_long", "stderr_short"])
+    def test_lengths_must_match_deltas(self, kwargs):
+        with pytest.raises(ValueError, match="one entry per delta"):
+            FrequencySweep(**kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_h2_must_be_finite(self, bad):
+        h2 = np.full(5, 0.1)
+        h2[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FrequencySweep(deltas=DIVISORS[:5], h2=h2)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01, np.nan, np.inf])
+    def test_stderr_must_be_finite_and_positive(self, bad):
+        stderr = np.full(5, 0.01)
+        stderr[1] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            FrequencySweep(deltas=DIVISORS[:5], h2=np.full(5, 0.1), h2_stderr=stderr)
+
+
+class TestMatchesReferenceFit:
+    """Variable projection agrees with the six-start 2-D fit it replaced."""
+
+    @pytest.mark.parametrize("sweep,check_stderr", gate_sweeps())
+    def test_agrees_with_reference(self, sweep, check_stderr):
+        fit = fit_ansatz(sweep)
+        ref = reference_fit(sweep)
+        assert fit.h0 == pytest.approx(ref[0], rel=1e-7)
+        assert fit.a == pytest.approx(ref[1], rel=1e-7)
+        if check_stderr:
+            assert fit.h0_stderr == pytest.approx(ref[2], rel=1e-6)
+            assert fit.a_stderr == pytest.approx(ref[3], rel=1e-6)
+        n = 1440.0 / sweep.deltas
+        cost = weighted_cost(sweep, sweep.h2 - fit.h0 * n / (n + fit.a))
+        ref_cost = weighted_cost(sweep, sweep.h2 - ref[0] * n / (n + ref[1]))
+        # exact sweeps end at the roundoff floor, where the ratio means nothing:
+        # allow residuals of 1e-15 * h2, a few ulps of each point
+        assert cost <= ref_cost * (1 + 1e-12) + weighted_cost(sweep, 1e-15 * sweep.h2)
+
+    def test_exclusion_matches_reference(self):
+        sweep = exact_sweep(0.13, 3.0)
+        rng = np.random.default_rng(3)
+        noisy = FrequencySweep(deltas=sweep.deltas,
+                               h2=sweep.h2 + rng.normal(0, 0.002, 36))
+        fit = fit_ansatz(noisy, exclude=[1, 2, 1440])
+        ref = reference_fit(noisy, exclude=[1, 2, 1440])
+        assert (fit.h0, fit.a) == pytest.approx(ref[:2], rel=1e-7)
+        assert (fit.h0_stderr, fit.a_stderr) == pytest.approx(ref[2:], rel=1e-6)
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("a", [1e-11, 1e-9, 1e-7])
+    def test_tiny_a_fits_with_warning(self, a):
+        fit = fit_ansatz(exact_sweep(0.2, a))
+        assert fit.boundary_warning
+        assert fit.a < 1e-6
+        assert fit.h0 == pytest.approx(0.2, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [1e-5, 1e-3, 1e3, 1e4, 1e5])
+    def test_extreme_resolved_a_matches_reference(self, a):
+        sweep = exact_sweep(0.2, a)
+        fit = fit_ansatz(sweep)
+        assert not fit.boundary_warning
+        assert (fit.h0, fit.a) == pytest.approx(reference_fit(sweep)[:2], rel=1e-7)
+
+    def test_large_a_recovered(self):
+        fit = fit_ansatz(exact_sweep(0.2, 1e7))
+        assert fit.h0 == pytest.approx(0.2, rel=1e-6)
+        assert fit.a == pytest.approx(1e7, rel=1e-6)
+
+    @pytest.mark.parametrize("h2", [
+        exact_sweep(0.2, 0.0).h2,
+        exact_sweep(0.2, 1e-13).h2,
+        np.full(36, 0.2),                      # flat
+        0.1 + 0.001 * np.arange(36),           # rising with delta
+        exact_sweep(0.2, 1e9).h2,
+    ], ids=["a_zero", "a_1e-13", "flat", "rising", "a_1e9"])
+    def test_unresolvable_a_raises(self, h2):
+        with pytest.raises(NumericError):
+            fit_ansatz(FrequencySweep(deltas=np.array(DIVISORS), h2=h2))
+
+    def test_one_solver_call_per_fit(self, monkeypatch):
+        import roughscale.scaling as scaling
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return least_squares(*args, **kwargs)
+
+        monkeypatch.setattr(scaling, "least_squares", counting)
+        fit_ansatz(exact_sweep(0.13, 3.0))
+        assert len(calls) == 1
 
 
 class TestPredict:

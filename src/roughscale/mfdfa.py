@@ -175,7 +175,10 @@ def fluctuation_function(series, config: MfdfaConfig) -> FluctuationSurface:
     """F_q(s) over the configured (q, s) grid.
 
     q = 0 uses the log-average limit; zero-variance segments are excluded from
-    q < 0 sums and the log-average, with counts reported per scale.
+    q < 0 sums and the log-average, with counts reported per scale. A segment
+    counts as zero-variance when F^2 <= (s * eps * max|Y|)^2, the roundoff
+    that detrending the profile Y leaves where the series is constant; q > 0
+    uses every segment.
     """
     x = np.asarray(series, dtype=float)
     config.validate_length(len(x))
@@ -184,14 +187,15 @@ def fluctuation_function(series, config: MfdfaConfig) -> FluctuationSurface:
     scales = config.scales
     values = np.empty((len(qs), len(scales)))
     excluded = np.zeros(len(scales), dtype=int)
+    roundoff = (scales * (np.finfo(float).eps * np.max(np.abs(Y)))) ** 2
     for j, s in enumerate(scales):
         f2 = segment_variances(Y, int(s), config.detrend_order)
-        positive = f2[f2 > 0]
+        positive = f2[f2 > roundoff[j]]
         excluded[j] = len(f2) - len(positive)
         if len(positive) == 0:
             raise NumericError(f"all segments have zero variance at scale s = {s}")
         for i, q in enumerate(qs):
-            values[i, j] = aggregate_fluctuation(f2, float(q))
+            values[i, j] = aggregate_fluctuation(f2 if q > 0 else positive, float(q))
     return FluctuationSurface(q_values=qs, scales=scales, values=values,
                               series_length=len(x), config=config,
                               excluded_segments=excluded)

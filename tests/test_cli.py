@@ -192,6 +192,11 @@ def _cli_case(name, tmp_path):
         return ["rolling", "--config", str(tmp_path / "nope.cfg"), *out]
     if name == "missing_ticks_file":
         return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *out]
+    bad_rows = {"ticks_not_utf8": b"\xff\xfe,1.0\r\n",
+                "ticks_timestamp_out_of_range": b"99999999999999999999,2.0\r\n"}
+    if name in bad_rows:
+        ticks.write_bytes(ticks.read_bytes() + bad_rows[name])
+        return ["rolling", "--ticks", str(ticks), *out]
     sweeps = {"zero_stderr_in_sweep": "1,0.12,0.01\n5,0.11,0.0\n60,0.09,0.01\n",
               "sweep_row_without_h2": "1,0.12\n5\n60,0.09\n",
               "sweep_h2_not_a_number": "1,0.12\n5,abc\n60,0.09\n"}
@@ -214,6 +219,8 @@ class TestExitCodes:
         ("config_value_not_an_int", 1, "sixty"),
         ("missing_config_file", 2, "No such file or directory"),
         ("missing_ticks_file", 2, "No such file or directory"),
+        ("ticks_not_utf8", 2, "tick data is not valid UTF-8 at line 4321"),
+        ("ticks_timestamp_out_of_range", 2, "line 4321: timestamp out of range"),
         ("zero_stderr_in_sweep", 1, "stderrs must be finite and positive"),
         ("sweep_row_without_h2", 2, "bad sweep row at line 3"),
         ("sweep_h2_not_a_number", 2, "bad sweep row at line 3"),

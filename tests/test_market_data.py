@@ -1,14 +1,19 @@
+import csv
 import datetime as dt
 import gc
 import io
+import math
+import os
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughscale import market_data
 from roughscale.errors import DataError
 from roughscale.market_data import (PriceGrid, TickSeries, date_to_epoch_seconds,
                                     intraday_log_returns, parse_ticks,
@@ -80,6 +85,183 @@ class TestParseTicks:
         gc.collect()
         assert not buf.closed
         assert ts.prices.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("line", ["99999999999999999999,2.0",
+                                      "9223372036854775808,2.0",
+                                      "-9223372036854775809,2.0"])
+    def test_timestamp_outside_int64_is_malformed(self, line):
+        text = f"100,1.0\n{line}\n101,3.0\n"
+        ticks = parse_ticks(io.StringIO(text), max_malformed=1)
+        assert ticks.timestamps.tolist() == [100, 101]
+        assert ticks.malformed_lines == 1
+        with pytest.raises(DataError, match="line 2: timestamp out of range"):
+            parse_ticks(io.StringIO(text))
+
+    def test_int64_bounds_are_timestamps(self):
+        ticks = parse_ticks(io.StringIO("9223372036854775807,1.0\n"
+                                        "-9223372036854775808,2.0\n"))
+        assert ticks.timestamps.tolist() == [-2 ** 63, 2 ** 63 - 1]
+
+    def test_source_kinds_agree_on_carriage_returns(self, tmp_path):
+        data = b"101,2.0\r100,1.0\r\n102,-1.0\n\r103,3.0"
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(data)
+        parsed = [parse_ticks(data), parse_ticks(io.BytesIO(data)), parse_ticks(path)]
+        for ticks in parsed:
+            assert ticks.timestamps.tolist() == [100, 101, 103]
+            assert ticks.prices.tolist() == [1.0, 2.0, 3.0]
+            assert ticks.dropped_nonpositive == 1
+
+    @pytest.mark.parametrize("data,lineno", [
+        (b"100,1.0\n\xff\xfe,2.0\n101,3.0\n", 2),
+        (b"100,1.0,caf\xe9\n101,3.0\n", 1),   # even in the ignored amount field
+        (b"100,1.0\r\n101,2.0\r\nbad\n\x80", 4),
+    ])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, data, lineno):
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(data)
+        for source in (data, io.BytesIO(data), path):
+            with pytest.raises(DataError, match=f"not valid UTF-8 at line {lineno}$"):
+                parse_ticks(source, max_malformed=5)
+
+
+def reference_parse(source, *, header=False, max_malformed=0, venue_label=""):
+    """The csv.reader loop parse_ticks replaced, kept as its oracle."""
+    release = None
+    if isinstance(source, (str, os.PathLike)):
+        stream = open(source, "r", encoding="utf-8")
+        release = stream.close
+    elif isinstance(source, bytes):
+        stream = io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
+        stream = io.TextIOWrapper(source, encoding="utf-8")
+        release = stream.detach
+    else:
+        stream = source
+
+    timestamps: list[int] = []
+    prices: list[float] = []
+    malformed = 0
+    dropped = 0
+    try:
+        reader = csv.reader(stream)
+        for lineno, row in enumerate(reader, start=1):
+            if header and lineno == 1:
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                if len(row) < 2:
+                    raise ValueError("fewer than 2 fields")
+                ts = int(row[0])
+                price = float(row[1])
+                if not math.isfinite(price):
+                    raise ValueError("non-finite price")
+            except ValueError as exc:
+                malformed += 1
+                if malformed > max_malformed:
+                    raise DataError(f"malformed tick record at line {lineno}: {exc}") from None
+                continue
+            if price <= 0:
+                dropped += 1
+                continue
+            timestamps.append(ts)
+            prices.append(price)
+    finally:
+        if release is not None:
+            release()
+
+    if not timestamps:
+        raise DataError("empty tick stream (no usable records)")
+
+    ts_arr = np.asarray(timestamps, dtype=np.int64)
+    px_arr = np.asarray(prices, dtype=np.float64)
+    order = np.argsort(ts_arr, kind="stable")
+    return TickSeries(timestamps=ts_arr[order], prices=px_arr[order],
+                      venue_label=venue_label, dropped_nonpositive=dropped,
+                      malformed_lines=malformed)
+
+
+# whole records; every quote in them is balanced
+RECORDS = (
+    # the benchmark CSV's malformed and non-positive lines
+    "oops", "1420070400", "1420070400,abc", "1420070400,nan", ",,",
+    "1420070400;20000.00", "1420070400,0.00", "1420070401,-3.50", "1420070402,0",
+    "100,1.0", "101,2.5", "99,3.0", "100,4.25,0.5", " 102 , 5 ", "+103,6e0", "-0,7",
+    "104,inf", "104,-inf", "104,Infinity", "104,+nan", "104,1e400", "104,1e-400",
+    "1_2,3", "12,1_0", "12.0,3", "1e3,3", "12,", "12,3,", "12,0x1p3",
+    '"12",3', '"12\n13",3', '105,"2.5\n",x',
+    "\u0661\u0662,3", "12,\uff13", "12,3\x1c", "12,3\x0b", "\ufeff106,1",
+    "9223372036854775807,1", "-9223372036854775808,1", "9223372036854775808,1",
+    "", "  ", "\t", "timestamp,price,amount",
+)
+# reference_parse lets a timestamp outside int64 through int() and then dies
+# in np.asarray with OverflowError; parse_ticks counts such a row as malformed.
+# The outcome expected of it is reference_parse's on a stand-in row, malformed
+# at the same place, with the stand-in's reason swapped for its own.
+OUT_OF_RANGE, STAND_IN = "9223372036854775808,1", "oor,1"
+STAND_IN_REASON = "invalid literal for int() with base 10: 'oor'"
+# characters for records made up on the spot: digits, signs, exponents,
+# separators, blanks and the non-ASCII digits loadtxt and int()/float() part on
+FUZZ = "0123456789+-.eE_ ,;\tnaifxINF\x1c\x00\u0661\uff13"
+
+
+def outcome(parse, source, **kw):
+    try:
+        ticks = parse(source, **kw)
+    except (DataError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return (ticks.timestamps.tolist(), ticks.prices.tolist(),
+            ticks.dropped_nonpositive, ticks.malformed_lines)
+
+
+def expected_outcome(records, join, **kw):
+    text = join(STAND_IN if r == OUT_OF_RANGE else r for r in records)
+    out = outcome(reference_parse, io.StringIO(text), **kw)
+    if out[0] == "DataError":
+        return out[0], out[1].replace(STAND_IN_REASON, "timestamp out of range")
+    return out
+
+
+class TestChunkedParseMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(records=st.lists(st.sampled_from(RECORDS) | st.text(FUZZ, max_size=8),
+                            max_size=40),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           final_newline=st.booleans(), chunk=st.integers(2, 16),
+           floor=st.integers(1, 4), header=st.booleans(),
+           max_malformed=st.integers(0, 8))
+    def test_equal_to_reference(self, records, newline, final_newline, chunk,
+                                floor, header, max_malformed):
+        def join(records):
+            return newline.join(records) + (newline if final_newline else "")
+        kw = dict(header=header, max_malformed=max_malformed)
+        expected = expected_outcome(records, join, **kw)
+        # small chunks and bisection floors put bad lines on chunk edges and
+        # inside bisection halves
+        with mock.patch.multiple(market_data, _CHUNK=chunk, _BISECT_FLOOR=floor):
+            assert outcome(parse_ticks, io.StringIO(join(records)), **kw) == expected
+            # bytes are read with universal newlines, as binary streams always were
+            data = join(r for r in records if r != OUT_OF_RANGE).encode()
+            from_stream = outcome(parse_ticks, io.BytesIO(data), **kw)
+            assert from_stream == outcome(reference_parse, io.BytesIO(data), **kw)
+            assert outcome(parse_ticks, data, **kw) == from_stream
+
+    def test_every_record_alone(self):
+        for record in RECORDS:
+            for max_malformed in (0, 1):
+                assert (outcome(parse_ticks, io.StringIO(record), max_malformed=max_malformed)
+                        == expected_outcome([record], "".join,
+                                            max_malformed=max_malformed)), record
+
+    @pytest.mark.parametrize("width", [100, 70_000, 140_000])
+    def test_long_lines(self, width):
+        # csv rejects a field over its size limit (128 Ki characters); loadtxt
+        # would not
+        assert csv.field_size_limit() // 2 < 70_000 < csv.field_size_limit() < 140_000
+        text = f"100,1.0\n101,2.0,{'9' * width}\n102,3.0\n" * 3
+        assert (outcome(parse_ticks, io.StringIO(text))
+                == outcome(reference_parse, io.StringIO(text)))
 
 
 class TestResample:

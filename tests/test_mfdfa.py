@@ -102,6 +102,24 @@ class TestFluctuationFunction:
         surface = fluctuation_function(x, config)
         assert surface.excluded_segments.sum() > 0
 
+    def test_roundoff_variances_count_as_zero(self):
+        # the constant blocks leave every one of their 1600 segments at s = 10
+        # with a variance of ~1e-25 (roundoff of a linear profile, never exactly
+        # 0); kept in the q <= 0 means they drove h(0) to 1.72
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.full(4000, 0.3), np.full(4000, -0.2),
+                            rng.standard_normal(2000)])
+        f2 = segment_variances(profile(x), 10)
+        assert np.count_nonzero(f2 < 1e-20) == 1600 and np.all(f2 > 0)
+        config = MfdfaConfig.for_series(len(x))
+        surface = fluctuation_function(x, config)
+        assert config.scales[0] == 10 and surface.excluded_segments[0] == 1600
+        curve = generalized_hurst(surface)
+        assert abs(curve.h_at(0.0) - curve.h_at(-0.5)) < 0.05
+        assert max(curve.h_at(q) for q in (-3.0, -2.0, -1.0, 0.0)) < 0.7
+        # q > 0 keeps every segment
+        assert surface.values[-1, 0] == aggregate_fluctuation(f2, 3.0)
+
 
 class TestGeneralizedHurst:
     def test_exact_power_law(self):

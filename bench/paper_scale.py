@@ -1,0 +1,104 @@
+"""Paper-scale run record: `run_rolling` over 14 years of daily RV at all 36 Δ.
+
+    python3 bench/paper_scale.py --label <name> [--seed 11]
+
+Run from the repository root. The input is `perfbench.generators.rolling_inputs`
+over 5114 days (rough volatility, H = 0.13), so no data download is needed;
+windows are 2922 days stepped by 5 (439 windows), the paper's layout. The job
+runs `REPEATS` times with one BLAS thread. The record goes to
+`bench/BENCH_<label>.json`: per-run wall and CPU seconds, peak resident memory
+during each run, window and degraded-window counts, the median window H₀, and
+provenance (commit, sha256 of `src/roughscale`, Python, numpy and scipy
+versions, processor count, seed and input digest).
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.run import BLAS_ENV, PeakRSS, git_commit, release_free_heap, \
+    source_digest  # noqa: E402
+
+NUM_DAYS = 5114      # 14 years
+WINDOW_DAYS = 2922   # eight years including two leap days
+STEP_DAYS = 5
+REPEATS = 3
+
+
+def src_modified() -> bool | None:
+    """Whether src/ differs from the recorded commit (None outside a checkout)."""
+    try:
+        done = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain", "--", "src"],
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    p.add_argument("--seed", type=int, default=11)
+    args = p.parse_args(argv)
+
+    os.environ.update(BLAS_ENV)  # before numpy loads its BLAS
+    import numpy
+    import scipy
+    from perfbench import generators
+    from roughscale import pipeline
+
+    t0 = time.perf_counter()
+    inputs = generators.rolling_inputs(args.seed, NUM_DAYS)
+    generate_s = time.perf_counter() - t0
+    spec = pipeline.RollingSpec(window_days=WINDOW_DAYS, step_days=STEP_DAYS)
+    runs = []
+    for _ in range(REPEATS):
+        release_free_heap()
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        with PeakRSS() as rss:
+            reports = pipeline.run_rolling(inputs.rv_by_delta, spec)
+        runs.append({"wall_s": time.perf_counter() - wall0,
+                     "cpu_s": time.process_time() - cpu0,
+                     "peak_rss_mb": rss.peak_bytes / 2 ** 20})
+    h0 = [r.ansatz.h0 for r in reports if r.ansatz is not None]
+    record = {
+        "job": "pipeline.run_rolling on perfbench.generators.rolling_inputs",
+        "num_days": NUM_DAYS, "window_days": WINDOW_DAYS, "step_days": STEP_DAYS,
+        "deltas": len(inputs.rv_by_delta),
+        "windows": len(reports),
+        "windows_degraded": sum(r.reason is not None for r in reports),
+        "median_window_h0": statistics.median(h0) if h0 else None,
+        "h_true": generators.H_TRUE,
+        "median": {k: statistics.median(run[k] for run in runs) for k in runs[0]},
+        "runs": runs,
+        "generate_s": generate_s,
+        "provenance": {
+            "git_commit": git_commit(), "src_modified": src_modified(),
+            "source_sha256": source_digest(),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "nproc": os.cpu_count(),
+            "machine": platform.machine(), "blas_threads": BLAS_ENV["OPENBLAS_NUM_THREADS"],
+            "seed": args.seed, "input_sha256": inputs.digest(),
+        },
+    }
+    out = ROOT / "bench" / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    m = record["median"]
+    print(f"{out.relative_to(ROOT)}: wall {m['wall_s']:.2f} s, cpu {m['cpu_s']:.2f} s, "
+          f"peak rss {m['peak_rss_mb']:.1f} MB over {REPEATS} runs; "
+          f"{record['windows']} windows, {record['windows_degraded']} degraded")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

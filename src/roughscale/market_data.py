@@ -285,6 +285,11 @@ def resample_prices(ticks: TickSeries, delta_minutes: int,
         last_day = min(last_day, date_to_epoch_seconds(end_date) // SECONDS_PER_DAY)
     if first_day > last_day:
         raise DataError("requested day span does not overlap the tick data")
+    calendar = [date_to_epoch_seconds(d) // SECONDS_PER_DAY for d in (dt.date.min, dt.date.max)]
+    for day, t in ((first_day, ticks.timestamps[0]), (last_day, ticks.timestamps[-1])):
+        if not calendar[0] <= day <= calendar[1]:
+            raise DataError(f"tick timestamp {int(t)} lies outside the calendar "
+                            "(years 1-9999)")
 
     ts = ticks.timestamps
     bounds = np.searchsorted(ts, np.arange(first_day, last_day + 2, dtype=np.int64)

@@ -19,13 +19,16 @@ def default_q_values() -> np.ndarray:
     return np.arange(-6, 7) / 2.0
 
 
+@functools.lru_cache(maxsize=256)
 def default_scales(series_length: int, lo: int = 10, num: int = 20) -> np.ndarray:
-    """About `num` integer scales log-spaced in [lo, N/4]."""
+    """About `num` integer scales log-spaced in [lo, N/4], as a read-only array."""
     hi = series_length // 4
     if hi < lo:
         raise DataError(f"series of length {series_length} too short for scales >= {lo}")
     grid = np.exp(np.linspace(np.log(lo), np.log(hi), num))
-    return np.unique(np.round(grid).astype(int))
+    scales = np.unique(np.round(grid).astype(int))
+    scales.flags.writeable = False
+    return scales
 
 
 @dataclass(frozen=True)
@@ -150,9 +153,37 @@ def segment_variances(Y: np.ndarray, s: int, m: int = 1) -> np.ndarray:
     projector = (_cached_detrend_projector if s <= _PROJECTOR_CACHE_MAX_SCALE
                  else _detrend_projector)
     pinv_t, design_t = projector(s, m)
-    coef = seg @ pinv_t
-    resid = seg - coef @ design_t
-    return (resid ** 2).mean(axis=1)
+    fit = (seg @ pinv_t) @ design_t
+    fit -= seg  # minus the residual; squared in place, with no further temporaries
+    fit *= fit
+    return fit.mean(axis=1)
+
+
+def _power_means(log_f2: np.ndarray, starts: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """F_q of each run of log F^2 that begins at `starts`: shape (len(qs), len(starts)).
+
+    F_q = exp((logsumexp((q/2) log F^2) - log n) / q), which stays finite where
+    (F^2) ** (q/2) would overflow or underflow; q = 0 is exp(mean(log F^2) / 2).
+    The logsumexp shifts by the run's largest log F^2 for q > 0 and its
+    smallest for q < 0, so every exponent is <= 0. Every sum is one
+    `reduceat`, whose value for a run does not depend on the other runs or
+    rows, so a run alone gives the same bits as in a batch.
+    """
+    counts = np.diff(np.append(starts, len(log_f2)))
+    out = np.empty((len(qs), len(starts)))
+    zero = qs == 0
+    if zero.any():
+        out[zero] = np.exp(0.5 * (np.add.reduceat(log_f2, starts) / counts))
+    for rows, extreme in ((qs > 0, np.maximum), (qs < 0, np.minimum)):
+        if rows.any():
+            q = qs[rows, None]
+            ref = extreme.reduceat(log_f2, starts)
+            ref[ref == -np.inf] = 0.0  # a run of zero variances: F_q = 0
+            terms = (q / 2.0) * (log_f2 - np.repeat(ref, counts))
+            total = np.add.reduceat(np.exp(terms, out=terms), starts, axis=1)
+            with np.errstate(divide="ignore"):
+                out[rows] = np.exp(ref / 2.0 + (np.log(total) - np.log(counts)) / q)
+    return out
 
 
 def aggregate_fluctuation(f2: np.ndarray, q: float) -> float:
@@ -162,13 +193,101 @@ def aggregate_fluctuation(f2: np.ndarray, q: float) -> float:
     q < 0 and for the log-average (negative moments diverge on them).
     """
     f2 = np.asarray(f2, dtype=float)
-    if q == 0 or q < 0:
+    if q <= 0:
         f2 = f2[f2 > 0]
         if len(f2) == 0:
             raise NumericError("no positive-variance segments to aggregate")
-    if q == 0:
-        return float(np.exp(0.5 * np.mean(np.log(f2))))
-    return float(np.mean(f2 ** (q / 2.0)) ** (1.0 / q))
+    with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a q > 0 sum
+        log_f2 = np.log(f2)
+    return float(_power_means(log_f2, np.zeros(1, dtype=np.intp), np.array([float(q)]))[0, 0])
+
+
+# A prefix-sum residual sum of squares at or below this many longdouble
+# epsilons of the window's sum of y^2 is recomputed by projection. Against
+# exact rational arithmetic on adversarial series (steps, trends, heavy tails,
+# N <= 800) the sums' roundoff stayed below 61 such epsilons, so a segment
+# above the floor carries a relative error of a few 1e-13 at most.
+_PREFIX_GUARD = 3e14
+
+# Longest series whose order-1 variances come from the running sums. Their
+# roundoff grows with N: against the projection, over fGn (H 0.05 to 0.85),
+# white noise, offsets, trends and steps, the worst relative error per
+# segment was 1.4e-13 at N = 4096 but 5.9e-13 at 8192 and 6e-12 at 2^20,
+# where the guard also sends most scales to the projection anyway.
+_PREFIX_MAX_LENGTH = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _prefix_layout(N: int, scales: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Where every segment of every scale lies, for one (N, scales) pair.
+
+    Read-only arrays: per segment, scale by scale, starts, ends and shift
+    (p - N//2 + (s-1)/2 as longdouble), then per scale counts (2 N_s), size
+    (s as longdouble) and weight (12 / (s (s^2 - 1)), which is
+    1 / sum (t - mean t)^2). Building them takes about a sixth of an
+    `_order1_variances` call; at N = _PREFIX_MAX_LENGTH with the default
+    scales they hold 120 kB.
+    """
+    sc = np.array(scales)
+    n_seg = N // sc
+    counts = 2 * n_seg
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    n = np.repeat(n_seg, counts)
+    s = np.repeat(sc, counts)
+    backward = k >= n
+    starts = (k - n * backward) * s + backward * (N - n * s)
+    size = sc.astype(np.longdouble)
+    layout = (starts, starts + s,
+              (starts - N // 2).astype(np.longdouble) + np.repeat((size - 1) / 2, counts),
+              counts, size, 12 / (size * (size * size - 1)))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+def _order1_variances(Y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """segment_variances(Y, s, 1) for every scale at once, concatenated.
+
+    A linear fit's residual sum of squares over [p, p+s) is
+    S2 - S1^2/s - (T1 - (s-1)/2 S1)^2 / (s(s^2-1)/12), with S1, S2, T1 the
+    sums of y, y^2 and (i-p) y over the segment: differences of three running
+    sums, one pass over the profile whatever the number of scales. The sums
+    are longdouble, which the cancellation needs, and run over the profile
+    minus its mean line (invisible to a linear fit) on a centred index, which
+    keeps them small. Returns the variances and the segment count per scale.
+    A scale with a segment near the sums' roundoff (constant or linear
+    stretches of Y) is recomputed by `segment_variances`.
+    """
+    N = len(Y)
+    starts, ends, shift, counts, size, weight = _prefix_layout(N, tuple(scales.tolist()))
+    i = np.arange(N) - (N - 1) / 2
+    index = np.arange(-(N // 2), N - N // 2, dtype=np.longdouble)  # centred: small sums
+    run = np.zeros((3, N + 1), dtype=np.longdouble)
+    y, y2, iy = run[:, 1:]
+    np.multiply(index, np.longdouble((i @ Y) / (i @ i)), out=y)  # Y's least-squares line
+    y += np.longdouble(Y.mean())
+    np.subtract(Y, y, out=y)
+    np.multiply(y, y, out=y2)
+    np.multiply(y, index, out=iy)
+    np.cumsum(run[:, 1:], axis=1, out=run[:, 1:])
+    floor = _PREFIX_GUARD * np.finfo(np.longdouble).eps * run[1, -1]
+    s1, rss, d = (row.take(ends) - row.take(starts) for row in run)
+    del run, y, y2, iy  # free the running sums before the per-segment temporaries
+    # per segment: s1 = sum y, rss = sum y^2, d = sum (i - N//2) y; then in
+    # place, rss -= s1^2 / s + d^2 / sum (t - mean t)^2
+    d -= shift * s1  # sum (t - (s-1)/2) y, t the time within the segment
+    s1 *= s1
+    s1 /= np.repeat(size, counts)
+    rss -= s1
+    d *= d
+    d *= np.repeat(weight, counts)
+    rss -= d
+    f2 = rss.astype(float) / np.repeat(scales, counts)
+    if rss.min() <= floor:
+        offsets = np.cumsum(counts) - counts
+        for j in np.flatnonzero(np.minimum.reduceat(rss, offsets) <= floor):
+            f2[offsets[j]:offsets[j] + counts[j]] = segment_variances(Y, int(scales[j]), 1)
+    return f2, counts
 
 
 def fluctuation_function(series, config: MfdfaConfig) -> FluctuationSurface:
@@ -178,61 +297,74 @@ def fluctuation_function(series, config: MfdfaConfig) -> FluctuationSurface:
     q < 0 sums and the log-average, with counts reported per scale. A segment
     counts as zero-variance when F^2 <= (s * eps * max|Y|)^2, the roundoff
     that detrending the profile Y leaves where the series is constant; q > 0
-    uses every segment.
+    uses every segment. Order-1 detrending of a series of at most
+    _PREFIX_MAX_LENGTH points takes every scale from one set of longdouble
+    running sums (`_order1_variances`); longer series, higher orders, and
+    every order where longdouble is no wider than float64, project scale by
+    scale.
     """
     x = np.asarray(series, dtype=float)
     config.validate_length(len(x))
     Y = profile(x)
     qs = config.q_values
     scales = config.scales
-    values = np.empty((len(qs), len(scales)))
-    excluded = np.zeros(len(scales), dtype=int)
+    if (config.detrend_order == 1 and len(x) <= _PREFIX_MAX_LENGTH
+            and np.finfo(np.longdouble).eps < np.finfo(float).eps):
+        f2, counts = _order1_variances(Y, scales)
+    else:
+        parts = [segment_variances(Y, int(s), config.detrend_order) for s in scales]
+        f2 = np.concatenate(parts)
+        counts = np.array([len(p) for p in parts])
+    offsets = np.cumsum(counts) - counts
     roundoff = (scales * (np.finfo(float).eps * np.max(np.abs(Y)))) ** 2
-    for j, s in enumerate(scales):
-        f2 = segment_variances(Y, int(s), config.detrend_order)
-        positive = f2[f2 > roundoff[j]]
-        excluded[j] = len(f2) - len(positive)
-        if len(positive) == 0:
-            raise NumericError(f"all segments have zero variance at scale s = {s}")
-        for i, q in enumerate(qs):
-            values[i, j] = aggregate_fluctuation(f2 if q > 0 else positive, float(q))
+    keep = f2 > np.repeat(roundoff, counts)
+    kept = np.add.reduceat(keep, offsets, dtype=np.intp)
+    empty = np.flatnonzero(kept == 0)
+    if len(empty):
+        raise NumericError(f"all segments have zero variance at scale s = {scales[empty[0]]}")
+    with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a q > 0 sum
+        log_f2 = np.log(f2)
+    values = np.empty((len(qs), len(scales)))
+    positive = qs > 0
+    if positive.any():
+        values[positive] = _power_means(log_f2, offsets, qs[positive])
+    if not positive.all():
+        values[~positive] = _power_means(log_f2[keep], np.cumsum(kept) - kept,
+                                         qs[~positive])
     return FluctuationSurface(q_values=qs, scales=scales, values=values,
                               series_length=len(x), config=config,
-                              excluded_segments=excluded)
-
-
-def _ols_loglog(log_s: np.ndarray, log_f: np.ndarray) -> tuple[float, float, float]:
-    """Slope, slope standard error, and r^2 of log F on log s."""
-    k = len(log_s)
-    sx = log_s - log_s.mean()
-    sy = log_f - log_f.mean()
-    sxx = float(sx @ sx)
-    slope = float(sx @ sy) / sxx
-    intercept = log_f.mean() - slope * log_s.mean()
-    resid = log_f - (intercept + slope * log_s)
-    rss = float(resid @ resid)
-    tss = float(sy @ sy)
-    stderr = float(np.sqrt(rss / (k - 2) / sxx)) if k > 2 else 0.0
-    r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    return slope, stderr, r2
+                              excluded_segments=counts - kept)
 
 
 def generalized_hurst(surface: FluctuationSurface,
                       fit_range: tuple[int, int] | None = None) -> GHECurve:
-    """h(q) as the OLS slope of log F_q(s) vs log s over the fit range."""
+    """h(q) as the OLS slope of log F_q(s) vs log s over the fit range.
+
+    Slope, its standard error and r^2 for every q come from one array pass.
+    """
     if fit_range is None:
         fit_range = surface.config.fit_range
     if fit_range is None:
         fit_range = (int(surface.scales[0]), int(surface.scales[-1]))
     lo, hi = fit_range
     mask = (surface.scales >= lo) & (surface.scales <= hi)
-    if np.count_nonzero(mask) < 3:
+    k = np.count_nonzero(mask)
+    if k < 3:
         raise NumericError(f"fewer than 3 scales inside fit range {fit_range}")
     log_s = np.log(surface.scales[mask].astype(float))
-    points = []
-    for i, q in enumerate(surface.q_values):
-        slope, stderr, r2 = _ols_loglog(log_s, np.log(surface.values[i, mask]))
-        points.append(GHEPoint(q=float(q), h=slope, stderr=stderr, r2=r2))
+    log_f = np.log(surface.values[:, mask])
+    sx = log_s - log_s.sum() / k
+    sy = log_f - log_f.sum(axis=1, keepdims=True) / k
+    sxx = sx @ sx
+    slope = (sy @ sx) / sxx
+    resid = sy - slope[:, None] * sx
+    rss = (resid * resid).sum(axis=1)
+    tss = (sy * sy).sum(axis=1)
+    stderr = np.sqrt(rss / (k - 2) / sxx)
+    r2 = 1.0 - rss / np.where(tss > 0, tss, np.inf)  # r^2 = 1 for a flat log F
+    points = [GHEPoint(q=q, h=h, stderr=e, r2=r)
+              for q, h, e, r in zip(surface.q_values.tolist(), slope.tolist(),
+                                    stderr.tolist(), r2.tolist())]
     return GHECurve(points=points, fit_range=(int(lo), int(hi)))
 
 

@@ -193,7 +193,9 @@ def _cli_case(name, tmp_path):
     if name == "missing_ticks_file":
         return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *out]
     bad_rows = {"ticks_not_utf8": b"\xff\xfe,1.0\r\n",
-                "ticks_timestamp_out_of_range": b"99999999999999999999,2.0\r\n"}
+                "ticks_timestamp_out_of_range": b"99999999999999999999,2.0\r\n",
+                "ticks_after_the_calendar": b"9223372036854775000,2.0\r\n",
+                "ticks_before_the_calendar": b"-9000000000000000000,2.0\r\n"}
     if name in bad_rows:
         ticks.write_bytes(ticks.read_bytes() + bad_rows[name])
         return ["rolling", "--ticks", str(ticks), *out]
@@ -221,6 +223,8 @@ class TestExitCodes:
         ("missing_ticks_file", 2, "No such file or directory"),
         ("ticks_not_utf8", 2, "tick data is not valid UTF-8 at line 4321"),
         ("ticks_timestamp_out_of_range", 2, "line 4321: timestamp out of range"),
+        ("ticks_after_the_calendar", 2, "9223372036854775000 lies outside the calendar"),
+        ("ticks_before_the_calendar", 2, "-9000000000000000000 lies outside the calendar"),
         ("zero_stderr_in_sweep", 1, "stderrs must be finite and positive"),
         ("sweep_row_without_h2", 2, "bad sweep row at line 3"),
         ("sweep_h2_not_a_number", 2, "bad sweep row at line 3"),

@@ -307,6 +307,24 @@ class TestResample:
             resample_prices(ticks, 5, DAY0 + dt.timedelta(days=10),
                             DAY0 + dt.timedelta(days=12))
 
+    def test_timestamp_after_the_calendar(self):
+        # int64 holds it, but its day is past 9999-12-31: the span used to wrap
+        # to a grid of 0 days with no error
+        ticks = ticks_from([(T0, 100.0), (9223372036854775000, 101.0)])
+        with pytest.raises(DataError, match="9223372036854775000 lies outside the calendar"):
+            resample_prices(ticks, 60)
+
+    def test_timestamp_before_the_calendar(self):
+        # its day is before 0001-01-01: used to raise OverflowError from datetime
+        ticks = ticks_from([(-9000000000000000000, 99.0), (T0, 100.0)])
+        with pytest.raises(DataError, match="-9000000000000000000 lies outside the calendar"):
+            resample_prices(ticks, 60)
+
+    def test_clipped_span_ignores_ticks_outside_the_calendar(self):
+        ticks = ticks_from([(T0, 100.0), (T0 + 3600, 101.0), (9223372036854775000, 102.0)])
+        grid = resample_prices(ticks, 60, end_date=DAY0)
+        assert grid.days == [DAY0]
+
 
 class TestIntradayReturns:
     def test_constant_price(self):

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from roughscale import mfdfa
 from roughscale.errors import DataError, NumericError
 from roughscale.mfdfa import (FluctuationSurface, MfdfaConfig,
                               aggregate_fluctuation, default_scales,
@@ -219,3 +224,205 @@ class TestConfigValidation:
         config = MfdfaConfig(q_values=[2.0], scales=[10, 20, 40])
         with pytest.raises(ValueError):
             config.validate_length(100)
+
+
+def reference_surface(series, config):
+    """F_q(s) and exclusion counts by the per-scale loop: one
+    `segment_variances` call per scale and the power mean (F^2)^(q/2) per q."""
+    Y = profile(series)
+    roundoff = (config.scales * (np.finfo(float).eps * np.max(np.abs(Y)))) ** 2
+    values = np.empty((len(config.q_values), len(config.scales)))
+    excluded = np.zeros(len(config.scales), dtype=int)
+    for j, s in enumerate(config.scales):
+        f2 = segment_variances(Y, int(s), config.detrend_order)
+        positive = f2[f2 > roundoff[j]]
+        excluded[j] = len(f2) - len(positive)
+        if len(positive) == 0:
+            raise NumericError(f"all segments have zero variance at scale s = {s}")
+        for i, q in enumerate(config.q_values):
+            if q == 0:
+                values[i, j] = np.exp(0.5 * np.mean(np.log(positive)))
+            else:
+                g = f2 if q > 0 else positive
+                values[i, j] = np.mean(g ** (q / 2.0)) ** (1.0 / q)
+    return values, excluded
+
+
+@st.composite
+def awkward_series(draw):
+    """Noise with constant and two-level blocks, strong trends, large offsets
+    and zero stretches; scales reach N/4 and q reaches +-3."""
+    n = draw(st.integers(40, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    t = np.arange(n)
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(a + 1, n))
+        kind = draw(st.sampled_from(["constant", "two_level", "trend", "zero"]))
+        if kind == "constant":
+            x[a:b] = draw(st.sampled_from([0.3, -0.2, 1.25]))
+        elif kind == "two_level":
+            x[a:b] = np.where((t[a:b] // draw(st.integers(1, 40))) % 2 == 0, 0.75, 1.25)
+        elif kind == "trend":
+            x[a:b] += draw(st.sampled_from([0.01, 1.0, 100.0])) * t[a:b]
+        else:
+            x[a:b] = 0.0
+    x += draw(st.sampled_from([0.0, 1e6, -3.5e6]))
+    top = n // 4
+    lo = draw(st.integers(3, max(3, top // 4)))
+    scales = np.unique(np.r_[np.geomspace(lo, top, draw(st.integers(3, 8))).astype(int), top])
+    q = draw(st.lists(st.sampled_from([-3.0, -2.0, -0.5, 0.0, 0.5, 2.0, 3.0]),
+                      min_size=1, max_size=4, unique=True))
+    return x, MfdfaConfig(q_values=np.sort(q), scales=scales)
+
+
+class TestPrefixPathMatchesReference:
+    """Order-1 detrending from running sums against the per-scale projection."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(awkward_series())
+    @example((np.full(200, 7.5), MfdfaConfig(q_values=[-3.0, 2.0], scales=[10, 20, 40])))
+    def test_equal_to_reference(self, case):
+        x, config = case
+        Y = profile(x)
+        f2, counts = mfdfa._order1_variances(Y, config.scales)
+        ends = np.cumsum(counts)
+        for s, stop, count in zip(config.scales, ends, counts):
+            want = segment_variances(Y, int(s), 1)
+            np.testing.assert_allclose(f2[stop - count:stop], want, rtol=1e-12, atol=0)
+        try:
+            want, excluded = reference_surface(x, config)
+        except NumericError as exc:
+            with pytest.raises(NumericError, match=str(exc)):
+                fluctuation_function(x, config)
+            return
+        surface = fluctuation_function(x, config)
+        np.testing.assert_array_equal(surface.excluded_segments, excluded)
+        np.testing.assert_allclose(surface.values, want, rtol=1e-12, atol=0)
+
+
+def _profiles_that_trip_the_guard():
+    rng = np.random.default_rng(0)
+    roundoff = profile(np.concatenate([np.full(4000, 0.3), np.full(4000, -0.2),
+                                       rng.standard_normal(2000)]))
+    linear = np.concatenate([2.0 + 0.5 * np.arange(400.0),
+                             202.0 + np.cumsum(rng.standard_normal(400))])
+    two_level = profile(np.repeat(np.tile([0.75, 1.25], 20), 50)
+                        + np.r_[np.zeros(1000), rng.standard_normal(1000)])[:1600]
+    return {"roundoff": roundoff, "linear": linear, "two_level": two_level}
+
+
+class TestGuard:
+    @pytest.mark.parametrize("name", ["roundoff", "linear", "two_level"])
+    def test_tripped_scale_is_the_projection(self, name):
+        Y = _profiles_that_trip_the_guard()[name]
+        scales = default_scales(len(Y))
+        with mock.patch.object(mfdfa, "segment_variances",
+                               wraps=segment_variances) as fallback:
+            f2, counts = mfdfa._order1_variances(Y, scales)
+        tripped = [call.args[1] for call in fallback.call_args_list]
+        assert scales[0] in tripped
+        ends = np.cumsum(counts)
+        for s, stop, count in zip(scales, ends, counts):
+            if s in tripped:
+                assert np.array_equal(f2[stop - count:stop], segment_variances(Y, int(s), 1))
+
+    def test_stationary_profile_takes_no_fallback(self):
+        # increments of a stationary series, like the daily log-RV increments
+        # of one rolling window
+        Y = profile(np.diff(np.random.default_rng(1).standard_normal(2901)))
+        with mock.patch.object(mfdfa, "segment_variances") as fallback:
+            mfdfa._order1_variances(Y, default_scales(len(Y)))
+        fallback.assert_not_called()
+
+    def test_order_2_never_takes_the_prefix_path(self):
+        x = np.random.default_rng(2).standard_normal(1000)
+        config = MfdfaConfig(q_values=[-2.0, 2.0], scales=default_scales(1000),
+                             detrend_order=2)
+        with mock.patch.object(mfdfa, "_order1_variances",
+                               side_effect=AssertionError("prefix path")):
+            surface = fluctuation_function(x, config)
+        want, _ = reference_surface(x, config)
+        np.testing.assert_allclose(surface.values, want, rtol=1e-12)
+
+    def test_narrow_longdouble_projects_every_scale(self):
+        # where longdouble is float64 the running sums cannot carry the
+        # cancellation, so no scale takes them
+        real = np.finfo
+
+        def narrow(dtype):
+            return real(float) if dtype is np.longdouble else real(dtype)
+
+        x = np.random.default_rng(3).standard_normal(1000)
+        config = MfdfaConfig(q_values=[-2.0, 2.0], scales=default_scales(1000))
+        with mock.patch("numpy.finfo", narrow), \
+                mock.patch.object(mfdfa, "_order1_variances",
+                                  side_effect=AssertionError("prefix path")):
+            surface = fluctuation_function(x, config)
+        want, _ = reference_surface(x, config)
+        np.testing.assert_allclose(surface.values, want, rtol=1e-12)
+
+
+class TestSeriesLength:
+    """The running sums' roundoff grows with N, so they serve short series."""
+
+    @pytest.mark.parametrize("name", ["fgn_0.1", "fgn_0.3", "white", "offset", "trend"])
+    def test_accurate_at_the_length_cap(self, name):
+        n = mfdfa._PREFIX_MAX_LENGTH
+        rng = np.random.default_rng(7)
+        x = {"fgn_0.1": lambda: generate_fgn(0.1, n, 8),
+             "fgn_0.3": lambda: generate_fgn(0.3, n, 9),
+             "white": lambda: rng.standard_normal(n),
+             "offset": lambda: rng.standard_normal(n) + 1e6,
+             "trend": lambda: rng.standard_normal(n) + 1e-2 * np.arange(n)}[name]()
+        Y = profile(x)
+        scales = default_scales(n)
+        f2, counts = mfdfa._order1_variances(Y, scales)
+        ends = np.cumsum(counts)
+        for s, stop, count in zip(scales, ends, counts):
+            np.testing.assert_allclose(f2[stop - count:stop], segment_variances(Y, int(s), 1),
+                                       rtol=1e-12, atol=0)
+
+    def test_path_switches_above_the_cap(self):
+        n = mfdfa._PREFIX_MAX_LENGTH
+        x = np.random.default_rng(4).standard_normal(n + 1)
+        for length, calls in [(n, 1), (n + 1, 0)]:
+            config = MfdfaConfig(q_values=[2.0], scales=default_scales(length))
+            with mock.patch.object(mfdfa, "_order1_variances",
+                                   wraps=mfdfa._order1_variances) as prefix:
+                fluctuation_function(x[:length], config)
+            assert prefix.call_count == calls
+
+    @pytest.mark.parametrize("name", ["fgn_0.1", "white"])
+    def test_long_series_match_the_reference(self, name):
+        # at the single-series lengths of an oracle study
+        n = 2 ** 18
+        x = (generate_fgn(0.1, n, 10) if name == "fgn_0.1"
+             else np.random.default_rng(11).standard_normal(n))
+        config = MfdfaConfig.for_series(n)
+        surface = fluctuation_function(x, config)
+        want, excluded = reference_surface(x, config)
+        np.testing.assert_array_equal(surface.excluded_segments, excluded)
+        np.testing.assert_allclose(surface.values, want, rtol=1e-12, atol=0)
+
+
+class TestExtremeAmplitudes:
+    # F_q scales with the amplitude, so h(q) must not move; (F^2)^(q/2) used
+    # to overflow to inf at 1e120 for q = 3 and at 1e-120 for q = -3
+    @pytest.mark.parametrize("amplitude", [1e-120, 1e120])
+    def test_h_is_amplitude_free(self, amplitude):
+        x = np.random.default_rng(5).standard_normal(4096)
+        config = MfdfaConfig(q_values=[-3.0, -0.5, 0.0, 2.0, 3.0],
+                             scales=default_scales(len(x)))
+        base = generalized_hurst(fluctuation_function(x, config)).h_values
+        scaled = generalized_hurst(fluctuation_function(amplitude * x, config)).h_values
+        np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=0)
+
+
+class TestDefaultScales:
+    def test_memoised_and_read_only(self):
+        a = default_scales(1000)
+        assert a is default_scales(1000)
+        assert not a.flags.writeable
+        assert a[0] == 10 and a[-1] == 250

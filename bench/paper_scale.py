@@ -45,6 +45,20 @@ def src_modified() -> bool | None:
     return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 
+def provenance(seed: int, input_sha256: str) -> dict:
+    """Where a record's numbers come from; call after `BLAS_ENV` is set."""
+    import numpy
+    import scipy
+    return {
+        "git_commit": git_commit(), "src_modified": src_modified(),
+        "source_sha256": source_digest(),
+        "python": platform.python_version(), "numpy": numpy.__version__,
+        "scipy": scipy.__version__, "nproc": os.cpu_count(),
+        "machine": platform.machine(), "blas_threads": BLAS_ENV["OPENBLAS_NUM_THREADS"],
+        "seed": seed, "input_sha256": input_sha256,
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -52,8 +66,6 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     os.environ.update(BLAS_ENV)  # before numpy loads its BLAS
-    import numpy
-    import scipy
     from perfbench import generators
     from roughscale import pipeline
 
@@ -82,14 +94,7 @@ def main(argv=None) -> int:
         "median": {k: statistics.median(run[k] for run in runs) for k in runs[0]},
         "runs": runs,
         "generate_s": generate_s,
-        "provenance": {
-            "git_commit": git_commit(), "src_modified": src_modified(),
-            "source_sha256": source_digest(),
-            "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "nproc": os.cpu_count(),
-            "machine": platform.machine(), "blas_threads": BLAS_ENV["OPENBLAS_NUM_THREADS"],
-            "seed": args.seed, "input_sha256": inputs.digest(),
-        },
+        "provenance": provenance(args.seed, inputs.digest()),
     }
     out = ROOT / "bench" / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

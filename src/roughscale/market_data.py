@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -84,12 +85,15 @@ class IntradayReturnGrid:
 # where that is exact; the lines loadtxt rejects, and every line it cannot be
 # trusted on, go through the row rules (`_TickReader.row`) in file order.
 _CHUNK = 8192
-# A rejected piece of at most this many lines goes through the row rules whole
-# (~1 us a line) instead of being halved again: a loadtxt call costs ~10 us
-# however short its input. Halving down to single lines made a file with a
-# malformed line in every 16 parse 6x slower than the row rules alone; at 64
-# it is 2x slower, and on par at one in 256.
-_BISECT_FLOOR = 64
+# A piece loadtxt rejects is split at the row its error names: the lines before
+# that row go to loadtxt again and the failing line to the row rules. A failure
+# within the first _ROW_RUN lines sends a run of lines through the row rules
+# instead (~1-2 us a line), since a loadtxt call costs ~15 us however short its
+# input; the run doubles while each run holds at least one bad line in _DENSE,
+# so a stretch of dense bad lines takes a few loadtxt calls, not one per run.
+_ROW_RUN = 64
+_DENSE = 32
+_FAILED_ROW = re.compile(r"at row (\d+)")
 _RECORD = np.dtype([("t", "<i8"), ("p", "<f8")])
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 # loadtxt reads some characters that int()/float() reject (it takes "12,3\x1c"
@@ -112,6 +116,18 @@ def _plain(text: str) -> bool:
     half = csv.field_size_limit() // 2
     return all(text.find("\n", i, i + half) >= 0
                for i in range(0, len(text) - half + 1, half))
+
+
+def _failed_line(lines: list[str], message: str) -> int:
+    """The index in `lines` of the row a loadtxt error names, 0 when it names
+    none. The row counts the lines loadtxt reads, which skips empty ones; the
+    result only steers the split, as every line is parsed by one rule or the
+    other whatever it is."""
+    found = _FAILED_ROW.search(message)
+    if found is None:
+        return 0
+    rows = (i for i, line in enumerate(lines) if line.strip("\r\n"))
+    return next(itertools.islice(rows, int(found.group(1)), None), len(lines) - 1)
 
 
 class _TickReader:
@@ -164,39 +180,47 @@ class _TickReader:
         self._parts.append(records)
 
     def _loadtxt(self, lines: list[str], first: int) -> None:
-        """Plain lines by np.loadtxt. A piece it rejects is halved until the
-        halves are short enough for the row rules; each row it reads with a
-        non-finite price goes through the row rules too."""
-        try:
-            with warnings.catch_warnings():
-                # loadtxt warns when every line is blank
-                warnings.simplefilter("ignore", UserWarning)
-                records = np.loadtxt(lines, delimiter=",", usecols=(0, 1), dtype=_RECORD,
-                                     comments=None, ndmin=1)
-        except ValueError:
-            records = None
-        at = range(len(lines))  # the line each record was read from
-        if records is not None and len(records) < len(lines):
-            # loadtxt skips blank lines, as the row rules do
-            at = [i for i, line in enumerate(lines) if line.strip()]
-        # a record that cannot be placed on its line is parsed again
-        if records is None or len(records) != len(at):
-            if len(lines) <= _BISECT_FLOOR:
+        """Plain lines by np.loadtxt, with each line it rejects, and each row it
+        reads with a non-finite price, through the row rules."""
+        run = _ROW_RUN
+        while lines:
+            try:
+                with warnings.catch_warnings():
+                    # loadtxt warns when every line is blank
+                    warnings.simplefilter("ignore", UserWarning)
+                    records = np.loadtxt(lines, delimiter=",", usecols=(0, 1),
+                                         dtype=_RECORD, comments=None, ndmin=1)
+            except ValueError as exc:
+                cut = _failed_line(lines, str(exc))
+                if cut < _ROW_RUN:
+                    cut, malformed = run, self.malformed
+                    self._rows(lines[:cut], first)
+                    dense = (self.malformed - malformed) * _DENSE >= cut
+                    run = 2 * run if dense else _ROW_RUN
+                else:
+                    self._loadtxt(lines[:cut], first)
+                    self._rows(lines[cut:cut + 1], first + cut)
+                    cut += 1
+                lines, first = lines[cut:], first + cut
+                continue
+            at = range(len(lines))  # the line each record was read from
+            if len(records) < len(lines):
+                # loadtxt skips blank lines, as the row rules do
+                at = [i for i, line in enumerate(lines) if line.strip()]
+            if len(records) != len(at):
+                # a record that cannot be placed on its line is parsed again
                 self._rows(lines, first)
-            else:
-                mid = len(lines) // 2
-                self._loadtxt(lines[:mid], first)
-                self._loadtxt(lines[mid:], first + mid)
+                return
+            finite = np.isfinite(records["p"])
+            if not finite.all():
+                bad = np.flatnonzero(~finite).tolist()
+                for k, fields in zip(bad, csv.reader([lines[at[k]] for k in bad])):
+                    record = self.row(first + at[k], fields)
+                    if record is not None:
+                        records[k], finite[k] = record, True
+                records = records[finite]
+            self._append(records)
             return
-        finite = np.isfinite(records["p"])
-        if not finite.all():
-            bad = np.flatnonzero(~finite).tolist()
-            for k, fields in zip(bad, csv.reader([lines[at[k]] for k in bad])):
-                record = self.row(first + at[k], fields)
-                if record is not None:
-                    records[k], finite[k] = record, True
-            records = records[finite]
-        self._append(records)
 
     def read(self, stream) -> np.ndarray:
         """All records of `stream`, as one record array."""
@@ -263,20 +287,42 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0,
                       malformed_lines=reader.malformed)
 
 
-def resample_prices(ticks: TickSeries, delta_minutes: int,
-                    start_date: dt.date | None = None,
-                    end_date: dt.date | None = None,
-                    min_coverage: float = 0.0) -> PriceGrid:
-    """Previous-tick resampling onto a delta-minute UTC grid.
+@dataclass(frozen=True)
+class TradeIndex:
+    """Previous-tick prices of a tick stream for a set of deltas, on the grid
+    of their greatest common divisor (the step).
 
-    Each grid point holds the last traded price at or before the grid time;
-    the day-open forward-fills from the prior day's last trade. Days with no
-    trades at all are omitted, as are days with coverage below `min_coverage`.
+    Row i is trading day `days[i]` of the span it was built for; column j is
+    the grid time j*step minutes after that day's midnight, j = 0..1440/step.
+    A delta that is a multiple k of the step reads its grid as the column
+    stride [:, ::k] (`resample_prices`), so one index serves a whole delta
+    sweep. Built by `trade_index`.
     """
-    if delta_minutes <= 0 or MINUTES_PER_DAY % delta_minutes != 0:
-        raise ValueError(f"delta_minutes={delta_minutes} must divide 1440")
-    n = MINUTES_PER_DAY // delta_minutes
 
+    step_minutes: int
+    days: list[dt.date]   # trading days only: zero-trade days are omitted
+    prices: np.ndarray    # (days, 1440/step + 1): previous-tick price, leading edge backfilled
+    coverage: dict[int, np.ndarray]  # per delta, (days,): share of intervals with a trade
+    leading: int          # day-opens with no prior trade, backfilled from the day's first trade
+
+
+def trade_index(ticks: TickSeries, deltas: list[int],
+                start_date: dt.date | None = None,
+                end_date: dt.date | None = None) -> TradeIndex:
+    """The trading days of the span [start_date, end_date] (default: the
+    data's), their previous-tick prices on the grid of the deltas' greatest
+    common divisor, and each delta's coverage.
+
+    Raises ValueError when there is no delta or one does not divide 1440,
+    and DataError when the span misses the data or a tick's day lies outside
+    the calendar.
+    """
+    if not deltas:
+        raise ValueError("a trade index needs at least one delta")
+    for delta in deltas:
+        if delta <= 0 or MINUTES_PER_DAY % delta != 0:
+            raise ValueError(f"delta_minutes={delta} must divide 1440")
+    step = math.gcd(*deltas)
     first_day = int(ticks.timestamps[0]) // SECONDS_PER_DAY
     last_day = int(ticks.timestamps[-1]) // SECONDS_PER_DAY
     if start_date is not None:
@@ -292,31 +338,85 @@ def resample_prices(ticks: TickSeries, delta_minutes: int,
                             "(years 1-9999)")
 
     ts = ticks.timestamps
-    bounds = np.searchsorted(ts, np.arange(first_day, last_day + 2, dtype=np.int64)
-                             * SECONDS_PER_DAY)
+    n = MINUTES_PER_DAY // step
+    width = 60 * step
+    day0 = first_day * SECONDS_PER_DAY
+    bounds = np.searchsorted(ts, day0 + SECONDS_PER_DAY * np.arange(
+        last_day - first_day + 2, dtype=np.int64))
     traded = np.flatnonzero(bounds[1:] > bounds[:-1])  # zero-trade days are omitted
-    epoch_days = first_day + traded
-    grid_times = ((epoch_days * SECONDS_PER_DAY)[:, None]
-                  + 60 * delta_minutes * np.arange(n + 1, dtype=np.int64))
-    # interval k = [grid_times[k-1], grid_times[k]) so a day-open trade counts
-    counts = np.searchsorted(ts, grid_times, side="left")
-    coverage = np.count_nonzero(np.diff(counts, axis=1) > 0, axis=1) / n
-    idx = np.searchsorted(ts, grid_times, side="right") - 1
-    del counts, grid_times  # free two (days, n+1) arrays before the gather
+    # The span's grid times are day0 + width*m, m = 0..total; day d's row is
+    # m = n*d .. n*(d+1). Binning the span's ticks against them and taking
+    # running sums counts the ticks up to every grid time in one pass.
+    total = (last_day - first_day + 1) * n
+    lo = int(bounds[0])  # ticks before the span
+    span = ts[lo:np.searchsorted(ts, day0 + total * width, side="right")]
+
+    def rows(ticks_per_bin: np.ndarray, offset: int) -> np.ndarray:
+        """`offset` plus the running sums of bins 0..total, as (traded days, n+1)."""
+        sums = ticks_per_bin[:total + 1]
+        np.cumsum(sums, out=sums)
+        out = sliding_window_view(sums, n + 1)[::n][traded]
+        out += offset
+        return out
+
+    # the ticks strictly before each grid time, so that interval k is
+    # [time k-1, time k) and a day-open trade counts
+    counts = rows(np.bincount((span - day0) // width + 1, minlength=total + 2), lo)
+    coverage = {}
+    for delta in deltas:
+        k = delta // step
+        coverage[delta] = np.count_nonzero(counts[:, k::k] > counts[:, :-k:k], axis=1) / (n // k)
+    del counts  # free it before the previous-tick index is built
+    # the previous tick: the last at or before the grid time, so in bin
+    # ceil((t - day0) / width) or below
+    idx = rows(np.bincount((span - day0 + width - 1) // width, minlength=total + 2), lo - 1)
     # a day-open with no trade anywhere before it is backfilled from the day's
     # first trade; only the data's leading edge can hit this, later day-opens
-    # forward-fill from prior days
-    leading = int(np.count_nonzero(idx[:, 0] < 0))
+    # forward-fill from prior days. A row's negative entries come first.
+    lead = np.flatnonzero(idx[:, 0] < 0)
+    idx[lead] = np.where(idx[lead] < 0, bounds[traded[lead], None], idx[lead])
+    return TradeIndex(step_minutes=step,
+                      days=[_epoch_day_to_date(d) for d in first_day + traded],
+                      prices=ticks.prices[idx], coverage=coverage, leading=len(lead))
+
+
+def resample_prices(ticks: TickSeries | TradeIndex, delta_minutes: int,
+                    start_date: dt.date | None = None,
+                    end_date: dt.date | None = None,
+                    min_coverage: float = 0.0) -> PriceGrid:
+    """Previous-tick resampling onto a delta-minute UTC grid.
+
+    Each grid point holds the last traded price at or before the grid time;
+    the day-open forward-fills from the prior day's last trade. Days with no
+    trades at all are omitted, as are days with coverage below `min_coverage`.
+
+    `ticks` is a TickSeries, or a TradeIndex shared by a sweep of deltas (see
+    `trade_index`) that holds this one; the grid is then the index's column
+    stride and the span the index's own, so `start_date` and `end_date` must
+    be None. Either way, a backfilled leading day-open is reported by one
+    warning per call.
+    """
+    if isinstance(ticks, TradeIndex):
+        if start_date is not None or end_date is not None:
+            raise ValueError("a TradeIndex fixes its span: pass start_date and "
+                             "end_date to trade_index")
+        if delta_minutes not in ticks.coverage:
+            raise ValueError(f"delta_minutes={delta_minutes} is not among the index's "
+                             f"deltas {sorted(ticks.coverage)}")
+        index = ticks
+    else:
+        index = trade_index(ticks, [delta_minutes], start_date, end_date)
+    coverage = index.coverage[delta_minutes]
     keep = ~(coverage < min_coverage)
-    idx, coverage, epoch_days = idx[keep], coverage[keep], epoch_days[keep]
-    first_trade = bounds[traded[keep]]
-    prices = ticks.prices[np.where(idx < 0, first_trade[:, None], idx)]
-    if leading:
-        warnings.warn(f"backfilled the day-open of {leading} leading day(s) "
+    prices = index.prices[:, ::delta_minutes // index.step_minutes]
+    if not keep.all():
+        prices, coverage = prices[keep], coverage[keep]
+    if index.leading:
+        warnings.warn(f"backfilled the day-open of {index.leading} leading day(s) "
                       "with no prior trade", stacklevel=2)
     return PriceGrid(delta_minutes=delta_minutes,
-                     days=[_epoch_day_to_date(d) for d in epoch_days],
-                     prices=prices, coverage=coverage)
+                     days=list(itertools.compress(index.days, keep)),
+                     prices=np.ascontiguousarray(prices), coverage=coverage)
 
 
 def intraday_log_returns(grid: PriceGrid) -> IntradayReturnGrid:

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, NumericError
-from .market_data import TickSeries, intraday_log_returns, resample_prices
+from .market_data import (TickSeries, intraday_log_returns, resample_prices,
+                          trade_index)
 from .mfdfa import (MfdfaConfig, default_q_values, fluctuation_function,
                     generalized_hurst)
 from .multifractal_metrics import taylor_b1
@@ -81,11 +82,16 @@ def build_rv_by_delta(ticks: TickSeries, deltas: list[int],
                       start_date: dt.date | None = None,
                       end_date: dt.date | None = None,
                       min_coverage: float = 0.0) -> dict[int, RVSeries]:
-    """Resample the tick stream once per delta and compute daily RV series."""
+    """Daily RV series for each delta, from one trade index of the tick stream.
+
+    The index is built once, on the grid of the deltas' greatest common
+    divisor, and each delta's grid is a column stride of it: one
+    `resample_prices` call per delta, with no further pass over the ticks.
+    """
+    index = trade_index(ticks, deltas, start_date, end_date)
     out = {}
     for delta in deltas:
-        grid = resample_prices(ticks, delta, start_date, end_date,
-                               min_coverage=min_coverage)
+        grid = resample_prices(index, delta, min_coverage=min_coverage)
         out[delta] = compute_daily_rv(intraday_log_returns(grid))
     return out
 

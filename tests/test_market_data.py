@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughscale import market_data
+from roughscale import market_data, pipeline
 from roughscale.errors import DataError
 from roughscale.market_data import (PriceGrid, TickSeries, date_to_epoch_seconds,
                                     intraday_log_returns, parse_ticks,
-                                    resample_prices)
+                                    resample_prices, trade_index)
 from roughscale.realized_volatility import compute_daily_rv
 from roughscale.scaling import divisors_of_1440
 
@@ -237,9 +237,9 @@ class TestChunkedParseMatchesReference:
             return newline.join(records) + (newline if final_newline else "")
         kw = dict(header=header, max_malformed=max_malformed)
         expected = expected_outcome(records, join, **kw)
-        # small chunks and bisection floors put bad lines on chunk edges and
-        # inside bisection halves
-        with mock.patch.multiple(market_data, _CHUNK=chunk, _BISECT_FLOOR=floor):
+        # small chunks and row runs put bad lines on chunk edges and
+        # inside split pieces
+        with mock.patch.multiple(market_data, _CHUNK=chunk, _ROW_RUN=floor):
             assert outcome(parse_ticks, io.StringIO(join(records)), **kw) == expected
             # bytes are read with universal newlines, as binary streams always were
             data = join(r for r in records if r != OUT_OF_RANGE).encode()
@@ -480,3 +480,61 @@ class TestArrayGridMatchesPerDayLoop:
         assert rv.dates == dates
         assert rv.rv.tolist() == [float(np.sum(r ** 2)) for r in returns]
         assert rv.daily_return.tolist() == [float(np.sum(r)) for r in returns]
+
+
+DIVISORS = divisors_of_1440()
+# singletons, any divisors, and sets sharing a step above 1 (criterion 8's)
+delta_sets = (st.sampled_from(DIVISORS).map(lambda d: [d])
+              | st.lists(st.sampled_from(DIVISORS), min_size=1, max_size=8, unique=True)
+              | st.sampled_from(DIVISORS[1:-1]).flatmap(lambda g: st.lists(
+                  st.sampled_from([d for d in DIVISORS if d % g == 0]),
+                  min_size=2, max_size=6, unique=True))
+              | st.just([30, 60, 120, 288, 720]))
+
+
+class TestSharedIndexMatchesPerDeltaLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(tick_streams(), delta_sets)
+    def test_build_rv_by_delta_equal_to_reference(self, case, deltas):
+        ticks, _, start, end, min_coverage = case
+        try:
+            refs = {d: reference_resample(ticks, d, start, end, min_coverage)
+                    for d in deltas}
+        except DataError:
+            with pytest.raises(DataError):
+                pipeline.build_rv_by_delta(ticks, deltas, start, end, min_coverage)
+            return
+        backfills = {}
+        real = pipeline.resample_prices
+
+        def resample(index, delta, *args, **kw):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                grid = real(index, delta, *args, **kw)
+            backfills[delta] = backfill_count(caught)
+            return grid
+
+        with mock.patch.object(pipeline, "resample_prices", resample):
+            out = pipeline.build_rv_by_delta(ticks, deltas, start, end, min_coverage)
+        assert list(out) == deltas
+        for delta, (dates, prices, _, leading) in refs.items():
+            returns = [np.diff(np.log(p)) for p in prices]
+            rv = out[delta]
+            assert backfills[delta] == leading
+            assert rv.dates == dates
+            assert rv.rv.tolist() == [float(np.sum(r ** 2)) for r in returns]
+            assert rv.daily_return.tolist() == [float(np.sum(r)) for r in returns]
+
+    def test_index_fixes_its_span(self):
+        index = trade_index(ticks_from([(T0, 100.0), (T0 + 86400, 101.0)]), [5])
+        for span in ({"start_date": DAY0}, {"end_date": DAY0}):
+            with pytest.raises(ValueError, match="fixes its span"):
+                resample_prices(index, 5, **span)
+
+    # not a multiple of the step 5, a multiple it was not built for, no divisor
+    @pytest.mark.parametrize("delta", [1, 8, 15, 7])
+    def test_delta_must_be_one_the_index_was_built_for(self, delta):
+        index = trade_index(ticks_from([(T0, 100.0)]), [10, 5])
+        assert index.step_minutes == 5
+        with pytest.raises(ValueError, match=f"delta_minutes={delta} "):
+            resample_prices(index, delta)

@@ -1,10 +1,15 @@
 import datetime as dt
 import json
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from roughscale import pipeline
 from roughscale.errors import DataError
+from roughscale.market_data import TickSeries, date_to_epoch_seconds
 from roughscale.mfdfa import (MfdfaConfig, default_scales, fluctuation_function,
                               generalized_hurst)
 from roughscale.pipeline import (MIN_WINDOW_SERIES, RollingSpec, _window_report,
@@ -232,7 +237,6 @@ class TestEmitReport:
 
 class TestBuildRvByDelta:
     def test_from_ticks(self):
-        from roughscale.market_data import TickSeries, date_to_epoch_seconds
         rng = np.random.default_rng(7)
         t0 = date_to_epoch_seconds(DAY0)
         minutes = 5 * 1440
@@ -244,3 +248,33 @@ class TestBuildRvByDelta:
         assert len(rv[60]) == 5
         # RV at coarser sampling comes from pairwise-summed returns of the same grid
         assert np.all(rv[60].rv > 0)
+
+    def test_one_resample_call_per_delta(self):
+        # what the benchmark's tick workload counts: one resample_prices call,
+        # one leading-edge backfill warning and every trading day, per delta
+        rng = np.random.default_rng(3)
+        t0 = date_to_epoch_seconds(DAY0) + 13 * 3600  # data starts mid-day
+        timestamps = t0 + np.sort(rng.integers(0, 60 * 86400, 20_000))
+        days = timestamps // 86400
+        timestamps = timestamps[days != days[0] + 17]  # a zero-trade day
+        ticks = TickSeries(timestamps=timestamps, prices=100 * np.exp(
+            np.cumsum(rng.normal(0, 1e-3, len(timestamps)))))
+        trading_days = len(np.unique(timestamps // 86400))
+        assert trading_days == days[-1] - days[0]
+        deltas = [5, 15, 30, 60, 120]
+        grids = []
+        real = pipeline.resample_prices
+
+        def resample(*args, **kwargs):
+            grids.append(real(*args, **kwargs))
+            return grids[-1]
+
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(pipeline, "resample_prices", side_effect=resample) as spy:
+            warnings.simplefilter("always")
+            run_rolling(ticks, RollingSpec(window_days=50, step_days=5), deltas=deltas)
+        backfills = [w for w in caught
+                     if re.match(r"backfilled the day-open of 1 leading day", str(w.message))]
+        assert spy.call_count == len(backfills) == len(deltas)
+        assert [g.delta_minutes for g in grids] == deltas
+        assert sum(len(g.days) for g in grids) == len(deltas) * trading_days

@@ -16,11 +16,11 @@ import numpy as np
 from .errors import DataError, NumericError
 from .finite_sample import FiniteSampleLaw, density, kurtosis, moment_2k
 from .market_data import (grid_records, intraday_log_returns, parse_ticks,
-                          resample_prices, return_records)
+                          resample_prices, return_records, trade_index)
 from .mfdfa import MfdfaConfig, default_q_values, default_scales, \
     fluctuation_function, generalized_hurst
-from .pipeline import RollingSpec, emit_report, run_rolling
-from .realized_volatility import compute_daily_rv, log_increments
+from .pipeline import RollingSpec, build_rv_by_delta, emit_report, run_rolling
+from .realized_volatility import log_increments
 from .scaling import FrequencySweep, divisors_of_1440, fit_ansatz
 from .synthetic import GeneratorSpec
 
@@ -73,26 +73,24 @@ def _add_tick_args(p):
     p.add_argument("--min-coverage", type=float, default=0.0)
 
 
-def _returns_from_args(args):
-    ticks = parse_ticks(args.ticks, header=args.header,
-                        max_malformed=args.max_malformed)
-    grid = resample_prices(ticks, args.delta, args.start, args.end,
-                           min_coverage=args.min_coverage)
-    return grid, intraday_log_returns(grid)
+def _ticks_from_args(args):
+    return parse_ticks(args.ticks, header=args.header, max_malformed=args.max_malformed)
 
 
 def cmd_ingest(args) -> int:
-    grid, returns = _returns_from_args(args)
+    index = trade_index(_ticks_from_args(args), [args.delta], args.start, args.end)
+    grid = resample_prices(index, args.delta, args.min_coverage)
     if args.what == "prices":
         _write_csv(args.out, ["date", "index", "price"], grid_records(grid))
     else:
-        _write_csv(args.out, ["date", "index", "return"], return_records(returns))
+        _write_csv(args.out, ["date", "index", "return"],
+                   return_records(intraday_log_returns(grid)))
     return 0
 
 
 def cmd_rv(args) -> int:
-    _, returns = _returns_from_args(args)
-    rv = compute_daily_rv(returns)
+    rv = build_rv_by_delta(_ticks_from_args(args), [args.delta], args.start, args.end,
+                           args.min_coverage)[args.delta]
     _write_csv(args.out, ["date", "rv", "daily_return"],
                ((d.isoformat(), repr(float(v)), repr(float(r)))
                 for d, v, r in zip(rv.dates, rv.rv, rv.daily_return)))
@@ -210,8 +208,7 @@ def cmd_synth(args) -> int:
 def cmd_rolling(args) -> int:
     deltas = divisors_of_1440() if args.deltas == "auto" \
         else sorted(int(t) for t in args.deltas.split(","))
-    ticks = parse_ticks(args.ticks, header=args.header,
-                        max_malformed=args.max_malformed)
+    ticks = _ticks_from_args(args)
     rolling = RollingSpec(window_days=args.window_days, step_days=args.step_days)
     exclude = [int(t) for t in args.exclude.split(",")] if args.exclude else []
     reports = run_rolling(ticks, rolling, deltas,
@@ -298,11 +295,32 @@ def build_parser() -> _Parser:
     p.add_argument("--h2-csv", default=None)
     p.add_argument("--hq-csv", default=None)
     p.set_defaults(func=cmd_rolling)
+    parser.rolling = p  # main() types a config file's values by its options
     return parser
 
 
-_INT_KEYS = {"window_days", "step_days", "reference_delta", "detrend_order",
-             "workers", "max_malformed"}
+_FLAG_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_defaults(rolling: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values, each typed by the `rolling` option its key
+    names; a key that names none, or a value its option rejects, is a usage
+    error."""
+    options = {a.dest: a for a in rolling._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    out = {}
+    for key, value in _load_config_file(path).items():
+        action = options.get(key)
+        if action is None:
+            raise ValueError(f"config key {key!r} is not a rolling option")
+        try:
+            if action.nargs == 0:  # a flag such as --header
+                out[key] = _FLAG_VALUES[value.lower()]
+            else:
+                out[key] = value if action.type is None else action.type(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"config key {key!r} has a bad value {value!r}") from None
+    return out
 
 
 def main(argv=None) -> int:
@@ -310,21 +328,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            overrides = _load_config_file(args.config)
-            given = set()
-            raw = argv if argv is not None else sys.argv[1:]
-            for token in raw:
-                if token.startswith("--"):
-                    given.add(token[2:].split("=", 1)[0].replace("-", "_"))
-            for key, value in overrides.items():
-                if key in given or not hasattr(args, key):
-                    continue  # explicit flags win
-                if key in _INT_KEYS:
-                    setattr(args, key, int(value))
-                elif key == "header":
-                    setattr(args, key, value.lower() in ("1", "true", "yes"))
-                else:
-                    setattr(args, key, value)
+            # the file's values become the subcommand's defaults, so argparse
+            # itself lets every flag given on the command line win
+            parser.rolling.set_defaults(**_config_defaults(parser.rolling, args.config))
+            args = parser.parse_args(argv)
         if args.func is cmd_rolling and not args.ticks:
             raise ValueError("rolling: --ticks is required (flag or config file)")
         return args.func(args)

@@ -42,7 +42,6 @@ class TickSeries:
 
     timestamps: np.ndarray  # int64 epoch seconds, non-decreasing
     prices: np.ndarray      # float64, strictly positive
-    venue_label: str = ""
     dropped_nonpositive: int = 0
     malformed_lines: int = 0
 
@@ -246,8 +245,7 @@ class _TickReader:
         return np.concatenate([*self._parts, np.array(self._pending, dtype=_RECORD)])
 
 
-def parse_ticks(source, *, header: bool = False, max_malformed: int = 0,
-                venue_label: str = "") -> TickSeries:
+def parse_ticks(source, *, header: bool = False, max_malformed: int = 0) -> TickSeries:
     """Parse a tick CSV stream of `timestamp,price[,amount]` rows.
 
     `source` may be a path (`str` or `os.PathLike`), bytes, or a text/binary
@@ -282,7 +280,6 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0,
         raise DataError("empty tick stream (no usable records)")
     order = np.argsort(ts_arr, kind="stable")  # stable: ties keep file order
     return TickSeries(timestamps=ts_arr[order], prices=px_arr[order],
-                      venue_label=venue_label,
                       dropped_nonpositive=len(records) - len(ts_arr),
                       malformed_lines=reader.malformed)
 
@@ -380,9 +377,7 @@ def trade_index(ticks: TickSeries, deltas: list[int],
                       prices=ticks.prices[idx], coverage=coverage, leading=len(lead))
 
 
-def resample_prices(ticks: TickSeries | TradeIndex, delta_minutes: int,
-                    start_date: dt.date | None = None,
-                    end_date: dt.date | None = None,
+def resample_prices(index: TradeIndex, delta_minutes: int,
                     min_coverage: float = 0.0) -> PriceGrid:
     """Previous-tick resampling onto a delta-minute UTC grid.
 
@@ -390,22 +385,13 @@ def resample_prices(ticks: TickSeries | TradeIndex, delta_minutes: int,
     the day-open forward-fills from the prior day's last trade. Days with no
     trades at all are omitted, as are days with coverage below `min_coverage`.
 
-    `ticks` is a TickSeries, or a TradeIndex shared by a sweep of deltas (see
-    `trade_index`) that holds this one; the grid is then the index's column
-    stride and the span the index's own, so `start_date` and `end_date` must
-    be None. Either way, a backfilled leading day-open is reported by one
-    warning per call.
+    The grid is a column stride of `index` (see `trade_index`), which must
+    have been built for this delta and fixes the day span. A backfilled
+    leading day-open is reported by one warning per call.
     """
-    if isinstance(ticks, TradeIndex):
-        if start_date is not None or end_date is not None:
-            raise ValueError("a TradeIndex fixes its span: pass start_date and "
-                             "end_date to trade_index")
-        if delta_minutes not in ticks.coverage:
-            raise ValueError(f"delta_minutes={delta_minutes} is not among the index's "
-                             f"deltas {sorted(ticks.coverage)}")
-        index = ticks
-    else:
-        index = trade_index(ticks, [delta_minutes], start_date, end_date)
+    if delta_minutes not in index.coverage:
+        raise ValueError(f"delta_minutes={delta_minutes} is not among the index's "
+                         f"deltas {sorted(index.coverage)}")
     coverage = index.coverage[delta_minutes]
     keep = ~(coverage < min_coverage)
     prices = index.prices[:, ::delta_minutes // index.step_minutes]

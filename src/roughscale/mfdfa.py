@@ -367,11 +367,3 @@ def generalized_hurst(surface: FluctuationSurface,
                                     stderr.tolist(), r2.tolist())]
     return GHECurve(points=points, fit_range=(int(lo), int(hi)))
 
-
-def mfdfa_h2(series, config: MfdfaConfig | None = None) -> GHEPoint:
-    """Convenience: Hurst exponent h(2) with diagnostics for one series."""
-    x = np.asarray(series, dtype=float)
-    if config is None:
-        config = MfdfaConfig(q_values=np.array([2.0]),
-                             scales=default_scales(len(x)))
-    return generalized_hurst(fluctuation_function(x, config)).point_at(2.0)

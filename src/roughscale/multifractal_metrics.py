@@ -1,17 +1,7 @@
 """Multifractality-strength measures read off a generalized Hurst curve."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .mfdfa import GHECurve
-
-
-@dataclass(frozen=True)
-class MultifractalStrength:
-    k: float
-    delta_h: float  # h(-k) - h(k); 0 for a monofractal curve
-    b1: float       # linear Taylor slope of h(q) near q = 0
-    b0: float       # symmetric intercept estimate
 
 
 def delta_h(curve: GHECurve, k: float) -> float:
@@ -35,7 +25,3 @@ def taylor_b1(curve: GHECurve, k: float = 3.0) -> tuple[float, float]:
     b0 = (h_minus + h_plus) / 2.0
     return b0, b1
 
-
-def strength(curve: GHECurve, k: float = 3.0) -> MultifractalStrength:
-    b0, b1 = taylor_b1(curve, k)
-    return MultifractalStrength(k=k, delta_h=delta_h(curve, k), b1=b1, b0=b0)

@@ -15,7 +15,7 @@ from .market_data import (TickSeries, intraday_log_returns, resample_prices,
                           trade_index)
 from .mfdfa import (MfdfaConfig, default_q_values, fluctuation_function,
                     generalized_hurst)
-from .multifractal_metrics import taylor_b1
+from .multifractal_metrics import delta_h, taylor_b1
 from .realized_volatility import RVSeries, compute_daily_rv, log_increments
 from .scaling import AnsatzFit, FrequencySweep, divisors_of_1440, fit_ansatz
 
@@ -160,7 +160,7 @@ def _window_report(start: dt.date, end: dt.date, cells: list[tuple[int, tuple | 
             report.curve_h = [p.h for p in curve.points]
             report.diagnostics["zero_variance_segments"] = zero_variance
             try:
-                report.delta_h3 = curve.h_at(-3.0) - curve.h_at(3.0)
+                report.delta_h3 = delta_h(curve, 3.0)
                 report.b0, report.b1 = taylor_b1(curve, 3.0)
             except ValueError:
                 pass  # q grid without +-3; metrics stay absent

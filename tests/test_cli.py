@@ -1,10 +1,12 @@
 import csv
 import datetime as dt
 import json
+import statistics
 
 import numpy as np
 import pytest
 
+from perfbench.generators import H_TRUE, write_tick_csv
 from roughscale.cli import main
 from roughscale.market_data import date_to_epoch_seconds
 
@@ -20,6 +22,17 @@ def write_tick_fixture(path, days=3, seed=0, step_minutes=1):
         writer = csv.writer(fh)
         for i, p in enumerate(prices):
             writer.writerow([t0 + i * 60 * step_minutes, f"{p:.6f}", "1.0"])
+    return path
+
+
+def write_gappy_fixture(path):
+    """Five days of minute ticks, except that day 1 has no trade and day 2
+    trades only in its first three hours (coverage 3/24 at delta 60)."""
+    t0 = date_to_epoch_seconds(DAY0)
+    minutes = [d * 1440 + m for d in (0, 2, 3, 4) for m in range(1440 if d != 2 else 180)]
+    prices = 100 * np.exp(np.cumsum(np.random.default_rng(1).normal(0, 1e-3, len(minutes))))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([t0 + 60 * m, f"{p:.6f}"] for m, p in zip(minutes, prices))
     return path
 
 
@@ -132,6 +145,26 @@ class TestTickCommands:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 3 * 12
 
+    @pytest.mark.parametrize("flags,kept", [
+        ([], [0, 2, 3, 4]),
+        (["--min-coverage", "0.5"], [0, 3, 4]),
+        (["--start", "2014-01-04", "--end", "2014-01-05"], [2, 3]),
+        (["--start", "2014-01-03", "--end", "2014-01-05", "--min-coverage", "0.125"], [2, 3]),
+        (["--start", "2014-01-03", "--end", "2014-01-05", "--min-coverage", "0.13"], [3]),
+    ])
+    @pytest.mark.parametrize("command", [["rv"], ["ingest", "--what", "prices"],
+                                         ["ingest", "--what", "returns"]])
+    def test_span_and_coverage_flags(self, tmp_path, command, flags, kept):
+        ticks = write_gappy_fixture(tmp_path / "ticks.csv")
+        out = tmp_path / "out.csv"
+        rc = main([*command, "--ticks", str(ticks), "--delta", "60", *flags,
+                   "--out", str(out)])
+        assert rc == 0
+        dates = [row["date"] for row in csv.DictReader(out.open())]
+        assert sorted(set(dates)) == [(DAY0 + dt.timedelta(days=k)).isoformat() for k in kept]
+        if command[0] == "ingest":
+            assert len(dates) == len(kept) * (24 + (command[-1] == "prices"))
+
     def test_missing_file_exit_nonzero(self, tmp_path, capsys):
         rc = main(["rv", "--ticks", str(tmp_path / "nope.csv"), "--out", "-"])
         assert rc == 2
@@ -165,12 +198,14 @@ class TestRollingCommand:
             "window-days = 60\nstep-days = 99  # overridden below\n"
             f"deltas = 60,120\nreference-delta = 60\nticks = {ticks}\n")
         out = tmp_path / "report.json"
-        rc = main(["rolling", "--config", str(cfg), "--step-days", "30",
-                   "--out", str(out)])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["config"]["step_days"] == 30
-        assert doc["config"]["window_days"] == 60
+        # an explicit flag wins however argparse lets it be spelled
+        for flag in (["--step-days", "30"], ["--step-days=30"], ["--step", "30"],
+                     ["--step=30"]):
+            rc = main(["rolling", "--config", str(cfg), *flag, "--out", str(out)])
+            assert rc == 0
+            doc = json.loads(out.read_text())
+            assert doc["config"]["step_days"] == 30
+            assert doc["config"]["window_days"] == 60
 
     def test_usage_error_exit_1(self, tmp_path):
         rc = main(["rolling", "--out", str(tmp_path / "r.json")])
@@ -187,6 +222,15 @@ def _cli_case(name, tmp_path):
         return ["rolling", "--config", str(cfg), *out]
     if name == "config_value_not_an_int":
         cfg.write_text(f"ticks = {ticks}\nwindow_days = sixty\n")
+        return ["rolling", "--config", str(cfg), *out]
+    if name == "config_key_not_an_option":
+        cfg.write_text(f"ticks = {ticks}\nfunc = nope\n")
+        return ["rolling", "--config", str(cfg), *out]
+    if name == "config_key_misspelled":
+        cfg.write_text(f"ticks = {ticks}\nwindow_day = 3\n")
+        return ["rolling", "--config", str(cfg), *out]
+    if name == "config_flag_not_a_boolean":
+        cfg.write_text(f"ticks = {ticks}\nheader = maybe\n")
         return ["rolling", "--config", str(cfg), *out]
     if name == "missing_config_file":
         return ["rolling", "--config", str(tmp_path / "nope.cfg"), *out]
@@ -219,6 +263,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("name,code,message", [
         ("config_line_without_equals", 2, "bad config line"),
         ("config_value_not_an_int", 1, "sixty"),
+        ("config_key_not_an_option", 1, "config key 'func'"),
+        ("config_key_misspelled", 1, "config key 'window_day'"),
+        ("config_flag_not_a_boolean", 1, "config key 'header'"),
         ("missing_config_file", 2, "No such file or directory"),
         ("missing_ticks_file", 2, "No such file or directory"),
         ("ticks_not_utf8", 2, "tick data is not valid UTF-8 at line 4321"),
@@ -237,3 +284,27 @@ class TestExitCodes:
         rc = main(_cli_case(name, tmp_path))
         assert rc == code
         assert message in capsys.readouterr().err
+
+
+class TestTickOracle:
+    """Ticks of known roughness through the whole `rolling` chain, no data needed.
+
+    Daily log-volatility is fractional with Hurst exponent H_TRUE = 0.13 and
+    trades are Poisson-timed, 300 a day over 800 days: 3 windows of 730 days.
+    Over seeds 0-39 the median window H0 missed H_TRUE by +0.017 on average,
+    0.025 rms and 0.070 at worst (seed 22), so 0.08 holds for any seed while
+    a chain that loses the roughness (white noise reads 0.5) fails.
+    """
+
+    def test_median_window_h0_recovers_h_true(self, tmp_path):
+        inputs = write_tick_csv(tmp_path / "ticks.csv", 0, 800, 300.0)
+        out = tmp_path / "report.json"
+        with pytest.warns(UserWarning, match="backfilled"):  # the mid-day first trade
+            rc = main(["rolling", "--ticks", str(inputs.path),
+                       "--max-malformed", str(inputs.malformed),
+                       "--window-days", "730", "--step-days", "35", "--out", str(out)])
+        assert rc == 0
+        windows = json.loads(out.read_text())["windows"]
+        assert len(windows) == 3 and all(w["reason"] is None for w in windows)
+        h0 = statistics.median(w["ansatz"]["h0"] for w in windows)
+        assert abs(h0 - H_TRUE) <= 0.08

@@ -31,6 +31,10 @@ def ticks_from(pairs, **kw):
                       prices=np.array(px, dtype=float), **kw)
 
 
+def resample(ticks, delta, start=None, end=None, min_coverage=0.0):
+    return resample_prices(trade_index(ticks, [delta], start, end), delta, min_coverage)
+
+
 class TestParseTicks:
     def test_two_records(self):
         ts = parse_ticks(io.StringIO("1388649600,770.44,0.5\n1388649660,771.00,1.2"))
@@ -125,7 +129,7 @@ class TestParseTicks:
                 parse_ticks(source, max_malformed=5)
 
 
-def reference_parse(source, *, header=False, max_malformed=0, venue_label=""):
+def reference_parse(source, *, header=False, max_malformed=0):
     """The csv.reader loop parse_ticks replaced, kept as its oracle."""
     release = None
     if isinstance(source, (str, os.PathLike)):
@@ -178,8 +182,7 @@ def reference_parse(source, *, header=False, max_malformed=0, venue_label=""):
     px_arr = np.asarray(prices, dtype=np.float64)
     order = np.argsort(ts_arr, kind="stable")
     return TickSeries(timestamps=ts_arr[order], prices=px_arr[order],
-                      venue_label=venue_label, dropped_nonpositive=dropped,
-                      malformed_lines=malformed)
+                      dropped_nonpositive=dropped, malformed_lines=malformed)
 
 
 # whole records; every quote in them is balanced
@@ -267,7 +270,7 @@ class TestChunkedParseMatchesReference:
 class TestResample:
     def test_previous_tick_rule(self):
         ticks = ticks_from([(T0, 100.0), (T0 + 4 * 60, 101.0), (T0 + 9 * 60, 102.0)])
-        grid = resample_prices(ticks, 5)
+        grid = resample(ticks, 5)
         prices = grid.prices[0]
         assert prices[0] == 100.0   # minute 0
         assert prices[1] == 101.0   # minute 5 <- tick at minute 4
@@ -277,7 +280,7 @@ class TestResample:
     def test_single_tick_day(self):
         ticks = ticks_from([(T0 + 30, 500.0)])
         with pytest.warns(UserWarning, match="backfilled"):
-            grid = resample_prices(ticks, 5)
+            grid = resample(ticks, 5)
         n = 1440 // 5
         assert len(grid.prices[0]) == n + 1
         assert np.all(grid.prices[0] == 500.0)
@@ -286,43 +289,43 @@ class TestResample:
     def test_delta_must_divide_1440(self):
         ticks = ticks_from([(T0, 100.0)])
         with pytest.raises(ValueError):
-            resample_prices(ticks, 7)
+            resample(ticks, 7)
 
     def test_day_open_forward_fills_from_prior_day(self):
         ticks = ticks_from([(T0, 80.0), (T0 + 86000, 90.0),
                             (T0 + 86400 + 3600, 95.0)])
-        grid = resample_prices(ticks, 60)
+        grid = resample(ticks, 60)
         assert len(grid.days) == 2
         assert grid.prices[1, 0] == 90.0
         assert grid.prices[1, 1] == 95.0
 
     def test_zero_trade_day_omitted(self):
         ticks = ticks_from([(T0, 90.0), (T0 + 2 * 86400 + 10, 95.0)])
-        grid = resample_prices(ticks, 1440)
+        grid = resample(ticks, 1440)
         assert grid.days == [DAY0, DAY0 + dt.timedelta(days=2)]
 
     def test_span_outside_data(self):
         ticks = ticks_from([(T0, 100.0)])
         with pytest.raises(DataError):
-            resample_prices(ticks, 5, DAY0 + dt.timedelta(days=10),
-                            DAY0 + dt.timedelta(days=12))
+            resample(ticks, 5, DAY0 + dt.timedelta(days=10),
+                     DAY0 + dt.timedelta(days=12))
 
     def test_timestamp_after_the_calendar(self):
         # int64 holds it, but its day is past 9999-12-31: the span used to wrap
         # to a grid of 0 days with no error
         ticks = ticks_from([(T0, 100.0), (9223372036854775000, 101.0)])
         with pytest.raises(DataError, match="9223372036854775000 lies outside the calendar"):
-            resample_prices(ticks, 60)
+            resample(ticks, 60)
 
     def test_timestamp_before_the_calendar(self):
         # its day is before 0001-01-01: used to raise OverflowError from datetime
         ticks = ticks_from([(-9000000000000000000, 99.0), (T0, 100.0)])
         with pytest.raises(DataError, match="-9000000000000000000 lies outside the calendar"):
-            resample_prices(ticks, 60)
+            resample(ticks, 60)
 
     def test_clipped_span_ignores_ticks_outside_the_calendar(self):
         ticks = ticks_from([(T0, 100.0), (T0 + 3600, 101.0), (9223372036854775000, 102.0)])
-        grid = resample_prices(ticks, 60, end_date=DAY0)
+        grid = resample(ticks, 60, end=DAY0)
         assert grid.days == [DAY0]
 
 
@@ -361,8 +364,8 @@ class TestProperties:
         ticks = self.make_random_ticks(1)
         shift = 3 * 86400
         shifted = TickSeries(timestamps=ticks.timestamps + shift, prices=ticks.prices)
-        base = intraday_log_returns(resample_prices(ticks, 30))
-        moved = intraday_log_returns(resample_prices(shifted, 30))
+        base = intraday_log_returns(resample(ticks, 30))
+        moved = intraday_log_returns(resample(shifted, 30))
         assert len(base.days) == len(moved.days)
         for a, b in zip(base.days, moved.days):
             assert (b - a).days == 3
@@ -370,7 +373,7 @@ class TestProperties:
 
     def test_daily_sum_telescopes_to_close_over_open(self):
         ticks = self.make_random_ticks(2)
-        grid = resample_prices(ticks, 15)
+        grid = resample(ticks, 15)
         rets = intraday_log_returns(grid)
         for prices, returns in zip(grid.prices, rets.returns):
             assert returns.sum() == pytest.approx(
@@ -378,8 +381,8 @@ class TestProperties:
 
     def test_downsampling_pairwise_sums(self):
         ticks = self.make_random_ticks(3)
-        r5 = intraday_log_returns(resample_prices(ticks, 5))
-        r10 = intraday_log_returns(resample_prices(ticks, 10))
+        r5 = intraday_log_returns(resample(ticks, 5))
+        r10 = intraday_log_returns(resample(ticks, 10))
         for d5, d10 in zip(r5.returns, r10.returns):
             np.testing.assert_allclose(d10,
                                        d5.reshape(-1, 2).sum(axis=1),
@@ -461,12 +464,12 @@ class TestArrayGridMatchesPerDayLoop:
             ref = reference_resample(ticks, delta, start, end, min_coverage)
         except DataError:
             with pytest.raises(DataError):
-                resample_prices(ticks, delta, start, end, min_coverage)
+                resample(ticks, delta, start, end, min_coverage)
             return
         dates, prices, coverage, leading = ref
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            grid = resample_prices(ticks, delta, start, end, min_coverage)
+            grid = resample(ticks, delta, start, end, min_coverage)
         assert backfill_count(caught) == leading
         assert grid.days == dates
         assert grid.prices.shape == (len(dates), 1440 // delta + 1)
@@ -524,12 +527,6 @@ class TestSharedIndexMatchesPerDeltaLoop:
             assert rv.dates == dates
             assert rv.rv.tolist() == [float(np.sum(r ** 2)) for r in returns]
             assert rv.daily_return.tolist() == [float(np.sum(r)) for r in returns]
-
-    def test_index_fixes_its_span(self):
-        index = trade_index(ticks_from([(T0, 100.0), (T0 + 86400, 101.0)]), [5])
-        for span in ({"start_date": DAY0}, {"end_date": DAY0}):
-            with pytest.raises(ValueError, match="fixes its span"):
-                resample_prices(index, 5, **span)
 
     # not a multiple of the step 5, a multiple it was not built for, no divisor
     @pytest.mark.parametrize("delta", [1, 8, 15, 7])

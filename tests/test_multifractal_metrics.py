@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roughscale.mfdfa import GHECurve, GHEPoint
-from roughscale.multifractal_metrics import delta_h, strength, taylor_b1
+from roughscale.multifractal_metrics import delta_h, taylor_b1
 from roughscale.synthetic import cascade_hq
 
 
@@ -68,12 +68,3 @@ class TestTaylorB1:
         assert b0_sum == pytest.approx(b0s[0][0] + b0s[1][0])
         assert b1_sum == pytest.approx(b0s[0][1] + b0s[1][1])
 
-
-class TestStrength:
-    def test_bundle_consistency(self):
-        curve = linear_curve(0.18, -0.004)
-        s = strength(curve, 3.0)
-        assert s.delta_h == pytest.approx(-(-0.004) * 6)
-        assert s.b1 == pytest.approx(-0.004)
-        assert s.b0 == pytest.approx(0.18)
-        assert s.k == 3.0

@@ -9,6 +9,7 @@ import argparse
 import csv
 import datetime as dt
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,10 +20,11 @@ from .market_data import (grid_records, intraday_log_returns, parse_ticks,
                           resample_prices, return_records, trade_index)
 from .mfdfa import MfdfaConfig, default_q_values, default_scales, \
     fluctuation_function, generalized_hurst
-from .pipeline import RollingSpec, build_rv_by_delta, emit_report, run_rolling
+from .pipeline import (RollingSpec, build_rv_by_delta, emit_report, resolve_deltas,
+                       run_rolling)
 from .realized_volatility import log_increments
-from .scaling import FrequencySweep, divisors_of_1440, fit_ansatz
-from .synthetic import GeneratorSpec
+from .scaling import FrequencySweep, fit_ansatz
+from .synthetic import generate_cascade, generate_fgn, generate_sv_days
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,7 +105,7 @@ def cmd_rv(args) -> int:
 
 
 def _read_series_csv(path: str) -> np.ndarray:
-    """One value per row, last column taken; a non-numeric first row is skipped."""
+    """One finite value per row, last column taken; a non-numeric first row is skipped."""
     values = []
     with open(path, encoding="utf-8") as fh:
         for i, row in enumerate(csv.reader(fh)):
@@ -115,6 +117,8 @@ def _read_series_csv(path: str) -> np.ndarray:
                 if i == 0:
                     continue
                 raise DataError(f"non-numeric value at line {i + 1} of {path}")
+            if not math.isfinite(values[-1]):
+                raise DataError(f"non-finite value at line {i + 1} of {path}")
     if not values:
         raise DataError(f"no numeric data in {path}")
     return np.asarray(values)
@@ -169,8 +173,7 @@ def cmd_fit_ansatz(args) -> int:
     sweep = FrequencySweep(deltas=np.array(deltas), h2=np.array(h2),
                            h2_stderr=np.array(stderr) if stderr else None)
     exclude = [int(t) for t in args.exclude.split(",")] if args.exclude else []
-    fit = fit_ansatz(sweep, exclude=exclude,
-                     weighted=True if args.weighted else None)
+    fit = fit_ansatz(sweep, exclude=exclude)
     doc = {"h0": fit.h0, "a": fit.a, "h0_stderr": fit.h0_stderr,
            "a_stderr": fit.a_stderr, "residual_rms": fit.residual_rms,
            "excluded": fit.excluded_deltas,
@@ -197,17 +200,26 @@ def cmd_finite_sample(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = GeneratorSpec(kind=args.kind, length=args.len, seed=args.seed,
-                         hurst=args.hurst, p=args.p, levels=args.levels,
-                         n=args.n, sigma=args.sigma)
-    series = spec.generate()
+    def need(*names):
+        missing = [f"--{name}" for name in names if getattr(args, name) is None]
+        if missing:
+            raise ValueError(f"{args.kind} needs {' and '.join(missing)}")
+
+    if args.kind == "fgn":
+        need("hurst")
+        series = generate_fgn(args.hurst, args.len, args.seed)
+    elif args.kind == "cascade":
+        need("p", "levels")
+        series = generate_cascade(args.p, args.levels)
+    else:
+        need("n", "sigma")
+        series = generate_sv_days(1, args.n, args.sigma, args.seed)[0]
     _write_csv(args.out, ["value"], ((repr(float(v)),) for v in series))
     return 0
 
 
 def cmd_rolling(args) -> int:
-    deltas = divisors_of_1440() if args.deltas == "auto" \
-        else sorted(int(t) for t in args.deltas.split(","))
+    deltas = None if args.deltas == "auto" else [int(t) for t in args.deltas.split(",")]
     ticks = _ticks_from_args(args)
     rolling = RollingSpec(window_days=args.window_days, step_days=args.step_days)
     exclude = [int(t) for t in args.exclude.split(",")] if args.exclude else []
@@ -217,7 +229,8 @@ def cmd_rolling(args) -> int:
                           exclude_deltas=exclude, workers=args.workers)
     config_echo = {
         "window_days": args.window_days, "step_days": args.step_days,
-        "deltas": deltas, "reference_delta": args.reference_delta,
+        "deltas": resolve_deltas(deltas, args.reference_delta),
+        "reference_delta": args.reference_delta,
         "detrend_order": args.detrend_order, "exclude": exclude,
     }
     emit_report(reports, args.out, args.h2_csv, args.hq_csv, config_echo)
@@ -256,7 +269,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit-ansatz", help="fit H(delta) = H0*n/(n+a) to a sweep CSV")
     p.add_argument("--sweep", required=True, help="CSV: delta,h2[,stderr]")
     p.add_argument("--exclude", default=None, help="comma-separated deltas to drop")
-    p.add_argument("--weighted", action="store_true")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fit_ansatz)
 

@@ -19,13 +19,18 @@ def default_q_values() -> np.ndarray:
     return np.arange(-6, 7) / 2.0
 
 
+SCALE_MIN = 10    # smallest default scale
+SCALE_COUNT = 20  # log-spaced points in the default scale grid
+
+
 @functools.lru_cache(maxsize=256)
-def default_scales(series_length: int, lo: int = 10, num: int = 20) -> np.ndarray:
-    """About `num` integer scales log-spaced in [lo, N/4], as a read-only array."""
+def default_scales(series_length: int) -> np.ndarray:
+    """About SCALE_COUNT integer scales log-spaced in [SCALE_MIN, N/4], read-only."""
     hi = series_length // 4
-    if hi < lo:
-        raise DataError(f"series of length {series_length} too short for scales >= {lo}")
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), num))
+    if hi < SCALE_MIN:
+        raise DataError(f"series of length {series_length} too short for scales "
+                        f">= {SCALE_MIN}")
+    grid = np.exp(np.linspace(np.log(SCALE_MIN), np.log(hi), SCALE_COUNT))
     scales = np.unique(np.round(grid).astype(int))
     scales.flags.writeable = False
     return scales
@@ -60,10 +65,10 @@ class MfdfaConfig:
 
     @classmethod
     def for_series(cls, series_length: int, detrend_order: int = 1,
-                   q_values=None, fit_range=None) -> "MfdfaConfig":
+                   q_values=None) -> "MfdfaConfig":
         q = default_q_values() if q_values is None else q_values
         return cls(q_values=q, scales=default_scales(series_length),
-                   detrend_order=detrend_order, fit_range=fit_range)
+                   detrend_order=detrend_order)
 
 
 @dataclass(frozen=True)
@@ -336,14 +341,13 @@ def fluctuation_function(series, config: MfdfaConfig) -> FluctuationSurface:
                               excluded_segments=counts - kept)
 
 
-def generalized_hurst(surface: FluctuationSurface,
-                      fit_range: tuple[int, int] | None = None) -> GHECurve:
+def generalized_hurst(surface: FluctuationSurface) -> GHECurve:
     """h(q) as the OLS slope of log F_q(s) vs log s over the fit range.
 
-    Slope, its standard error and r^2 for every q come from one array pass.
+    The fit range is the config's, or every scale when it sets none. Slope,
+    its standard error and r^2 for every q come from one array pass.
     """
-    if fit_range is None:
-        fit_range = surface.config.fit_range
+    fit_range = surface.config.fit_range
     if fit_range is None:
         fit_range = (int(surface.scales[0]), int(surface.scales[-1]))
     lo, hi = fit_range

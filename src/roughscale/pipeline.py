@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -13,13 +13,13 @@ from . import __version__
 from .errors import DataError, NumericError
 from .market_data import (TickSeries, intraday_log_returns, resample_prices,
                           trade_index)
-from .mfdfa import (MfdfaConfig, default_q_values, fluctuation_function,
-                    generalized_hurst)
+from .mfdfa import (SCALE_MIN, MfdfaConfig, default_q_values,
+                    fluctuation_function, generalized_hurst)
 from .multifractal_metrics import delta_h, taylor_b1
 from .realized_volatility import RVSeries, compute_daily_rv, log_increments
 from .scaling import AnsatzFit, FrequencySweep, divisors_of_1440, fit_ansatz
 
-MIN_WINDOW_SERIES = 40  # shortest V_t series the default scale grid supports
+MIN_WINDOW_SERIES = 4 * SCALE_MIN  # shortest V_t series the default scale grid supports
 
 
 @dataclass(frozen=True)
@@ -50,31 +50,11 @@ class WindowReport:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "window_start": self.window_start.isoformat(),
-            "window_end": self.window_end.isoformat(),
-            "h2_by_delta": {str(k): self.h2_by_delta[k] for k in sorted(self.h2_by_delta)},
-            "h2_stderr_by_delta": {str(k): self.h2_stderr_by_delta[k]
-                                   for k in sorted(self.h2_stderr_by_delta)},
-            "ansatz": None,
-            "curve_q": self.curve_q,
-            "curve_h": self.curve_h,
-            "delta_h3": self.delta_h3,
-            "b0": self.b0,
-            "b1": self.b1,
-            "reference_delta": self.reference_delta,
-            "reference_n": self.reference_n,
-            "diagnostics": self.diagnostics,
-            "reason": self.reason,
-        }
-        if self.ansatz is not None:
-            d["ansatz"] = {
-                "h0": self.ansatz.h0, "a": self.ansatz.a,
-                "h0_stderr": self.ansatz.h0_stderr, "a_stderr": self.ansatz.a_stderr,
-                "residual_rms": self.ansatz.residual_rms,
-                "excluded_deltas": self.ansatz.excluded_deltas,
-                "boundary_warning": self.ansatz.boundary_warning,
-            }
+        d = asdict(self)
+        d["window_start"] = self.window_start.isoformat()
+        d["window_end"] = self.window_end.isoformat()
+        for key in ("h2_by_delta", "h2_stderr_by_delta"):
+            d[key] = {str(k): d[key][k] for k in sorted(d[key])}
         return d
 
 
@@ -159,11 +139,8 @@ def _window_report(start: dt.date, end: dt.date, cells: list[tuple[int, tuple | 
             report.curve_q = [p.q for p in curve.points]
             report.curve_h = [p.h for p in curve.points]
             report.diagnostics["zero_variance_segments"] = zero_variance
-            try:
-                report.delta_h3 = delta_h(curve, 3.0)
-                report.b0, report.b1 = taylor_b1(curve, 3.0)
-            except ValueError:
-                pass  # q grid without +-3; metrics stay absent
+            report.delta_h3 = delta_h(curve, 3.0)
+            report.b0, report.b1 = taylor_b1(curve, 3.0)
     report.diagnostics["dropped_days"] = dropped_days
     if short_deltas:
         report.diagnostics["short_deltas"] = short_deltas
@@ -184,30 +161,35 @@ def _window_report(start: dt.date, end: dt.date, cells: list[tuple[int, tuple | 
     return report
 
 
+def resolve_deltas(deltas: list[int] | None, reference_delta: int) -> list[int]:
+    """The deltas a run covers: sorted and distinct, with the reference added.
+
+    None means all 36 divisors of 1440; a delta that does not divide 1440 is
+    an error.
+    """
+    deltas = divisors_of_1440() if deltas is None else sorted(set(int(d) for d in deltas))
+    for d in deltas:
+        if 1440 % d != 0:
+            raise ValueError(f"delta {d} does not divide 1440")
+    if reference_delta not in deltas:
+        deltas = sorted(deltas + [reference_delta])
+    return deltas
+
+
 def run_rolling(data, rolling: RollingSpec, deltas: list[int] | None = None,
                 reference_delta: int = 5, detrend_order: int = 1,
-                q_values=None, exclude_deltas: list[int] | None = None,
+                exclude_deltas: list[int] | None = None,
                 workers: int = 1) -> list[WindowReport]:
     """Run the rolling-window analysis.
 
     `data` is either a TickSeries or a precomputed {delta: RVSeries} mapping
     (the latter lets synthetic oracles bypass tick handling). Windows advance
     by `rolling.step_days`. Each window's MFDFA sees only that window's own
-    increments. `workers` is accepted and has no effect: a thread pool over
-    the deltas was slower than one thread on every input measured.
+    increments: h(q) over `default_q_values()` at the reference delta, h(2)
+    alone at the others. `workers` is accepted and has no effect: a thread
+    pool over the deltas was slower than one thread on every input measured.
     """
-    if deltas is None:
-        deltas = divisors_of_1440()
-    deltas = sorted(set(int(d) for d in deltas))
-    for d in deltas:
-        if 1440 % d != 0:
-            raise ValueError(f"delta {d} does not divide 1440")
-    if reference_delta not in deltas:
-        deltas = sorted(deltas + [reference_delta])
-    if q_values is None:
-        q_values = default_q_values()
-    else:
-        q_values = np.asarray(q_values, dtype=float)
+    deltas = resolve_deltas(deltas, reference_delta)
 
     if isinstance(data, TickSeries):
         rv_by_delta = build_rv_by_delta(data, deltas)
@@ -229,7 +211,7 @@ def run_rolling(data, rolling: RollingSpec, deltas: list[int] | None = None,
     starts = first.toordinal() + rolling.step_days * np.arange(count, dtype=np.int64)
 
     def column(delta: int) -> list[tuple | None]:
-        q = q_values if delta == reference_delta else np.array([2.0])
+        q = default_q_values() if delta == reference_delta else np.array([2.0])
         return _delta_cells(rv_by_delta[delta], starts, rolling.window_days, q,
                             detrend_order)
 

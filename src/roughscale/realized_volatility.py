@@ -63,18 +63,20 @@ def compute_daily_rv(returns: IntradayReturnGrid) -> RVSeries:
                     samples_per_day=returns.samples_per_day)
 
 
-def log_increments(rv: RVSeries, zero_policy: str = "drop",
-                   eps: float = 1e-12) -> LogIncrementSeries:
+ZERO_RV_FLOOR = 1e-12  # what zero_policy "floor" puts in place of a zero RV
+
+
+def log_increments(rv: RVSeries, zero_policy: str = "drop") -> LogIncrementSeries:
     """Log-RV increments between consecutive retained days.
 
     zero_policy "drop" removes zero-RV days and both increments touching them;
-    "floor" replaces zero RV with eps before the log.
+    "floor" raises every RV to ZERO_RV_FLOOR before the log.
     """
     if len(rv) < 2:
         raise DataError("need at least 2 days of realized variance")
     values = rv.rv
     if zero_policy == "floor":
-        values = np.maximum(values, eps)
+        values = np.maximum(values, ZERO_RV_FLOOR)
         usable = np.ones(len(values), dtype=bool)
         dropped = 0
     elif zero_policy == "drop":

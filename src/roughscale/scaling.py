@@ -60,15 +60,14 @@ class AnsatzFit:
 _LOG_A_GRID = np.linspace(np.log(1e-12), np.log(1e8), 80)
 
 
-def fit_ansatz(sweep: FrequencySweep, exclude: list[int] | None = None,
-               weighted: bool | None = None) -> AnsatzFit:
+def fit_ansatz(sweep: FrequencySweep, exclude: list[int] | None = None) -> AnsatzFit:
     """Least squares for (H0, a = exp(alpha)) by variable projection.
 
     H0 is linear for fixed a, so only alpha is searched: a fixed log-a grid
     brackets the reduced cost's minimum (ties go to the smaller a) and one
-    `least_squares` call polishes it. Unweighted unless stderrs are present (or
-    `weighted` forces either mode). Standard errors come from the analytic
-    Jacobian in (H0, alpha) at the optimum, scaled by the reduced chi-square.
+    `least_squares` call polishes it. Weighted by 1/stderr exactly when the
+    sweep carries stderrs. Standard errors come from the analytic Jacobian in
+    (H0, alpha) at the optimum, scaled by the reduced chi-square.
     """
     exclude = list(exclude or [])
     mask = ~np.isin(sweep.deltas, exclude)
@@ -79,10 +78,7 @@ def fit_ansatz(sweep: FrequencySweep, exclude: list[int] | None = None,
     if np.any(h2 <= 0):
         raise NumericError("h2 values must be positive to fit the ansatz")
 
-    weighted = sweep.h2_stderr is not None if weighted is None else weighted
-    if weighted and sweep.h2_stderr is None:
-        raise ValueError("weighted fit requested but sweep has no stderrs")
-    w = 1.0 / sweep.h2_stderr[mask] if weighted else np.ones_like(h2)
+    w = np.ones_like(h2) if sweep.h2_stderr is None else 1.0 / sweep.h2_stderr[mask]
     y = w * h2
 
     def reduced(alpha):

@@ -7,42 +7,9 @@ reproduce it by splitting on day index with SeedSequence(seed).spawn).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError
-
-
-# the parameters each kind needs, named as their CLI flags
-_REQUIRED = {"fgn": ("hurst",), "cascade": ("p", "levels"), "sv_day": ("n", "sigma")}
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """CLI-facing description of one synthetic series."""
-
-    kind: str                 # "fgn" | "cascade" | "sv_day"
-    length: int
-    seed: int
-    hurst: float | None = None
-    p: float | None = None
-    levels: int | None = None
-    n: int | None = None
-    sigma: float | None = None
-
-    def generate(self) -> np.ndarray:
-        missing = [f"--{name}" for name in _REQUIRED.get(self.kind, ())
-                   if getattr(self, name) is None]
-        if missing:
-            raise ValueError(f"{self.kind} needs {' and '.join(missing)}")
-        if self.kind == "fgn":
-            return generate_fgn(self.hurst, self.length, self.seed)
-        if self.kind == "cascade":
-            return generate_cascade(self.p, self.levels, self.seed)
-        if self.kind == "sv_day":
-            return generate_sv_day(self.n, self.sigma, self.seed)
-        raise ValueError(f"unknown generator kind {self.kind!r}")
 
 
 def fgn_autocovariance(H: float, k) -> np.ndarray:
@@ -76,13 +43,13 @@ def generate_fgn(H: float, length: int, seed: int) -> np.ndarray:
     return np.ascontiguousarray(w.real[:length])
 
 
-def generate_cascade(p: float, levels: int, seed: int = 0) -> np.ndarray:
+def generate_cascade(p: float, levels: int) -> np.ndarray:
     """Deterministic binomial measure on 2^levels cells.
 
     Each dyadic split sends fraction p left and 1-p right, so the generalized
-    Hurst exponents are known in closed form (see cascade_hq). The seed is
-    accepted for interface uniformity but unused: the cascade carries no
-    randomness, which is what keeps its h(q) exact.
+    Hurst exponents are known in closed form (see cascade_hq). It takes no
+    seed: the cascade carries no randomness, which is what keeps its h(q)
+    exact.
     """
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0, 1)")
@@ -99,16 +66,6 @@ def cascade_hq(p: float, q: float) -> float:
     if q == 0:
         raise ValueError("q = 0 requires the limit form; evaluate nearby q instead")
     return 1.0 / q - np.log(p ** q + (1 - p) ** q) / (q * np.log(2.0))
-
-
-def generate_sv_day(n: int, sigma: float, seed: int) -> np.ndarray:
-    """One day of n i.i.d. N(0, sigma^2/n) intraday returns (daily variance sigma^2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, sigma / np.sqrt(n), size=n)
 
 
 def generate_sv_days(num_days: int, n: int, sigma: float, seed: int) -> np.ndarray:

@@ -9,6 +9,8 @@ import pytest
 from perfbench.generators import H_TRUE, write_tick_csv
 from roughscale.cli import main
 from roughscale.market_data import date_to_epoch_seconds
+from roughscale.scaling import FrequencySweep, fit_ansatz
+from roughscale.synthetic import generate_cascade, generate_fgn, generate_sv_days
 
 DAY0 = dt.date(2014, 1, 2)
 
@@ -59,6 +61,25 @@ class TestSynthCommand:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_each_kind_matches_its_generator(self, tmp_path):
+        cases = [(["--kind", "fgn", "--hurst", "0.4", "--len", "1024", "--seed", "1"],
+                  generate_fgn(0.4, 1024, 1)),
+                 (["--kind", "cascade", "--p", "0.6", "--levels", "8", "--seed", "5"],
+                  generate_cascade(0.6, 8)),
+                 (["--kind", "sv_day", "--n", "24", "--sigma", "0.1", "--seed", "2"],
+                  generate_sv_days(1, 24, 0.1, 2)[0])]
+        out = tmp_path / "x.csv"
+        for flags, want in cases:
+            assert main(["synth", *flags, "--out", str(out)]) == 0
+            got = [float(r) for r in out.read_text().splitlines()[1:]]
+            np.testing.assert_array_equal(got, want)
+
+    def test_unknown_kind_exit_1(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--kind", "ou", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 1
+        assert "invalid choice: 'ou'" in capsys.readouterr().err
+
 
 class TestMfdfaCommand:
     def test_curve_output(self, tmp_path):
@@ -107,6 +128,38 @@ class TestFitAnsatzCommand:
         sweep.write_text("delta,h2\n5,0.1\n10,0.1\n")
         rc = main(["fit-ansatz", "--sweep", str(sweep), "--out", "-"])
         assert rc == 3
+
+    def test_weighted_exactly_when_the_sweep_has_stderrs(self, tmp_path):
+        deltas = np.array([1, 2, 5, 10, 30, 60, 288, 1440])
+        n = 1440 / deltas
+        h2 = 0.13 * n / (n + 3.0) + 0.002 * (-1.0) ** np.arange(len(deltas))
+        stderr = 0.01 * np.arange(1, len(deltas) + 1)
+        docs = []
+        for se in (stderr, None):
+            sweep = tmp_path / "sweep.csv"
+            with sweep.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["delta", "h2"] if se is None else ["delta", "h2", "stderr"])
+                for i, d in enumerate(deltas.tolist()):
+                    writer.writerow([d, repr(float(h2[i]))]
+                                    + ([] if se is None else [repr(float(se[i]))]))
+            out = tmp_path / "fit.json"
+            assert main(["fit-ansatz", "--sweep", str(sweep), "--out", str(out)]) == 0
+            fit = fit_ansatz(FrequencySweep(deltas=deltas, h2=h2, h2_stderr=se))
+            doc = json.loads(out.read_text())
+            assert doc == {"h0": fit.h0, "a": fit.a, "h0_stderr": fit.h0_stderr,
+                           "a_stderr": fit.a_stderr, "residual_rms": fit.residual_rms,
+                           "excluded": [], "boundary_warning": fit.boundary_warning}
+            docs.append(doc)
+        assert docs[0]["h0"] != docs[1]["h0"]  # the stderrs did weight the first fit
+
+    def test_weighted_flag_is_unrecognised(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("delta,h2\n1,0.12\n5,0.11\n60,0.09\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-ansatz", "--sweep", str(sweep), "--weighted", "--out", "-"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --weighted" in capsys.readouterr().err
 
 
 class TestFiniteSampleCommand:
@@ -211,6 +264,18 @@ class TestRollingCommand:
         rc = main(["rolling", "--out", str(tmp_path / "r.json")])
         assert rc == 1
 
+    def test_config_echoes_the_deltas_it_ran(self, tmp_path):
+        ticks = write_tick_fixture(tmp_path / "ticks.csv", days=130, step_minutes=5)
+        out = tmp_path / "report.json"
+        rc = main(["rolling", "--ticks", str(ticks), "--window-days", "60",
+                   "--step-days", "30", "--deltas", "15,1,15", "--reference-delta", "5",
+                   "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["deltas"] == [1, 5, 15]
+        for window in doc["windows"]:
+            assert [int(d) for d in window["h2_by_delta"]] == [1, 5, 15]
+
 
 def _cli_case(name, tmp_path):
     """Arguments for one broken invocation; files it names live in tmp_path."""
@@ -250,6 +315,13 @@ def _cli_case(name, tmp_path):
         sweep = tmp_path / "sweep.csv"
         sweep.write_text("delta,h2,stderr\n" + sweeps[name])
         return ["fit-ansatz", "--sweep", str(sweep), *out]
+    bad_values = {"series_with_nan": "nan", "series_with_inf": "-inf"}
+    if name in bad_values:
+        values = [repr(v) for v in np.random.default_rng(0).normal(size=400).tolist()]
+        values[250] = bad_values[name]
+        series = tmp_path / "series.csv"
+        series.write_text("value\n" + "\n".join(values) + "\n")
+        return ["mfdfa", "--series", str(series), *out]
     synth = {"fgn_without_hurst": ["--kind", "fgn", "--len", "1024"],
              "cascade_without_p": ["--kind", "cascade", "--levels", "8"],
              "cascade_without_levels": ["--kind", "cascade", "--p", "0.6"],
@@ -275,6 +347,8 @@ class TestExitCodes:
         ("zero_stderr_in_sweep", 1, "stderrs must be finite and positive"),
         ("sweep_row_without_h2", 2, "bad sweep row at line 3"),
         ("sweep_h2_not_a_number", 2, "bad sweep row at line 3"),
+        ("series_with_nan", 2, "non-finite value at line 252"),
+        ("series_with_inf", 2, "non-finite value at line 252"),
         ("fgn_without_hurst", 1, "--hurst"),
         ("cascade_without_p", 1, "--p"),
         ("cascade_without_levels", 1, "--levels"),

@@ -157,13 +157,13 @@ class TestGeneralizedHurst:
 
     def test_too_few_scales(self):
         scales = np.array([10, 20, 40])
-        config = MfdfaConfig(q_values=np.array([2.0]), scales=scales)
+        config = MfdfaConfig(q_values=np.array([2.0]), scales=scales, fit_range=(10, 20))
         surface = FluctuationSurface(q_values=config.q_values, scales=scales,
                                      values=np.array([[1.0, 2.0, 4.0]]),
                                      series_length=1000, config=config,
                                      excluded_segments=np.zeros(3, dtype=int))
         with pytest.raises(NumericError):
-            generalized_hurst(surface, fit_range=(10, 20))
+            generalized_hurst(surface)
 
 
 class TestInvariants:

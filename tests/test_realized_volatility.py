@@ -57,7 +57,7 @@ class TestLogIncrements:
         np.testing.assert_allclose(out.values, 0.0)
 
     def test_floor_policy(self):
-        out = log_increments(rv_series([1.0, 0.0, 1.0]), zero_policy="floor", eps=1e-12)
+        out = log_increments(rv_series([1.0, 0.0, 1.0]), zero_policy="floor")
         np.testing.assert_allclose(out.values, [np.log(1e-12), -np.log(1e-12)])
 
     def test_too_short(self):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from roughscale.synthetic import (GeneratorSpec, cascade_hq, fgn_autocovariance,
-                                  generate_cascade, generate_fgn,
-                                  generate_sv_day, generate_sv_days)
+from roughscale.synthetic import (cascade_hq, fgn_autocovariance, generate_cascade,
+                                  generate_fgn, generate_sv_days)
 
 
 class TestFgn:
@@ -74,12 +73,12 @@ class TestCascade:
 
 class TestSvDay:
     def test_rv_approaches_sigma_squared(self):
-        x = generate_sv_day(100000, 0.02, seed=9)
+        x = generate_sv_days(1, 100000, 0.02, seed=9)[0]
         assert (x ** 2).sum() == pytest.approx(0.02 ** 2, rel=0.05)
 
     def test_degenerate_n1(self):
         for seed in range(20):
-            x = generate_sv_day(1, 0.5, seed=seed)
+            x = generate_sv_days(1, 1, 0.5, seed=seed)[0]
             rbar = x.sum() / np.sqrt((x ** 2).sum())
             assert abs(rbar) == pytest.approx(1.0)
 
@@ -95,20 +94,7 @@ class TestSvDay:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            generate_sv_day(0, 1.0, seed=0)
+            generate_sv_days(1, 0, 1.0, seed=0)
         with pytest.raises(ValueError):
-            generate_sv_day(10, -1.0, seed=0)
+            generate_sv_days(1, 10, -1.0, seed=0)
 
-
-class TestGeneratorSpec:
-    def test_dispatch(self):
-        fgn = GeneratorSpec(kind="fgn", length=2 ** 10, seed=1, hurst=0.4).generate()
-        assert len(fgn) == 2 ** 10
-        cas = GeneratorSpec(kind="cascade", length=0, seed=0, p=0.6, levels=8).generate()
-        assert len(cas) == 256
-        day = GeneratorSpec(kind="sv_day", length=0, seed=2, n=24, sigma=0.1).generate()
-        assert len(day) == 24
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec(kind="ou", length=10, seed=0).generate()

@@ -14,14 +14,15 @@ import sys
 
 import numpy as np
 
+from . import pipeline
 from .errors import DataError, NumericError
 from .finite_sample import FiniteSampleLaw, density, kurtosis, moment_2k
 from .market_data import (grid_records, intraday_log_returns, parse_ticks,
-                          resample_prices, return_records, trade_index)
+                          resample_prices, return_records, samples_per_day,
+                          trade_index)
 from .mfdfa import MfdfaConfig, default_q_values, default_scales, \
     fluctuation_function, generalized_hurst
-from .pipeline import (RollingSpec, build_rv_by_delta, emit_report, resolve_deltas,
-                       run_rolling)
+from .pipeline import RollingSpec, emit_report, resolve_deltas, run_rolling
 from .realized_volatility import log_increments
 from .scaling import FrequencySweep, fit_ansatz
 from .synthetic import generate_cascade, generate_fgn, generate_sv_days
@@ -75,11 +76,20 @@ def _add_tick_args(p):
     p.add_argument("--min-coverage", type=float, default=0.0)
 
 
+def _exclude_from_args(args) -> list[int]:
+    """The --exclude deltas; each must be a positive divisor of 1440."""
+    exclude = [int(t) for t in args.exclude.split(",")] if args.exclude else []
+    for delta in exclude:
+        samples_per_day(delta)
+    return exclude
+
+
 def _ticks_from_args(args):
     return parse_ticks(args.ticks, header=args.header, max_malformed=args.max_malformed)
 
 
 def cmd_ingest(args) -> int:
+    samples_per_day(args.delta)  # a usage error, raised before the ticks are read
     index = trade_index(_ticks_from_args(args), [args.delta], args.start, args.end)
     grid = resample_prices(index, args.delta, args.min_coverage)
     if args.what == "prices":
@@ -91,8 +101,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rv(args) -> int:
-    rv = build_rv_by_delta(_ticks_from_args(args), [args.delta], args.start, args.end,
-                           args.min_coverage)[args.delta]
+    samples_per_day(args.delta)  # a usage error, raised before the ticks are read
+    rv = pipeline.build_rv_by_delta(_ticks_from_args(args), [args.delta], args.start,
+                                    args.end, args.min_coverage)[args.delta]
     _write_csv(args.out, ["date", "rv", "daily_return"],
                ((d.isoformat(), repr(float(v)), repr(float(r)))
                 for d, v, r in zip(rv.dates, rv.rv, rv.daily_return)))
@@ -151,6 +162,7 @@ def cmd_mfdfa(args) -> int:
 
 
 def cmd_fit_ansatz(args) -> int:
+    exclude = _exclude_from_args(args)
     deltas, h2, stderr = [], [], []
     with open(args.sweep, encoding="utf-8") as fh:
         for i, row in enumerate(csv.reader(fh)):
@@ -172,7 +184,6 @@ def cmd_fit_ansatz(args) -> int:
         raise DataError("stderr column must be present for all rows or none")
     sweep = FrequencySweep(deltas=np.array(deltas), h2=np.array(h2),
                            h2_stderr=np.array(stderr) if stderr else None)
-    exclude = [int(t) for t in args.exclude.split(",")] if args.exclude else []
     fit = fit_ansatz(sweep, exclude=exclude)
     doc = {"h0": fit.h0, "a": fit.a, "h0_stderr": fit.h0_stderr,
            "a_stderr": fit.a_stderr, "residual_rms": fit.residual_rms,
@@ -219,18 +230,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_rolling(args) -> int:
-    deltas = None if args.deltas == "auto" else [int(t) for t in args.deltas.split(",")]
-    ticks = _ticks_from_args(args)
+    # every usage error is raised before a tick is read
     rolling = RollingSpec(window_days=args.window_days, step_days=args.step_days)
-    exclude = [int(t) for t in args.exclude.split(",")] if args.exclude else []
-    reports = run_rolling(ticks, rolling, deltas,
-                          reference_delta=args.reference_delta,
+    deltas = resolve_deltas(None if args.deltas == "auto"
+                            else [int(t) for t in args.deltas.split(",")],
+                            args.reference_delta)
+    exclude = _exclude_from_args(args)
+    rv_by_delta = pipeline.build_rv_by_delta(_ticks_from_args(args), deltas)
+    reports = run_rolling(rv_by_delta, rolling, reference_delta=args.reference_delta,
                           detrend_order=args.detrend_order,
                           exclude_deltas=exclude, workers=args.workers)
     config_echo = {
         "window_days": args.window_days, "step_days": args.step_days,
-        "deltas": resolve_deltas(deltas, args.reference_delta),
-        "reference_delta": args.reference_delta,
+        "deltas": deltas, "reference_delta": args.reference_delta,
         "detrend_order": args.detrend_order, "exclude": exclude,
     }
     emit_report(reports, args.out, args.h2_csv, args.hq_csv, config_echo)

@@ -23,6 +23,17 @@ SECONDS_PER_DAY = 86400
 MINUTES_PER_DAY = 1440
 
 
+def samples_per_day(delta: int) -> int:
+    """n = 1440/delta, the delta-minute intervals in a day.
+
+    This is the one check of a sampling period: raises ValueError unless
+    delta is a positive divisor of 1440.
+    """
+    if delta <= 0 or MINUTES_PER_DAY % delta != 0:
+        raise ValueError(f"delta {delta} is not a positive divisor of 1440")
+    return MINUTES_PER_DAY // delta
+
+
 def _epoch_day_to_date(epoch_day: int) -> dt.date:
     return dt.date(1970, 1, 1) + dt.timedelta(days=int(epoch_day))
 
@@ -74,10 +85,6 @@ class IntradayReturnGrid:
     delta_minutes: int
     days: list[dt.date]
     returns: np.ndarray  # (days, n), n = 1440/delta
-
-    @property
-    def samples_per_day(self) -> int:
-        return MINUTES_PER_DAY // self.delta_minutes
 
 
 # Tick CSVs are read in chunks of _CHUNK lines, each parsed by np.loadtxt
@@ -310,15 +317,14 @@ def trade_index(ticks: TickSeries, deltas: list[int],
     data's), their previous-tick prices on the grid of the deltas' greatest
     common divisor, and each delta's coverage.
 
-    Raises ValueError when there is no delta or one does not divide 1440,
-    and DataError when the span misses the data or a tick's day lies outside
-    the calendar.
+    Raises ValueError when there is no delta or one is not a positive divisor
+    of 1440 (`samples_per_day`), and DataError when the span misses the data
+    or a tick's day lies outside the calendar.
     """
     if not deltas:
         raise ValueError("a trade index needs at least one delta")
     for delta in deltas:
-        if delta <= 0 or MINUTES_PER_DAY % delta != 0:
-            raise ValueError(f"delta_minutes={delta} must divide 1440")
+        samples_per_day(delta)
     step = math.gcd(*deltas)
     first_day = int(ticks.timestamps[0]) // SECONDS_PER_DAY
     last_day = int(ticks.timestamps[-1]) // SECONDS_PER_DAY

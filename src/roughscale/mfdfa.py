@@ -121,23 +121,6 @@ def profile(series) -> np.ndarray:
     return np.cumsum(x - x.mean())
 
 
-# Largest scale whose projector is kept: above it, building one costs little
-# next to the projection, and keeping it would hold O(s) memory per scale.
-_PROJECTOR_CACHE_MAX_SCALE = 1024
-
-
-def _detrend_projector(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (pinv(V).T, V.T) for the order-m Vandermonde design V on 0..s-1."""
-    design = np.vander(np.arange(s, dtype=float), m + 1)
-    pinv = np.linalg.pinv(design)
-    design.flags.writeable = False
-    pinv.flags.writeable = False
-    return pinv.T, design.T
-
-
-_cached_detrend_projector = functools.lru_cache(maxsize=256)(_detrend_projector)
-
-
 def segment_variances(Y: np.ndarray, s: int, m: int = 1) -> np.ndarray:
     """Mean squared residual of an order-m polynomial fit per segment.
 
@@ -155,10 +138,8 @@ def segment_variances(Y: np.ndarray, s: int, m: int = 1) -> np.ndarray:
     bwd = Y[N - n_seg * s:].reshape(n_seg, s)
     seg = np.concatenate([fwd, bwd], axis=0)
     # shared design matrix: one batched projection instead of 2*N_s polyfits
-    projector = (_cached_detrend_projector if s <= _PROJECTOR_CACHE_MAX_SCALE
-                 else _detrend_projector)
-    pinv_t, design_t = projector(s, m)
-    fit = (seg @ pinv_t) @ design_t
+    design = np.vander(np.arange(s, dtype=float), m + 1)
+    fit = (seg @ np.linalg.pinv(design).T) @ design.T
     fit -= seg  # minus the residual; squared in place, with no further temporaries
     fit *= fit
     return fit.mean(axis=1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError, NumericError
 from .market_data import (TickSeries, intraday_log_returns, resample_prices,
-                          trade_index)
+                          samples_per_day, trade_index)
 from .mfdfa import (SCALE_MIN, MfdfaConfig, default_q_values,
                     fluctuation_function, generalized_hurst)
 from .multifractal_metrics import delta_h, taylor_b1
@@ -120,7 +121,7 @@ def _window_report(start: dt.date, end: dt.date, cells: list[tuple[int, tuple | 
     """Assemble one window from its (delta, cell) pairs in delta order."""
     report = WindowReport(window_start=start, window_end=end,
                           reference_delta=reference_delta,
-                          reference_n=1440 // reference_delta)
+                          reference_n=samples_per_day(reference_delta))
     dropped_days = 0
     short_deltas = []
     for delta, cell in cells:
@@ -164,42 +165,34 @@ def _window_report(start: dt.date, end: dt.date, cells: list[tuple[int, tuple | 
 def resolve_deltas(deltas: list[int] | None, reference_delta: int) -> list[int]:
     """The deltas a run covers: sorted and distinct, with the reference added.
 
-    None means all 36 divisors of 1440; a delta that does not divide 1440 is
-    an error.
+    None means all 36 divisors of 1440. Raises ValueError when a delta, the
+    reference included, is not a positive divisor of 1440.
     """
-    deltas = divisors_of_1440() if deltas is None else sorted(set(int(d) for d in deltas))
-    for d in deltas:
-        if 1440 % d != 0:
-            raise ValueError(f"delta {d} does not divide 1440")
-    if reference_delta not in deltas:
-        deltas = sorted(deltas + [reference_delta])
-    return deltas
+    listed = divisors_of_1440() if deltas is None else [int(d) for d in deltas]
+    resolved = sorted({*listed, reference_delta})
+    for delta in resolved:
+        samples_per_day(delta)
+    return resolved
 
 
-def run_rolling(data, rolling: RollingSpec, deltas: list[int] | None = None,
+def run_rolling(data: Mapping[int, RVSeries], rolling: RollingSpec,
                 reference_delta: int = 5, detrend_order: int = 1,
                 exclude_deltas: list[int] | None = None,
                 workers: int = 1) -> list[WindowReport]:
-    """Run the rolling-window analysis.
+    """Run the rolling-window analysis over the sweep `sorted(data)`.
 
-    `data` is either a TickSeries or a precomputed {delta: RVSeries} mapping
-    (the latter lets synthetic oracles bypass tick handling). Windows advance
-    by `rolling.step_days`. Each window's MFDFA sees only that window's own
+    `data` maps each delta to its daily RV series: `build_rv_by_delta` makes
+    one from ticks, and synthetic oracles pass their own (perfbench's tracer
+    reads the mapping by this parameter's name). Windows advance by
+    `rolling.step_days`. Each window's MFDFA sees only that window's own
     increments: h(q) over `default_q_values()` at the reference delta, h(2)
     alone at the others. `workers` is accepted and has no effect: a thread
     pool over the deltas was slower than one thread on every input measured.
     """
-    deltas = resolve_deltas(deltas, reference_delta)
-
-    if isinstance(data, TickSeries):
-        rv_by_delta = build_rv_by_delta(data, deltas)
-    else:
-        rv_by_delta = dict(data)
-        missing = [d for d in deltas if d not in rv_by_delta]
-        if missing:
-            raise DataError(f"precomputed RV mapping lacks deltas {missing}")
-
-    ref = rv_by_delta[reference_delta]
+    deltas = sorted(data)
+    if reference_delta not in data:
+        raise DataError(f"RV mapping lacks the reference delta {reference_delta}")
+    ref = data[reference_delta]
     if not ref.dates:
         raise DataError("no usable days in the data span")
     first, last = ref.dates[0], ref.dates[-1]
@@ -212,7 +205,7 @@ def run_rolling(data, rolling: RollingSpec, deltas: list[int] | None = None,
 
     def column(delta: int) -> list[tuple | None]:
         q = default_q_values() if delta == reference_delta else np.array([2.0])
-        return _delta_cells(rv_by_delta[delta], starts, rolling.window_days, q,
+        return _delta_cells(data[delta], starts, rolling.window_days, q,
                             detrend_order)
 
     columns = [column(d) for d in deltas]

@@ -60,7 +60,7 @@ def compute_daily_rv(returns: IntradayReturnGrid) -> RVSeries:
     return RVSeries(delta_minutes=returns.delta_minutes, dates=returns.days,
                     rv=np.sum(returns.returns ** 2, axis=1),
                     daily_return=np.sum(returns.returns, axis=1),
-                    samples_per_day=returns.samples_per_day)
+                    samples_per_day=returns.returns.shape[1])
 
 
 ZERO_RV_FLOOR = 1e-12  # what zero_policy "floor" puts in place of a zero RV

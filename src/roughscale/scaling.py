@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import NumericError
-from .market_data import MINUTES_PER_DAY
+from .market_data import MINUTES_PER_DAY, samples_per_day
 
 
 def divisors_of_1440() -> list[int]:
@@ -18,7 +18,7 @@ def divisors_of_1440() -> list[int]:
 class FrequencySweep:
     """Measured Hurst exponents h(2) across sampling periods delta."""
 
-    deltas: np.ndarray                 # distinct divisors of 1440
+    deltas: np.ndarray                 # distinct positive divisors of 1440
     h2: np.ndarray
     h2_stderr: np.ndarray | None = None
 
@@ -30,8 +30,8 @@ class FrequencySweep:
                                np.asarray(self.h2_stderr, dtype=float))
         if len(set(self.deltas.tolist())) != len(self.deltas):
             raise ValueError("delta values must be distinct")
-        if np.any(MINUTES_PER_DAY % self.deltas != 0):
-            raise ValueError("every delta must divide 1440")
+        for delta in self.deltas.tolist():
+            samples_per_day(delta)
         stderr = self.h2_stderr
         if any(len(v) != len(self.deltas) for v in (self.h2, stderr) if v is not None):
             raise ValueError("h2 and h2_stderr need one entry per delta")
@@ -69,8 +69,7 @@ def fit_ansatz(sweep: FrequencySweep, exclude: list[int] | None = None) -> Ansat
     sweep carries stderrs. Standard errors come from the analytic Jacobian in
     (H0, alpha) at the optimum, scaled by the reduced chi-square.
     """
-    exclude = list(exclude or [])
-    mask = ~np.isin(sweep.deltas, exclude)
+    mask = ~np.isin(sweep.deltas, list(exclude or []))
     h2 = sweep.h2[mask]
     n = sweep.n[mask].astype(float)
     if len(h2) < 3:
@@ -109,12 +108,11 @@ def fit_ansatz(sweep: FrequencySweep, exclude: list[int] | None = None) -> Ansat
     return AnsatzFit(h0=float(h0), a=a, h0_stderr=float(h0_stderr),
                      a_stderr=float(a * alpha_stderr),
                      residual_rms=float(np.sqrt(np.mean((h2 - h0 * n / (n + a)) ** 2))),
-                     excluded_deltas=sorted(exclude), boundary_warning=a < 1e-6)
+                     excluded_deltas=sorted(sweep.deltas[~mask].tolist()),
+                     boundary_warning=a < 1e-6)
 
 
 def predict_h(fit: AnsatzFit, delta_minutes: int) -> float:
     """Forward ansatz evaluation H0 * n / (n + a) at n = 1440/delta."""
-    if MINUTES_PER_DAY % delta_minutes != 0:
-        raise ValueError(f"delta_minutes={delta_minutes} must divide 1440")
-    n = MINUTES_PER_DAY // delta_minutes
+    n = samples_per_day(delta_minutes)
     return fit.h0 * n / (n + fit.a)

@@ -162,15 +162,14 @@ def test_criterion_7_bitstamp_reproduction():
                             header=os.environ.get("ROUGHSCALE_TICKS_HEADER") == "1")
         rv = build_rv_by_delta(ticks, divisors_of_1440(),
                                dt.date(2015, 1, 1), dt.date(2022, 12, 31))
-        reports = run_rolling(rv, RollingSpec(window_days=2922, step_days=5),
-                              deltas=divisors_of_1440(), workers=4)
+        reports = run_rolling(rv, RollingSpec(window_days=2922, step_days=5), workers=4)
         period2 = reports[0]
         assert period2.ansatz is not None
         assert 0.11 <= period2.ansatz.h0 <= 0.15
         assert 2.0 <= period2.ansatz.a <= 4.5
         rv5 = {5: rv[5]}
         metric_reports = run_rolling(rv5, RollingSpec(window_days=2922, step_days=30),
-                                     deltas=[5], workers=4)
+                                     workers=4)
         dh = [r.delta_h3 for r in metric_reports if r.delta_h3 is not None]
         b1 = [r.b1 for r in metric_reports if r.b1 is not None]
         assert 0.02 <= np.mean(dh) <= 0.05

@@ -2,11 +2,13 @@ import csv
 import datetime as dt
 import json
 import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from perfbench.generators import H_TRUE, write_tick_csv
+from roughscale import cli, pipeline
 from roughscale.cli import main
 from roughscale.market_data import date_to_epoch_seconds
 from roughscale.scaling import FrequencySweep, fit_ansatz
@@ -122,6 +124,10 @@ class TestFitAnsatzCommand:
         assert doc["h0"] == pytest.approx(0.13, abs=1e-6)
         assert doc["a"] == pytest.approx(3.0, abs=1e-5)
         assert doc["excluded"] == []
+        rc = main(["fit-ansatz", "--sweep", str(sweep), "--exclude", "30,60,30",
+                   "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["excluded"] == [60]
 
     def test_too_few_points_exit_3(self, tmp_path):
         sweep = tmp_path / "sweep.csv"
@@ -276,6 +282,30 @@ class TestRollingCommand:
         for window in doc["windows"]:
             assert [int(d) for d in window["h2_by_delta"]] == [1, 5, 15]
 
+    def test_resolves_the_sweep_once_and_runs_it(self, tmp_path):
+        inputs = write_tick_csv(tmp_path / "ticks.csv", 0, 800, 300.0)
+        out = tmp_path / "report.json"
+        spy = mock.Mock(wraps=pipeline.resolve_deltas)
+        with mock.patch.object(cli, "resolve_deltas", spy), \
+                mock.patch.object(pipeline, "resolve_deltas", spy), \
+                mock.patch.object(pipeline, "build_rv_by_delta",
+                                  wraps=pipeline.build_rv_by_delta) as build, \
+                pytest.warns(UserWarning, match="backfilled"):
+            rc = main(["rolling", "--ticks", str(inputs.path),
+                       "--max-malformed", str(inputs.malformed),
+                       "--window-days", "730", "--step-days", "35",
+                       "--deltas", "60,15,120,15,10,5", "--reference-delta", "30",
+                       "--exclude", "120,60,120", "--out", str(out)])
+        assert rc == 0
+        assert spy.call_count == 1 and build.call_count == 1
+        assert build.call_args.args[1] == [5, 10, 15, 30, 60, 120]
+        doc = json.loads(out.read_text())
+        assert doc["config"]["deltas"] == [5, 10, 15, 30, 60, 120]
+        assert doc["config"]["exclude"] == [120, 60, 120]
+        assert len(doc["windows"]) == 3
+        for window in doc["windows"]:
+            assert window["ansatz"]["excluded_deltas"] == [60, 120]
+
 
 def _cli_case(name, tmp_path):
     """Arguments for one broken invocation; files it names live in tmp_path."""
@@ -301,6 +331,18 @@ def _cli_case(name, tmp_path):
         return ["rolling", "--config", str(tmp_path / "nope.cfg"), *out]
     if name == "missing_ticks_file":
         return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *out]
+    if name == "deltas_with_zero":
+        return ["rolling", "--ticks", str(ticks), "--deltas", "0,5", *out]
+    # a usage error is reported before the tick file is opened
+    bad_runs = {"deltas_negative": ["--deltas=-5,5"],
+                "reference_delta_not_a_divisor": ["--reference-delta", "7"],
+                "window_not_longer_than_step": ["--window-days", "5", "--step-days", "10"],
+                "exclude_not_a_divisor": ["--exclude", "60,7"]}
+    if name in bad_runs:
+        return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *bad_runs[name], *out]
+    if name in ("rv_delta_not_a_divisor", "ingest_delta_not_a_divisor"):
+        return [name.split("_")[0], "--ticks", str(tmp_path / "nope.csv"), "--delta", "7",
+                *out]
     bad_rows = {"ticks_not_utf8": b"\xff\xfe,1.0\r\n",
                 "ticks_timestamp_out_of_range": b"99999999999999999999,2.0\r\n",
                 "ticks_after_the_calendar": b"9223372036854775000,2.0\r\n",
@@ -310,11 +352,14 @@ def _cli_case(name, tmp_path):
         return ["rolling", "--ticks", str(ticks), *out]
     sweeps = {"zero_stderr_in_sweep": "1,0.12,0.01\n5,0.11,0.0\n60,0.09,0.01\n",
               "sweep_row_without_h2": "1,0.12\n5\n60,0.09\n",
-              "sweep_h2_not_a_number": "1,0.12\n5,abc\n60,0.09\n"}
+              "sweep_h2_not_a_number": "1,0.12\n5,abc\n60,0.09\n",
+              "sweep_delta_not_positive": "1,0.12\n-5,0.11\n60,0.09\n",
+              "fit_ansatz_exclude_not_a_divisor": "1,0.12\n5,0.11\n60,0.09\n"}
     if name in sweeps:
         sweep = tmp_path / "sweep.csv"
         sweep.write_text("delta,h2,stderr\n" + sweeps[name])
-        return ["fit-ansatz", "--sweep", str(sweep), *out]
+        exclude = ["--exclude", "7"] if name == "fit_ansatz_exclude_not_a_divisor" else []
+        return ["fit-ansatz", "--sweep", str(sweep), *exclude, *out]
     bad_values = {"series_with_nan": "nan", "series_with_inf": "-inf"}
     if name in bad_values:
         values = [repr(v) for v in np.random.default_rng(0).normal(size=400).tolist()]
@@ -340,6 +385,13 @@ class TestExitCodes:
         ("config_flag_not_a_boolean", 1, "config key 'header'"),
         ("missing_config_file", 2, "No such file or directory"),
         ("missing_ticks_file", 2, "No such file or directory"),
+        ("deltas_with_zero", 1, "delta 0 is not a positive divisor of 1440"),
+        ("deltas_negative", 1, "delta -5 is not a positive divisor of 1440"),
+        ("reference_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
+        ("window_not_longer_than_step", 1, "need window_days > step_days > 0"),
+        ("exclude_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
+        ("rv_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
+        ("ingest_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("ticks_not_utf8", 2, "tick data is not valid UTF-8 at line 4321"),
         ("ticks_timestamp_out_of_range", 2, "line 4321: timestamp out of range"),
         ("ticks_after_the_calendar", 2, "9223372036854775000 lies outside the calendar"),
@@ -347,6 +399,8 @@ class TestExitCodes:
         ("zero_stderr_in_sweep", 1, "stderrs must be finite and positive"),
         ("sweep_row_without_h2", 2, "bad sweep row at line 3"),
         ("sweep_h2_not_a_number", 2, "bad sweep row at line 3"),
+        ("sweep_delta_not_positive", 1, "delta -5 is not a positive divisor of 1440"),
+        ("fit_ansatz_exclude_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("series_with_nan", 2, "non-finite value at line 252"),
         ("series_with_inf", 2, "non-finite value at line 252"),
         ("fgn_without_hurst", 1, "--hurst"),

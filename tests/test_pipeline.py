@@ -14,8 +14,9 @@ from roughscale.mfdfa import (MfdfaConfig, default_scales, fluctuation_function,
                               generalized_hurst)
 from roughscale.pipeline import (MIN_WINDOW_SERIES, RollingSpec, _window_report,
                                  build_rv_by_delta, emit_report, report_document,
-                                 run_rolling)
+                                 resolve_deltas, run_rolling)
 from roughscale.realized_volatility import RVSeries, log_increments
+from roughscale.scaling import divisors_of_1440
 from roughscale.synthetic import generate_fgn
 
 DAY0 = dt.date(2014, 1, 2)
@@ -35,7 +36,7 @@ class TestRolling:
     def test_window_count_rule(self):
         data = {5: fgn_rv_series(400)}
         rolling = RollingSpec(window_days=365, step_days=5)
-        reports = run_rolling(data, rolling, deltas=[5])
+        reports = run_rolling(data, rolling)
         assert len(reports) == (400 - 365) // 5 + 1 == 8
         assert reports[0].window_start == DAY0
         assert reports[1].window_start == DAY0 + dt.timedelta(days=5)
@@ -43,7 +44,7 @@ class TestRolling:
     def test_fgn_driven_log_rv_recovers_h(self):
         data = {5: fgn_rv_series(2922, H=0.13, seed=21)}
         rolling = RollingSpec(window_days=2922, step_days=5)
-        reports = run_rolling(data, rolling, deltas=[5])
+        reports = run_rolling(data, rolling)
         assert len(reports) == 1
         r = reports[0]
         assert r.reason is None or r.reason == "too_few_deltas_for_ansatz"
@@ -52,14 +53,12 @@ class TestRolling:
 
     def test_reference_n_recorded(self):
         data = {5: fgn_rv_series(400)}
-        reports = run_rolling(data, RollingSpec(window_days=365, step_days=5),
-                              deltas=[5])
+        reports = run_rolling(data, RollingSpec(window_days=365, step_days=5))
         assert all(r.reference_n == 288 for r in reports)
 
     def test_multi_delta_with_ansatz(self):
         data = {d: fgn_rv_series(420, seed=d, delta=d) for d in (5, 30, 60, 120)}
-        reports = run_rolling(data, RollingSpec(window_days=365, step_days=50),
-                              deltas=[5, 30, 60, 120])
+        reports = run_rolling(data, RollingSpec(window_days=365, step_days=50))
         assert len(reports) == 2
         for r in reports:
             assert set(r.h2_by_delta) == {5, 30, 60, 120}
@@ -69,7 +68,7 @@ class TestRolling:
     def test_window_isolation(self):
         data = {5: fgn_rv_series(420, seed=33)}
         rolling = RollingSpec(window_days=365, step_days=50)
-        full = run_rolling(data, rolling, deltas=[5])
+        full = run_rolling(data, rolling)
         rv = data[5]
         start = full[1].window_start
         end = start + dt.timedelta(days=365)
@@ -77,27 +76,26 @@ class TestRolling:
         sliced = {5: RVSeries(delta_minutes=5, dates=[rv.dates[i] for i in keep],
                               rv=rv.rv[keep], daily_return=rv.daily_return[keep],
                               samples_per_day=288)}
-        alone = run_rolling(sliced, rolling, deltas=[5])
+        alone = run_rolling(sliced, rolling)
         assert len(alone) == 1
         assert alone[0].h2_by_delta[5] == full[1].h2_by_delta[5]
 
     def test_worker_count_does_not_change_results(self):
         data = {5: fgn_rv_series(420, seed=44)}
         rolling = RollingSpec(window_days=365, step_days=10)
-        doc1 = report_document(run_rolling(data, rolling, deltas=[5], workers=1))
-        doc4 = report_document(run_rolling(data, rolling, deltas=[5], workers=4))
+        doc1 = report_document(run_rolling(data, rolling, workers=1))
+        doc4 = report_document(run_rolling(data, rolling, workers=4))
         assert json.dumps(doc1) == json.dumps(doc4)
 
     def test_short_span_rejected(self):
         data = {5: fgn_rv_series(100)}
         with pytest.raises(DataError):
-            run_rolling(data, RollingSpec(window_days=365, step_days=5), deltas=[5])
+            run_rolling(data, RollingSpec(window_days=365, step_days=5))
 
-    def test_missing_delta_in_precomputed_mapping(self):
-        data = {5: fgn_rv_series(400)}
-        with pytest.raises(DataError):
-            run_rolling(data, RollingSpec(window_days=365, step_days=5),
-                        deltas=[5, 10])
+    def test_missing_reference_delta_in_mapping(self):
+        data = {10: fgn_rv_series(400, delta=10)}
+        with pytest.raises(DataError, match="reference delta 5"):
+            run_rolling(data, RollingSpec(window_days=365, step_days=5))
 
     def test_insufficient_window_reported_not_fatal(self):
         rv = fgn_rv_series(400)
@@ -105,8 +103,7 @@ class TestRolling:
         broken = RVSeries(delta_minutes=5, dates=rv.dates,
                           rv=np.where(np.arange(400) % 3 == 0, rv.rv, 0.0),
                           daily_return=rv.daily_return, samples_per_day=288)
-        reports = run_rolling({5: broken}, RollingSpec(window_days=365, step_days=50),
-                              deltas=[5])
+        reports = run_rolling({5: broken}, RollingSpec(window_days=365, step_days=50))
         assert all(r.reason == "insufficient_data" for r in reports)
 
     def test_window_with_fewer_than_two_positive_days_not_fatal(self):
@@ -115,12 +112,23 @@ class TestRolling:
         sparse = RVSeries(delta_minutes=5, dates=rv.dates,
                           rv=np.where(positive, rv.rv, 0.0),
                           daily_return=rv.daily_return, samples_per_day=288)
-        reports = run_rolling({5: sparse}, RollingSpec(window_days=365, step_days=50),
-                              deltas=[5])
+        reports = run_rolling({5: sparse}, RollingSpec(window_days=365, step_days=50))
         assert len(reports) == 1
         assert reports[0].reason == "insufficient_data"
         assert reports[0].diagnostics["short_deltas"] == [5]
         assert reports[0].diagnostics["dropped_days"] == 364
+
+
+class TestResolveDeltas:
+    def test_sorted_distinct_with_the_reference(self):
+        assert resolve_deltas([15, 1, 15], 5) == [1, 5, 15]
+        assert resolve_deltas(None, 5) == resolve_deltas(None, 1440) == divisors_of_1440()
+
+    @pytest.mark.parametrize("deltas,reference", [([0, 5], 5), ([-5, 5], 5),
+                                                  ([5, 7], 5), ([5, 60], 7)])
+    def test_each_delta_and_the_reference_must_divide_1440(self, deltas, reference):
+        with pytest.raises(ValueError, match="is not a positive divisor of 1440"):
+            resolve_deltas(deltas, reference)
 
 
 def gappy_rv_series(num_days, seed, delta):
@@ -191,15 +199,14 @@ class TestIndexRangeWindows:
         assert any(r.diagnostics.get("short_deltas") == [60, 120] for r in direct)
         assert any(r.diagnostics.get("short_deltas") == [120] for r in direct)
         for workers in (1, 2):
-            got = run_rolling(data, rolling, deltas=deltas, workers=workers)
+            got = run_rolling(data, rolling, workers=workers)
             assert json.dumps(report_document(got)) == want
 
 
 class TestEmitReport:
     def make_reports(self):
         data = {d: fgn_rv_series(400, seed=d, delta=d) for d in (5, 60)}
-        return run_rolling(data, RollingSpec(window_days=365, step_days=35),
-                           deltas=[5, 60])
+        return run_rolling(data, RollingSpec(window_days=365, step_days=35))
 
     def test_h2_csv_row_count(self, tmp_path):
         reports = self.make_reports()
@@ -223,7 +230,7 @@ class TestEmitReport:
     def test_empty_q_grid_gives_header_only_hq_csv(self, tmp_path):
         data = {5: fgn_rv_series(400)}
         # 30-day windows hold too few increments for MFDFA: no curve anywhere
-        reports = run_rolling(data, RollingSpec(window_days=30, step_days=25), deltas=[5])
+        reports = run_rolling(data, RollingSpec(window_days=30, step_days=25))
         hq_path = tmp_path / "hq.csv"
         emit_report(reports, str(tmp_path / "r.json"), hq_csv_path=str(hq_path))
         assert all(r.curve_q == [] for r in reports)
@@ -271,7 +278,7 @@ class TestBuildRvByDelta:
         with warnings.catch_warnings(record=True) as caught, \
                 mock.patch.object(pipeline, "resample_prices", side_effect=resample) as spy:
             warnings.simplefilter("always")
-            run_rolling(ticks, RollingSpec(window_days=50, step_days=5), deltas=deltas)
+            build_rv_by_delta(ticks, deltas)
         backfills = [w for w in caught
                      if re.match(r"backfilled the day-open of 1 leading day", str(w.message))]
         assert spy.call_count == len(backfills) == len(deltas)

@@ -4,6 +4,7 @@ from scipy.optimize import least_squares
 
 from roughscale.errors import NumericError
 from roughscale.finite_sample import relative_error
+from roughscale.market_data import samples_per_day
 from roughscale.scaling import (AnsatzFit, FrequencySweep, divisors_of_1440,
                                 fit_ansatz, predict_h)
 
@@ -81,6 +82,12 @@ class TestDivisors:
         assert len(DIVISORS) == 36
         assert DIVISORS[0] == 1 and DIVISORS[-1] == 1440
 
+    def test_samples_per_day_accepts_exactly_the_divisors(self):
+        assert [samples_per_day(d) for d in DIVISORS] == [1440 // d for d in DIVISORS]
+        for bad in (0, -5, 7, 2880):
+            with pytest.raises(ValueError, match=f"delta {bad} is not a positive divisor"):
+                samples_per_day(bad)
+
 
 class TestFitAnsatz:
     def test_exact_model_recovery(self):
@@ -105,6 +112,13 @@ class TestFitAnsatz:
         assert fit.excluded_deltas == [1]
         assert fit.h0 == pytest.approx(0.13, abs=1e-6)
         assert fit.a == pytest.approx(3.0, abs=1e-5)
+
+    def test_excluded_deltas_lists_only_what_the_sweep_held(self):
+        sweep = exact_sweep(0.13, 3.0, deltas=[1, 2, 5, 10, 60])
+        assert fit_ansatz(sweep, exclude=[30]).excluded_deltas == []
+        fit = fit_ansatz(sweep, exclude=[60, 30, 1, 60])
+        assert fit.excluded_deltas == [1, 60]
+        assert fit.h0 == fit_ansatz(exact_sweep(0.13, 3.0, deltas=[2, 5, 10])).h0
 
     def test_noisy_coverage(self):
         truth = (0.13, 3.0)
@@ -145,6 +159,11 @@ class TestFrequencySweepValidation:
     def test_lengths_must_match_deltas(self, kwargs):
         with pytest.raises(ValueError, match="one entry per delta"):
             FrequencySweep(**kwargs)
+
+    @pytest.mark.parametrize("bad", [0, -5, 7])
+    def test_delta_must_be_a_positive_divisor(self, bad):
+        with pytest.raises(ValueError, match=f"delta {bad} is not a positive divisor"):
+            FrequencySweep(deltas=[1, bad, 60], h2=np.full(3, 0.1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_h2_must_be_finite(self, bad):
@@ -269,5 +288,6 @@ class TestPredict:
     def test_delta_must_divide(self):
         fit = AnsatzFit(h0=0.1, a=1.0, h0_stderr=0.0, a_stderr=0.0,
                         residual_rms=0.0)
-        with pytest.raises(ValueError):
-            predict_h(fit, 7)
+        for bad in (7, 0, -5):
+            with pytest.raises(ValueError, match=f"delta {bad} is not a positive divisor"):
+                predict_h(fit, bad)

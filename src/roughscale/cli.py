@@ -20,8 +20,8 @@ from .finite_sample import FiniteSampleLaw, density, kurtosis, moment_2k
 from .market_data import (grid_records, intraday_log_returns, parse_ticks,
                           resample_prices, return_records, samples_per_day,
                           trade_index)
-from .mfdfa import MfdfaConfig, default_q_values, default_scales, \
-    fluctuation_function, generalized_hurst
+from .mfdfa import MfdfaConfig, check_detrend_order, default_q_values, \
+    default_scales, fluctuation_function, generalized_hurst
 from .pipeline import RollingSpec, emit_report, resolve_deltas, run_rolling
 from .realized_volatility import log_increments
 from .scaling import FrequencySweep, fit_ansatz
@@ -84,12 +84,19 @@ def _exclude_from_args(args) -> list[int]:
     return exclude
 
 
+def _check_grid_args(args) -> None:
+    """ingest's and rv's usage errors, raised before the ticks are read."""
+    samples_per_day(args.delta)
+    if not 0.0 <= args.min_coverage <= 1.0:  # NaN included
+        raise ValueError(f"min_coverage must lie in [0, 1], got {args.min_coverage!r}")
+
+
 def _ticks_from_args(args):
     return parse_ticks(args.ticks, header=args.header, max_malformed=args.max_malformed)
 
 
 def cmd_ingest(args) -> int:
-    samples_per_day(args.delta)  # a usage error, raised before the ticks are read
+    _check_grid_args(args)
     index = trade_index(_ticks_from_args(args), [args.delta], args.start, args.end)
     grid = resample_prices(index, args.delta, args.min_coverage)
     if args.what == "prices":
@@ -101,7 +108,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rv(args) -> int:
-    samples_per_day(args.delta)  # a usage error, raised before the ticks are read
+    _check_grid_args(args)
     rv = pipeline.build_rv_by_delta(_ticks_from_args(args), [args.delta], args.start,
                                     args.end, args.min_coverage)[args.delta]
     _write_csv(args.out, ["date", "rv", "daily_return"],
@@ -155,9 +162,9 @@ def cmd_mfdfa(args) -> int:
                    ((repr(float(q)), int(s), repr(float(surface.values[i, j])))
                     for i, q in enumerate(surface.q_values)
                     for j, s in enumerate(surface.scales)))
+    columns = np.column_stack([curve.q_values, curve.h_values, curve.stderr, curve.r2])
     _write_csv(args.out, ["q", "h", "stderr", "r2"],
-               ((repr(p.q), repr(p.h), repr(p.stderr), repr(p.r2))
-                for p in curve.points))
+               (map(repr, row) for row in columns.tolist()))
     return 0
 
 
@@ -236,6 +243,7 @@ def cmd_rolling(args) -> int:
                             else [int(t) for t in args.deltas.split(",")],
                             args.reference_delta)
     exclude = _exclude_from_args(args)
+    check_detrend_order(args.detrend_order)
     rv_by_delta = pipeline.build_rv_by_delta(_ticks_from_args(args), deltas)
     reports = run_rolling(rv_by_delta, rolling, reference_delta=args.reference_delta,
                           detrend_order=args.detrend_order,

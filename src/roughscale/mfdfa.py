@@ -36,6 +36,12 @@ def default_scales(series_length: int) -> np.ndarray:
     return scales
 
 
+def check_detrend_order(order: int) -> None:
+    """The one check of a detrending order: raises ValueError below 1."""
+    if order < 1:
+        raise ValueError("detrend_order must be >= 1")
+
+
 @dataclass(frozen=True)
 class MfdfaConfig:
     q_values: np.ndarray
@@ -46,8 +52,7 @@ class MfdfaConfig:
     def __post_init__(self):
         object.__setattr__(self, "q_values", np.asarray(self.q_values, dtype=float))
         object.__setattr__(self, "scales", np.asarray(self.scales, dtype=int))
-        if self.detrend_order < 1:
-            raise ValueError("detrend_order must be >= 1")
+        check_detrend_order(self.detrend_order)
         s = self.scales
         if len(s) == 0 or np.any(np.diff(s) <= 0):
             raise ValueError("scales must be strictly increasing and non-empty")
@@ -83,34 +88,23 @@ class FluctuationSurface:
 
 
 @dataclass(frozen=True)
-class GHEPoint:
-    q: float
-    h: float
-    stderr: float
-    r2: float
-
-
-@dataclass(frozen=True)
 class GHECurve:
-    points: list[GHEPoint]
+    """h(q) over a q grid: per q, the slope, its standard error and r^2."""
+    q_values: np.ndarray
+    h_values: np.ndarray
+    stderr: np.ndarray
+    r2: np.ndarray
     fit_range: tuple[int, int]
 
-    def point_at(self, q: float) -> GHEPoint:
-        for p in self.points:
-            if abs(p.q - q) < 1e-9:
-                return p
-        raise ValueError(f"q = {q} is not on the estimated curve")
+    def index(self, q: float) -> int:
+        """Position of q on the grid, matched to 1e-9; ValueError when absent."""
+        match = np.flatnonzero(np.abs(self.q_values - q) < 1e-9)
+        if len(match) == 0:
+            raise ValueError(f"q = {q} is not on the estimated curve")
+        return int(match[0])
 
     def h_at(self, q: float) -> float:
-        return self.point_at(q).h
-
-    @property
-    def q_values(self) -> np.ndarray:
-        return np.array([p.q for p in self.points])
-
-    @property
-    def h_values(self) -> np.ndarray:
-        return np.array([p.h for p in self.points])
+        return float(self.h_values[self.index(q)])
 
 
 def profile(series) -> np.ndarray:
@@ -347,8 +341,5 @@ def generalized_hurst(surface: FluctuationSurface) -> GHECurve:
     tss = (sy * sy).sum(axis=1)
     stderr = np.sqrt(rss / (k - 2) / sxx)
     r2 = 1.0 - rss / np.where(tss > 0, tss, np.inf)  # r^2 = 1 for a flat log F
-    points = [GHEPoint(q=q, h=h, stderr=e, r2=r)
-              for q, h, e, r in zip(surface.q_values.tolist(), slope.tolist(),
-                                    stderr.tolist(), r2.tolist())]
-    return GHECurve(points=points, fit_range=(int(lo), int(hi)))
-
+    return GHECurve(q_values=surface.q_values, h_values=slope, stderr=stderr, r2=r2,
+                    fit_range=(int(lo), int(hi)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -14,8 +14,7 @@ from . import __version__
 from .errors import DataError, NumericError
 from .market_data import (TickSeries, intraday_log_returns, resample_prices,
                           samples_per_day, trade_index)
-from .mfdfa import (SCALE_MIN, MfdfaConfig, default_q_values,
-                    fluctuation_function, generalized_hurst)
+from .mfdfa import SCALE_MIN, MfdfaConfig, fluctuation_function, generalized_hurst
 from .multifractal_metrics import delta_h, taylor_b1
 from .realized_volatility import RVSeries, compute_daily_rv, log_increments
 from .scaling import AnsatzFit, FrequencySweep, divisors_of_1440, fit_ansatz
@@ -77,17 +76,17 @@ def build_rv_by_delta(ticks: TickSeries, deltas: list[int],
     return out
 
 
-def _delta_cells(rv: RVSeries, starts: np.ndarray, window_days: int,
-                 q_values: np.ndarray, detrend_order: int) -> list[tuple | None]:
+def _window_slices(rv: RVSeries, starts: np.ndarray,
+                   window_days: int) -> Iterator[tuple[int, np.ndarray] | None]:
     """One delta's share of every window, in window order.
 
     Log-increments are taken once over the full span. A window is the index
     range [i0, i1) of its days, and its series is the run of full-span
     increments between those days: exactly the increments the window's own
     `log_increments` would keep, since one that bridges a zero-RV day is
-    dropped either way and none crosses the window's edges. A cell is None
-    when the window holds fewer than 2 days, else (dropped_days, curve,
-    zero-variance segments), with curve None when the series is too short.
+    dropped either way and none crosses the window's edges. Yields None when
+    the window holds fewer than 2 days, else (dropped_days, series). Every
+    window's bounds are found here, so only the increments outlive the call.
     """
     try:
         incr = log_increments(rv, zero_policy="drop").values
@@ -97,49 +96,47 @@ def _delta_cells(rv: RVSeries, starts: np.ndarray, window_days: int,
     kept = np.concatenate([[0], np.cumsum(usable[1:] & usable[:-1])])
     zeros = np.concatenate([[0], np.cumsum(~usable)])
     ordinals = np.array([d.toordinal() for d in rv.dates], dtype=np.int64)
-    lo = np.searchsorted(ordinals, starts).tolist()
-    hi = np.searchsorted(ordinals, starts + window_days).tolist()
-    cells = []
-    for i0, i1 in zip(lo, hi):
-        if i1 - i0 < 2:
-            cells.append(None)
-            continue
-        series = incr[kept[i0]:kept[i1 - 1]]
-        dropped = int(zeros[i1] - zeros[i0])
-        if len(series) < MIN_WINDOW_SERIES:
-            cells.append((dropped, None, 0))
-            continue
-        config = MfdfaConfig.for_series(len(series), detrend_order, q_values)
-        surface = fluctuation_function(series, config)
-        cells.append((dropped, generalized_hurst(surface),
-                      int(surface.excluded_segments.sum())))
-    return cells
+    lo = np.searchsorted(ordinals, starts)
+    hi = np.searchsorted(ordinals, starts + window_days)
+    bounds = zip((hi - lo).tolist(), (zeros[hi] - zeros[lo]).tolist(),
+                 kept[lo].tolist(), kept[hi - 1].tolist())
+    return (None if days < 2 else (dropped, incr[i0:i1])
+            for days, dropped, i0, i1 in bounds)
 
 
-def _window_report(start: dt.date, end: dt.date, cells: list[tuple[int, tuple | None]],
-                   reference_delta: int, exclude_deltas: list[int]) -> WindowReport:
-    """Assemble one window from its (delta, cell) pairs in delta order."""
+def _window_report(start: dt.date, end: dt.date,
+                   slices: Iterable[tuple[int, tuple[int, np.ndarray] | None]],
+                   reference_delta: int, detrend_order: int,
+                   exclude_deltas: list[int]) -> WindowReport:
+    """One window's step: an MFDFA per delta, then the ansatz fit and metrics.
+
+    `slices` pairs each delta, in order, with its `_window_slices` entry.
+    The reference delta gets h(q) over the default q grid, the others h(2)
+    alone; a delta with fewer than MIN_WINDOW_SERIES increments is listed in
+    `short_deltas` instead.
+    """
     report = WindowReport(window_start=start, window_end=end,
                           reference_delta=reference_delta,
                           reference_n=samples_per_day(reference_delta))
     dropped_days = 0
     short_deltas = []
-    for delta, cell in cells:
-        if cell is None:
-            short_deltas.append(delta)
-            continue
-        dropped, curve, zero_variance = cell
+    for delta, cut in slices:
+        dropped, series = cut or (0, ())
         dropped_days += dropped
-        if curve is None:
+        if len(series) < MIN_WINDOW_SERIES:
             short_deltas.append(delta)
             continue
-        h2 = curve.point_at(2.0)
-        report.h2_by_delta[delta] = h2.h
-        report.h2_stderr_by_delta[delta] = h2.stderr
-        if delta == reference_delta:
-            report.curve_q = [p.q for p in curve.points]
-            report.curve_h = [p.h for p in curve.points]
-            report.diagnostics["zero_variance_segments"] = zero_variance
+        reference = delta == reference_delta
+        surface = fluctuation_function(series, MfdfaConfig.for_series(
+            len(series), detrend_order, None if reference else [2.0]))
+        curve = generalized_hurst(surface)
+        i = curve.index(2.0)
+        report.h2_by_delta[delta] = float(curve.h_values[i])
+        report.h2_stderr_by_delta[delta] = float(curve.stderr[i])
+        if reference:
+            report.curve_q = curve.q_values.tolist()
+            report.curve_h = curve.h_values.tolist()
+            report.diagnostics["zero_variance_segments"] = int(surface.excluded_segments.sum())
             report.delta_h3 = delta_h(curve, 3.0)
             report.b0, report.b1 = taylor_b1(curve, 3.0)
     report.diagnostics["dropped_days"] = dropped_days
@@ -183,13 +180,18 @@ def run_rolling(data: Mapping[int, RVSeries], rolling: RollingSpec,
 
     `data` maps each delta to its daily RV series: `build_rv_by_delta` makes
     one from ticks, and synthetic oracles pass their own (perfbench's tracer
-    reads the mapping by this parameter's name). Windows advance by
-    `rolling.step_days`. Each window's MFDFA sees only that window's own
-    increments: h(q) over `default_q_values()` at the reference delta, h(2)
-    alone at the others. `workers` is accepted and has no effect: a thread
-    pool over the deltas was slower than one thread on every input measured.
+    reads the mapping by this parameter's name). Each key must be a positive
+    divisor of 1440 equal to its series' `delta_minutes`, else ValueError
+    before any MFDFA runs. Windows advance by `rolling.step_days`; each is
+    one `_window_report` step. `workers` is accepted and has no effect: a
+    thread pool over the deltas was slower than one thread on every input
+    measured.
     """
-    deltas = sorted(data)
+    for delta, rv in data.items():
+        samples_per_day(delta)
+        if rv.delta_minutes != delta:
+            raise ValueError(f"RV mapping key {delta} holds a series of delta "
+                             f"{rv.delta_minutes}")
     if reference_delta not in data:
         raise DataError(f"RV mapping lacks the reference delta {reference_delta}")
     ref = data[reference_delta]
@@ -202,19 +204,13 @@ def run_rolling(data: Mapping[int, RVSeries], rolling: RollingSpec,
                         f"{rolling.window_days}-day window")
     count = (total_days - rolling.window_days) // rolling.step_days + 1
     starts = first.toordinal() + rolling.step_days * np.arange(count, dtype=np.int64)
-
-    def column(delta: int) -> list[tuple | None]:
-        q = default_q_values() if delta == reference_delta else np.array([2.0])
-        return _delta_cells(data[delta], starts, rolling.window_days, q,
-                            detrend_order)
-
-    columns = [column(d) for d in deltas]
+    by_delta = {d: _window_slices(data[d], starts, rolling.window_days) for d in sorted(data)}
     reports = []
-    for i in range(count):
+    for i, window in enumerate(zip(*by_delta.values())):
         start = first + dt.timedelta(days=i * rolling.step_days)
-        cells = [(d, col[i]) for d, col in zip(deltas, columns)]
         reports.append(_window_report(start, start + dt.timedelta(days=rolling.window_days),
-                                      cells, reference_delta, exclude_deltas or []))
+                                      zip(by_delta, window), reference_delta,
+                                      detrend_order, exclude_deltas or []))
     return reports
 
 

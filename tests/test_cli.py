@@ -337,12 +337,18 @@ def _cli_case(name, tmp_path):
     bad_runs = {"deltas_negative": ["--deltas=-5,5"],
                 "reference_delta_not_a_divisor": ["--reference-delta", "7"],
                 "window_not_longer_than_step": ["--window-days", "5", "--step-days", "10"],
-                "exclude_not_a_divisor": ["--exclude", "60,7"]}
+                "exclude_not_a_divisor": ["--exclude", "60,7"],
+                "detrend_order_zero": ["--detrend-order", "0"]}
     if name in bad_runs:
         return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *bad_runs[name], *out]
     if name in ("rv_delta_not_a_divisor", "ingest_delta_not_a_divisor"):
         return [name.split("_")[0], "--ticks", str(tmp_path / "nope.csv"), "--delta", "7",
                 *out]
+    coverages = {"rv_min_coverage_nan": "nan", "rv_min_coverage_negative": "-1",
+                 "ingest_min_coverage_above_one": "1.5"}
+    if name in coverages:
+        return [name.split("_")[0], "--ticks", str(tmp_path / "nope.csv"),
+                f"--min-coverage={coverages[name]}", *out]
     bad_rows = {"ticks_not_utf8": b"\xff\xfe,1.0\r\n",
                 "ticks_timestamp_out_of_range": b"99999999999999999999,2.0\r\n",
                 "ticks_after_the_calendar": b"9223372036854775000,2.0\r\n",
@@ -389,9 +395,13 @@ class TestExitCodes:
         ("deltas_negative", 1, "delta -5 is not a positive divisor of 1440"),
         ("reference_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("window_not_longer_than_step", 1, "need window_days > step_days > 0"),
+        ("detrend_order_zero", 1, "detrend_order must be >= 1"),
         ("exclude_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("rv_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("ingest_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
+        ("rv_min_coverage_nan", 1, "min_coverage must lie in [0, 1], got nan"),
+        ("rv_min_coverage_negative", 1, "min_coverage must lie in [0, 1], got -1.0"),
+        ("ingest_min_coverage_above_one", 1, "min_coverage must lie in [0, 1], got 1.5"),
         ("ticks_not_utf8", 2, "tick data is not valid UTF-8 at line 4321"),
         ("ticks_timestamp_out_of_range", 2, "line 4321: timestamp out of range"),
         ("ticks_after_the_calendar", 2, "9223372036854775000 lies outside the calendar"),

@@ -136,10 +136,18 @@ class TestGeneralizedHurst:
                                      config=config,
                                      excluded_segments=np.zeros(5, dtype=int))
         curve = generalized_hurst(surface)
-        for p in curve.points:
-            assert p.h == pytest.approx(0.3, abs=1e-12)
-            assert p.stderr == pytest.approx(0.0, abs=1e-12)
-            assert p.r2 == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(curve.q_values, [1.0, 2.0])
+        np.testing.assert_allclose(curve.h_values, 0.3, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve.stderr, 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve.r2, 1.0, rtol=0, atol=1e-12)
+
+    def test_h_at_matches_q_to_1e9(self):
+        qs = np.arange(-6, 7) / 2.0  # neighbours 0.5 apart
+        curve = mfdfa.GHECurve(q_values=qs, h_values=qs / 10, stderr=np.zeros(13),
+                               r2=np.ones(13), fit_range=(10, 40))
+        assert curve.h_at(2.0 + 1e-12) == 0.2
+        with pytest.raises(ValueError, match="q = 2.25 is not on the estimated curve"):
+            curve.h_at(2.25)
 
     def test_fgn_h03(self):
         x = generate_fgn(0.3, 2 ** 16, seed=11)

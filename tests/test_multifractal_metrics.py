@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from roughscale.mfdfa import GHECurve, GHEPoint
+from roughscale.mfdfa import GHECurve
 from roughscale.multifractal_metrics import delta_h, taylor_b1
 from roughscale.synthetic import cascade_hq
 
 
 def curve_from(pairs):
-    return GHECurve(points=[GHEPoint(q=q, h=h, stderr=0.0, r2=1.0)
-                            for q, h in pairs], fit_range=(10, 100))
+    q, h = np.array(pairs, dtype=float).T
+    return GHECurve(q_values=q, h_values=h, stderr=np.zeros(len(q)),
+                    r2=np.ones(len(q)), fit_range=(10, 100))
 
 
 def linear_curve(b0, b1, qs=(-3.0, -2.0, 2.0, 3.0)):

@@ -7,14 +7,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from perfbench.generators import rolling_inputs
 from roughscale import pipeline
 from roughscale.errors import DataError
 from roughscale.market_data import TickSeries, date_to_epoch_seconds
-from roughscale.mfdfa import (MfdfaConfig, default_scales, fluctuation_function,
-                              generalized_hurst)
-from roughscale.pipeline import (MIN_WINDOW_SERIES, RollingSpec, _window_report,
-                                 build_rv_by_delta, emit_report, report_document,
-                                 resolve_deltas, run_rolling)
+from roughscale.mfdfa import MfdfaConfig, fluctuation_function, generalized_hurst
+from roughscale.pipeline import (RollingSpec, _window_report, build_rv_by_delta,
+                                 emit_report, report_document, resolve_deltas,
+                                 run_rolling)
 from roughscale.realized_volatility import RVSeries, log_increments
 from roughscale.scaling import divisors_of_1440
 from roughscale.synthetic import generate_fgn
@@ -97,6 +97,19 @@ class TestRolling:
         with pytest.raises(DataError, match="reference delta 5"):
             run_rolling(data, RollingSpec(window_days=365, step_days=5))
 
+    @pytest.mark.parametrize("key,message", [
+        (7, "delta 7 is not a positive divisor of 1440"),
+        (10, "RV mapping key 10 holds a series of delta 5"),
+    ])
+    def test_bad_mapping_key_rejected_before_any_mfdfa(self, key, message):
+        data = dict(rolling_inputs(5, 400).rv_by_delta)
+        data[key] = data[5]
+        with mock.patch.object(pipeline, "fluctuation_function",
+                               wraps=pipeline.fluctuation_function) as spy, \
+                pytest.raises(ValueError, match=message):
+            run_rolling(data, RollingSpec(window_days=365, step_days=35))
+        assert spy.call_count == 0
+
     def test_insufficient_window_reported_not_fatal(self):
         rv = fgn_rv_series(400)
         # zero out most days so drops leave too little data in each window
@@ -147,24 +160,25 @@ def gappy_rv_series(num_days, seed, delta):
                     samples_per_day=rv.samples_per_day)
 
 
-def direct_cell(rv, start, end, q_values):
-    """One window's MFDFA the direct way: date-filter, then log-increments."""
+def window_rv(rv, start, end):
+    """The days of `rv` in [start, end), as an RV series of their own."""
     keep = [i for i, d in enumerate(rv.dates) if start <= d < end]
-    if len(keep) < 2:
+    return RVSeries(delta_minutes=rv.delta_minutes, dates=[rv.dates[i] for i in keep],
+                    rv=rv.rv[keep], daily_return=rv.daily_return[keep],
+                    samples_per_day=rv.samples_per_day)
+
+
+def direct_cell(rv, start, end):
+    """One window's series the direct way: date-filter, then log-increments."""
+    window = window_rv(rv, start, end)
+    if len(window) < 2:
         return None
-    window = RVSeries(delta_minutes=rv.delta_minutes, dates=[rv.dates[i] for i in keep],
-                      rv=rv.rv[keep], daily_return=rv.daily_return[keep],
-                      samples_per_day=rv.samples_per_day)
     dropped = int(np.count_nonzero(window.rv <= 0))
     if len(window) - dropped < 2:
-        return dropped, None, 0
+        return dropped, np.empty(0)
     incr = log_increments(window, zero_policy="drop")
     assert incr.dropped_days == dropped
-    if len(incr) < MIN_WINDOW_SERIES:
-        return dropped, None, 0
-    config = MfdfaConfig(q_values=q_values, scales=default_scales(len(incr)))
-    surface = fluctuation_function(incr.values, config)
-    return dropped, generalized_hurst(surface), int(surface.excluded_segments.sum())
+    return dropped, incr.values
 
 
 class TestIndexRangeWindows:
@@ -184,23 +198,40 @@ class TestIndexRangeWindows:
                              daily_return=rv120.daily_return, samples_per_day=12)
         rolling = RollingSpec(window_days=365, step_days=20)
         deltas = sorted(data)
-        q_values = np.arange(-6, 7) / 2.0
         first = data[5].dates[0]
         count = (470 - 365) // 20 + 1
         direct = []
         for i in range(count):
             start = first + dt.timedelta(days=i * 20)
             end = start + dt.timedelta(days=365)
-            cells = [(d, direct_cell(data[d], start, end,
-                                     q_values if d == 5 else np.array([2.0])))
-                     for d in deltas]
-            direct.append(_window_report(start, end, cells, 5, []))
+            cells = [(d, direct_cell(data[d], start, end)) for d in deltas]
+            direct.append(_window_report(start, end, cells, 5, 1, []))
         want = json.dumps(report_document(direct))
         assert any(r.diagnostics.get("short_deltas") == [60, 120] for r in direct)
         assert any(r.diagnostics.get("short_deltas") == [120] for r in direct)
         for workers in (1, 2):
             got = run_rolling(data, rolling, workers=workers)
             assert json.dumps(report_document(got)) == want
+
+    def test_detrend_order_reaches_each_window_mfdfa(self):
+        data = {d: gappy_rv_series(470, seed=d, delta=d) for d in (5, 15, 30)}
+        report = run_rolling(data, RollingSpec(window_days=365, step_days=20),
+                             detrend_order=2)[1]
+        for delta, q_values in ((5, None), (15, [2.0])):
+            curve = window_curve(data[delta], report, 2, q_values)
+            i = curve.index(2.0)
+            assert report.h2_by_delta[delta] == curve.h_values[i]
+            assert report.h2_stderr_by_delta[delta] == curve.stderr[i]
+        assert report.curve_h == window_curve(data[5], report, 2).h_values.tolist()
+        assert report.curve_h != window_curve(data[5], report, 1).h_values.tolist()
+
+
+def window_curve(rv, report, detrend_order, q_values=None):
+    """h(q) of the report's window of `rv`, from that window's own increments."""
+    window = window_rv(rv, report.window_start, report.window_end)
+    series = log_increments(window, zero_policy="drop").values
+    config = MfdfaConfig.for_series(len(series), detrend_order, q_values)
+    return generalized_hurst(fluctuation_function(series, config))
 
 
 class TestEmitReport:

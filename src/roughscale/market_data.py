@@ -389,12 +389,15 @@ def resample_prices(index: TradeIndex, delta_minutes: int,
 
     Each grid point holds the last traded price at or before the grid time;
     the day-open forward-fills from the prior day's last trade. Days with no
-    trades at all are omitted, as are days with coverage below `min_coverage`.
+    trades at all are omitted, as are days with coverage below `min_coverage`,
+    which must be a number >= 0 (above 1 it drops every day).
 
     The grid is a column stride of `index` (see `trade_index`), which must
     have been built for this delta and fixes the day span. A backfilled
     leading day-open is reported by one warning per call.
     """
+    if not min_coverage >= 0.0:  # NaN included
+        raise ValueError(f"min_coverage must be >= 0, got {min_coverage!r}")
     if delta_minutes not in index.coverage:
         raise ValueError(f"delta_minutes={delta_minutes} is not among the index's "
                          f"deltas {sorted(index.coverage)}")

@@ -78,18 +78,26 @@ class MfdfaConfig:
 
 @dataclass(frozen=True)
 class FluctuationSurface:
+    """F_q(s) of one series, or of each row of a stack of equal-length series.
+
+    The leading axis of `values` and `excluded_segments`, present for a
+    stack only, is the row.
+    """
     q_values: np.ndarray
     scales: np.ndarray
-    values: np.ndarray            # shape (len(q), len(scales)), all > 0
+    values: np.ndarray            # shape ([rows,] len(q), len(scales)), all > 0
     series_length: int
     config: MfdfaConfig
-    excluded_segments: np.ndarray  # per scale: zero-variance segments excluded
-                                   # from q<0 sums and the q=0 log-average
+    excluded_segments: np.ndarray  # ([rows,] len(scales)): zero-variance segments
+                                   # excluded from q<0 sums and the q=0 log-average
 
 
 @dataclass(frozen=True)
 class GHECurve:
-    """h(q) over a q grid: per q, the slope, its standard error and r^2."""
+    """h(q) over a q grid: per q, the slope, its standard error and r^2.
+
+    For a stacked surface `h_values`, `stderr` and `r2` are (rows, len(q)).
+    """
     q_values: np.ndarray
     h_values: np.ndarray
     stderr: np.ndarray
@@ -108,11 +116,14 @@ class GHECurve:
 
 
 def profile(series) -> np.ndarray:
-    """Cumulative sum of the demeaned series; last entry is 0 up to roundoff."""
+    """Cumulative sum of the demeaned series; last entry is 0 up to roundoff.
+
+    A (rows, N) stack gives each row's profile.
+    """
     x = np.asarray(series, dtype=float)
-    if len(x) < 2:
+    if x.shape[-1] < 2:
         raise DataError("need at least 2 points to build a profile")
-    return np.cumsum(x - x.mean())
+    return np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
 
 
 def segment_variances(Y: np.ndarray, s: int, m: int = 1) -> np.ndarray:
@@ -225,6 +236,17 @@ def _prefix_layout(N: int, scales: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return layout
 
 
+def _segment_sums(run: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per row, the sum of run[:, 1:] over every segment [start, end).
+
+    Turns run[:, 1:] into its running sum in place; run[:, 0] must be 0.
+    """
+    np.cumsum(run[:, 1:], axis=1, out=run[:, 1:])
+    total = run.take(ends, axis=1)
+    total -= run.take(starts, axis=1)
+    return total
+
+
 def _order1_variances(Y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """segment_variances(Y, s, 1) for every scale at once, concatenated.
 
@@ -236,25 +258,33 @@ def _order1_variances(Y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np
     minus its mean line (invisible to a linear fit) on a centred index, which
     keeps them small. Returns the variances and the segment count per scale.
     A scale with a segment near the sums' roundoff (constant or linear
-    stretches of Y) is recomputed by `segment_variances`.
+    stretches of Y) is recomputed by `segment_variances`. Y may be a
+    (rows, N) stack of profiles; each row gives the bits it gives alone,
+    with its own guard.
     """
-    N = len(Y)
+    N = Y.shape[-1]
+    rows = Y.reshape(-1, N)
     starts, ends, shift, counts, size, weight = _prefix_layout(N, tuple(scales.tolist()))
     i = np.arange(N) - (N - 1) / 2
     index = np.arange(-(N // 2), N - N // 2, dtype=np.longdouble)  # centred: small sums
-    run = np.zeros((3, N + 1), dtype=np.longdouble)
-    y, y2, iy = run[:, 1:]
-    np.multiply(index, np.longdouble((i @ Y) / (i @ i)), out=y)  # Y's least-squares line
-    y += np.longdouble(Y.mean())
-    np.subtract(Y, y, out=y)
-    np.multiply(y, y, out=y2)
-    np.multiply(y, index, out=iy)
-    np.cumsum(run[:, 1:], axis=1, out=run[:, 1:])
-    floor = _PREFIX_GUARD * np.finfo(np.longdouble).eps * run[1, -1]
-    s1, rss, d = (row.take(ends) - row.take(starts) for row in run)
-    del run, y, y2, iy  # free the running sums before the per-segment temporaries
-    # per segment: s1 = sum y, rss = sum y^2, d = sum (i - N//2) y; then in
-    # place, rss -= s1^2 / s + d^2 / sum (t - mean t)^2
+    # each row minus its least-squares line, after the 0 that starts a running sum
+    y = np.zeros((len(rows), N + 1), dtype=np.longdouble)
+    slope = np.vecdot(rows, i) / (i @ i)
+    np.multiply(index, slope[:, None].astype(np.longdouble), out=y[:, 1:])
+    y[:, 1:] += rows.mean(axis=1, keepdims=True).astype(np.longdouble)
+    np.subtract(rows, y[:, 1:], out=y[:, 1:])
+    # per segment s1 = sum y, d = sum (i - N//2) y, rss = sum y^2, one
+    # running sum at a time; the last reuses y's own buffer
+    run = y.copy()
+    s1 = _segment_sums(run, starts, ends)
+    np.multiply(y[:, 1:], index, out=run[:, 1:])
+    d = _segment_sums(run, starts, ends)
+    del run
+    np.multiply(y, y, out=y)
+    rss = _segment_sums(y, starts, ends)
+    floor = _PREFIX_GUARD * np.finfo(np.longdouble).eps * y[:, -1:]
+    del y  # free the running sums before the per-segment temporaries
+    # in place, rss -= s1^2 / s + d^2 / sum (t - mean t)^2
     d -= shift * s1  # sum (t - (s-1)/2) y, t the time within the segment
     s1 *= s1
     s1 /= np.repeat(size, counts)
@@ -263,15 +293,21 @@ def _order1_variances(Y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np
     d *= np.repeat(weight, counts)
     rss -= d
     f2 = rss.astype(float) / np.repeat(scales, counts)
-    if rss.min() <= floor:
-        offsets = np.cumsum(counts) - counts
-        for j in np.flatnonzero(np.minimum.reduceat(rss, offsets) <= floor):
-            f2[offsets[j]:offsets[j] + counts[j]] = segment_variances(Y, int(scales[j]), 1)
-    return f2, counts
+    offsets = np.cumsum(counts) - counts
+    for r, j in zip(*np.nonzero(np.minimum.reduceat(rss, offsets, axis=1) <= floor)):
+        f2[r, offsets[j]:offsets[j] + counts[j]] = segment_variances(rows[r], int(scales[j]), 1)
+    return f2.reshape(*Y.shape[:-1], -1), counts
+
+
+# Points of a stack that `fluctuation_function` takes through one pass: it caps
+# the working set (about 80 bytes a point, most of it longdouble) while the
+# per-pass overhead stays small next to the longdouble arithmetic.
+_PASS_POINTS = 16384
 
 
 def fluctuation_function(series, config: MfdfaConfig) -> FluctuationSurface:
-    """F_q(s) over the configured (q, s) grid.
+    """F_q(s) over the configured (q, s) grid, of one series or of each row of a
+    (rows, N) stack of equal-length series.
 
     q = 0 uses the log-average limit; zero-variance segments are excluded from
     q < 0 sums and the log-average, with counts reported per scale. A segment
@@ -281,46 +317,75 @@ def fluctuation_function(series, config: MfdfaConfig) -> FluctuationSurface:
     _PREFIX_MAX_LENGTH points takes every scale from one set of longdouble
     running sums (`_order1_variances`); longer series, higher orders, and
     every order where longdouble is no wider than float64, project scale by
-    scale.
+    scale. A series is the one-row stack: the rows go through in passes of
+    about _PASS_POINTS points, and every row's values are the bits it gets
+    alone. NumericError when any row has a scale whose every segment is
+    zero-variance.
     """
     x = np.asarray(series, dtype=float)
-    config.validate_length(len(x))
-    Y = profile(x)
+    if x.ndim not in (1, 2):
+        raise DataError("need a series or a (rows, N) stack of series")
+    N = x.shape[-1]
+    config.validate_length(N)
+    rows = x.reshape(-1, N)
     qs = config.q_values
     scales = config.scales
-    if (config.detrend_order == 1 and len(x) <= _PREFIX_MAX_LENGTH
+    values = np.empty((len(rows), len(qs), len(scales)))
+    excluded = np.empty((len(rows), len(scales)), dtype=np.intp)
+    step = max(1, _PASS_POINTS // N)
+    for r0 in range(0, len(rows), step):
+        _fluctuation_pass(rows[r0:r0 + step], config, values[r0:r0 + step],
+                          excluded[r0:r0 + step])
+    return FluctuationSurface(q_values=qs, scales=scales,
+                              values=values.reshape(*x.shape[:-1], *values.shape[1:]),
+                              series_length=N, config=config,
+                              excluded_segments=excluded.reshape(*x.shape[:-1], -1))
+
+
+def _fluctuation_pass(x: np.ndarray, config: MfdfaConfig, values: np.ndarray,
+                      excluded: np.ndarray) -> None:
+    """`fluctuation_function` of the rows of x, written to values and excluded."""
+    Y = profile(x)
+    N = x.shape[1]
+    qs = config.q_values
+    scales = config.scales
+    if (config.detrend_order == 1 and N <= _PREFIX_MAX_LENGTH
             and np.finfo(np.longdouble).eps < np.finfo(float).eps):
         f2, counts = _order1_variances(Y, scales)
     else:
-        parts = [segment_variances(Y, int(s), config.detrend_order) for s in scales]
-        f2 = np.concatenate(parts)
-        counts = np.array([len(p) for p in parts])
+        counts = 2 * (N // scales)
+        f2 = np.empty((len(Y), counts.sum()))
+        for y, out in zip(Y, f2):
+            np.concatenate([segment_variances(y, int(s), config.detrend_order)
+                            for s in scales], out=out)
     offsets = np.cumsum(counts) - counts
-    roundoff = (scales * (np.finfo(float).eps * np.max(np.abs(Y)))) ** 2
-    keep = f2 > np.repeat(roundoff, counts)
-    kept = np.add.reduceat(keep, offsets, dtype=np.intp)
-    empty = np.flatnonzero(kept == 0)
+    roundoff = (scales * (np.finfo(float).eps * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
+    keep = f2 > np.repeat(roundoff, counts, axis=1)
+    kept = np.add.reduceat(keep, offsets, axis=1, dtype=np.intp)
+    empty = np.argwhere(kept == 0)
     if len(empty):
-        raise NumericError(f"all segments have zero variance at scale s = {scales[empty[0]]}")
+        raise NumericError(f"all segments have zero variance at scale s = {scales[empty[0, 1]]}")
     with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a q > 0 sum
-        log_f2 = np.log(f2)
-    values = np.empty((len(qs), len(scales)))
+        log_f2 = np.log(f2, out=f2)
+    # _power_means over the rows laid end to end: one run per (row, scale)
     positive = qs > 0
     if positive.any():
-        values[positive] = _power_means(log_f2, offsets, qs[positive])
+        runs = (offsets + log_f2.shape[1] * np.arange(len(Y))[:, None]).ravel()
+        values[:, positive] = _power_means(log_f2.ravel(), runs, qs[positive]) \
+            .reshape(-1, *kept.shape).swapaxes(0, 1)
     if not positive.all():
-        values[~positive] = _power_means(log_f2[keep], np.cumsum(kept) - kept,
-                                         qs[~positive])
-    return FluctuationSurface(q_values=qs, scales=scales, values=values,
-                              series_length=len(x), config=config,
-                              excluded_segments=counts - kept)
+        runs = np.cumsum(kept) - kept.ravel()
+        values[:, ~positive] = _power_means(log_f2[keep], runs, qs[~positive]) \
+            .reshape(-1, *kept.shape).swapaxes(0, 1)
+    np.subtract(counts, kept, out=excluded)
 
 
 def generalized_hurst(surface: FluctuationSurface) -> GHECurve:
     """h(q) as the OLS slope of log F_q(s) vs log s over the fit range.
 
     The fit range is the config's, or every scale when it sets none. Slope,
-    its standard error and r^2 for every q come from one array pass.
+    its standard error and r^2 for every q, and every row of a stacked
+    surface, come from one array pass.
     """
     fit_range = surface.config.fit_range
     if fit_range is None:
@@ -331,14 +396,20 @@ def generalized_hurst(surface: FluctuationSurface) -> GHECurve:
     if k < 3:
         raise NumericError(f"fewer than 3 scales inside fit range {fit_range}")
     log_s = np.log(surface.scales[mask].astype(float))
-    log_f = np.log(surface.values[:, mask])
+    # each (q, k) block column-major, the layout a 2-D values[:, mask] copy
+    # has: the matrix-vector product's summation order, and so a row's
+    # bits, depend on it
+    v = surface.values
+    log_f = np.empty((*v.shape[:-2], k, v.shape[-2])).swapaxes(-1, -2)
+    np.compress(mask, v, axis=-1, out=log_f)
+    np.log(log_f, out=log_f)
     sx = log_s - log_s.sum() / k
-    sy = log_f - log_f.sum(axis=1, keepdims=True) / k
+    sy = log_f - log_f.sum(axis=-1, keepdims=True) / k
     sxx = sx @ sx
     slope = (sy @ sx) / sxx
-    resid = sy - slope[:, None] * sx
-    rss = (resid * resid).sum(axis=1)
-    tss = (sy * sy).sum(axis=1)
+    resid = sy - slope[..., None] * sx
+    rss = (resid * resid).sum(axis=-1)
+    tss = (sy * sy).sum(axis=-1)
     stderr = np.sqrt(rss / (k - 2) / sxx)
     r2 = 1.0 - rss / np.where(tss > 0, tss, np.inf)  # r^2 = 1 for a flat log F
     return GHECurve(q_values=surface.q_values, h_values=slope, stderr=stderr, r2=r2,

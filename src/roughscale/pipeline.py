@@ -108,37 +108,45 @@ def _window_report(start: dt.date, end: dt.date,
                    slices: Iterable[tuple[int, tuple[int, np.ndarray] | None]],
                    reference_delta: int, detrend_order: int,
                    exclude_deltas: list[int]) -> WindowReport:
-    """One window's step: an MFDFA per delta, then the ansatz fit and metrics.
+    """One window's step: MFDFA of every delta, then the ansatz fit and metrics.
 
-    `slices` pairs each delta, in order, with its `_window_slices` entry.
-    The reference delta gets h(q) over the default q grid, the others h(2)
-    alone; a delta with fewer than MIN_WINDOW_SERIES increments is listed in
-    `short_deltas` instead.
+    `slices` pairs each delta, in order, with its `_window_slices` entry. A
+    delta with fewer than MIN_WINDOW_SERIES increments is listed in
+    `short_deltas`. The reference delta gets h(q) over the default q grid
+    from a call of its own; the others get h(2) alone, from one call per
+    series length on the stack of that length's series.
     """
     report = WindowReport(window_start=start, window_end=end,
                           reference_delta=reference_delta,
                           reference_n=samples_per_day(reference_delta))
     dropped_days = 0
     short_deltas = []
+    by_length: dict[int, dict[int, np.ndarray]] = {}
     for delta, cut in slices:
         dropped, series = cut or (0, ())
         dropped_days += dropped
         if len(series) < MIN_WINDOW_SERIES:
             short_deltas.append(delta)
-            continue
-        reference = delta == reference_delta
-        surface = fluctuation_function(series, MfdfaConfig.for_series(
-            len(series), detrend_order, None if reference else [2.0]))
-        curve = generalized_hurst(surface)
-        i = curve.index(2.0)
-        report.h2_by_delta[delta] = float(curve.h_values[i])
-        report.h2_stderr_by_delta[delta] = float(curve.stderr[i])
-        if reference:
+        elif delta == reference_delta:
+            surface = fluctuation_function(series, MfdfaConfig.for_series(
+                len(series), detrend_order))
+            curve = generalized_hurst(surface)
+            i = curve.index(2.0)
+            report.h2_by_delta[delta] = float(curve.h_values[i])
+            report.h2_stderr_by_delta[delta] = float(curve.stderr[i])
             report.curve_q = curve.q_values.tolist()
             report.curve_h = curve.h_values.tolist()
             report.diagnostics["zero_variance_segments"] = int(surface.excluded_segments.sum())
             report.delta_h3 = delta_h(curve, 3.0)
             report.b0, report.b1 = taylor_b1(curve, 3.0)
+        else:
+            by_length.setdefault(len(series), {})[delta] = series
+    for length, group in by_length.items():
+        curve = generalized_hurst(fluctuation_function(
+            np.stack(list(group.values())),
+            MfdfaConfig.for_series(length, detrend_order, [2.0])))
+        report.h2_by_delta.update(zip(group, curve.h_values[:, 0].tolist()))
+        report.h2_stderr_by_delta.update(zip(group, curve.stderr[:, 0].tolist()))
     report.diagnostics["dropped_days"] = dropped_days
     if short_deltas:
         report.diagnostics["short_deltas"] = short_deltas

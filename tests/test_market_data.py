@@ -328,6 +328,17 @@ class TestResample:
         grid = resample(ticks, 60, end=DAY0)
         assert grid.days == [DAY0]
 
+    @pytest.mark.parametrize("floor", [float("nan"), -1.0, -1e-300])
+    def test_coverage_floor_must_be_a_number_at_least_zero(self, floor):
+        # such a floor used to keep every day with no error
+        ticks = ticks_from([(T0, 100.0), (T0 + 3600, 101.0)])
+        with pytest.raises(ValueError, match="min_coverage must be >= 0"):
+            resample(ticks, 60, min_coverage=floor)
+
+    def test_coverage_floor_above_one_drops_every_day(self):
+        ticks = ticks_from([(T0, 100.0), (T0 + 3600, 101.0)])
+        assert resample(ticks, 60, min_coverage=1.5).days == []
+
 
 class TestIntradayReturns:
     def test_constant_price(self):

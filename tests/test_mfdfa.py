@@ -372,6 +372,56 @@ class TestGuard:
         np.testing.assert_allclose(surface.values, want, rtol=1e-12)
 
 
+def _stack_rows(n):
+    """Equal-length series: noise at three amplitudes, an offset, a trend, a
+    constant stretch (its linear profile trips the prefix guard and leaves
+    zero-variance segments), a two-level stretch, and stationary increments;
+    more rows than one pass of `fluctuation_function` takes."""
+    rng = np.random.default_rng(12)
+    t = np.arange(n)
+    flat = rng.standard_normal(n)
+    flat[: n // 2] = 0.3
+    two_level = np.where((t // 50) % 2 == 0, 0.75, 1.25)
+    two_level[n // 2:] += rng.standard_normal(n - n // 2)
+    rows = [rng.standard_normal(n) * 10.0 ** k for k in (-3, 0, 3)]
+    rows += [rng.standard_normal(n) + 1e6, rng.standard_normal(n) + 1e-2 * t,
+             flat, two_level, np.diff(rng.standard_normal(n + 1))]
+    rows += [generate_fgn(0.1, 2048, seed)[:n] for seed in range(6)]
+    return np.array(rows)
+
+
+class TestStackedRows:
+    """A (rows, N) stack gives every row the bits it gets as a series alone."""
+
+    @pytest.mark.parametrize("order,q_values", [(1, None), (1, [2.0]), (2, None)])
+    def test_each_row_as_alone(self, order, q_values):
+        stack = _stack_rows(1600)
+        assert len(stack) > mfdfa._PASS_POINTS // stack.shape[1]  # several passes
+        config = MfdfaConfig.for_series(stack.shape[1], order, q_values)
+        with mock.patch.object(mfdfa, "segment_variances",
+                               wraps=segment_variances) as fallback:
+            surface = fluctuation_function(stack, config)
+        assert fallback.call_count > 0  # the guard tripped (every scale at order 2)
+        curve = generalized_hurst(surface)
+        assert surface.values.shape == (len(stack), len(config.q_values), len(config.scales))
+        assert curve.h_values.shape == (len(stack), len(config.q_values))
+        assert surface.excluded_segments[5].sum() > 0  # the constant stretch
+        for r, x in enumerate(stack):
+            alone = fluctuation_function(x, config)
+            alone_curve = generalized_hurst(alone)
+            assert np.array_equal(surface.values[r], alone.values)
+            assert np.array_equal(surface.excluded_segments[r], alone.excluded_segments)
+            assert np.array_equal(curve.h_values[r], alone_curve.h_values)
+            assert np.array_equal(curve.stderr[r], alone_curve.stderr)
+            assert np.array_equal(curve.r2[r], alone_curve.r2)
+
+    def test_a_row_with_only_zero_variance_segments_raises(self):
+        stack = _stack_rows(1600)
+        stack[9] = 1.5  # constant: every segment of every scale has zero variance
+        with pytest.raises(NumericError, match="all segments have zero variance at scale"):
+            fluctuation_function(stack, MfdfaConfig.for_series(1600, q_values=[2.0]))
+
+
 class TestSeriesLength:
     """The running sums' roundoff grows with N, so they serve short series."""
 

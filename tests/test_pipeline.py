@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -9,14 +10,15 @@ import pytest
 
 from perfbench.generators import rolling_inputs
 from roughscale import pipeline
-from roughscale.errors import DataError
-from roughscale.market_data import TickSeries, date_to_epoch_seconds
+from roughscale.errors import DataError, NumericError
+from roughscale.market_data import TickSeries, date_to_epoch_seconds, samples_per_day
 from roughscale.mfdfa import MfdfaConfig, fluctuation_function, generalized_hurst
-from roughscale.pipeline import (RollingSpec, _window_report, build_rv_by_delta,
-                                 emit_report, report_document, resolve_deltas,
-                                 run_rolling)
+from roughscale.multifractal_metrics import delta_h, taylor_b1
+from roughscale.pipeline import (MIN_WINDOW_SERIES, RollingSpec, WindowReport,
+                                 _window_report, build_rv_by_delta, emit_report,
+                                 report_document, resolve_deltas, run_rolling)
 from roughscale.realized_volatility import RVSeries, log_increments
-from roughscale.scaling import divisors_of_1440
+from roughscale.scaling import FrequencySweep, divisors_of_1440, fit_ansatz
 from roughscale.synthetic import generate_fgn
 
 DAY0 = dt.date(2014, 1, 2)
@@ -224,6 +226,99 @@ class TestIndexRangeWindows:
             assert report.h2_stderr_by_delta[delta] == curve.stderr[i]
         assert report.curve_h == window_curve(data[5], report, 2).h_values.tolist()
         assert report.curve_h != window_curve(data[5], report, 1).h_values.tolist()
+
+
+def reference_window_report(start, end, cells, reference_delta, detrend_order,
+                            exclude_deltas):
+    """`_window_report` the per-delta way: one MFDFA call per delta."""
+    report = WindowReport(window_start=start, window_end=end,
+                          reference_delta=reference_delta,
+                          reference_n=samples_per_day(reference_delta))
+    dropped_days = 0
+    short_deltas = []
+    for delta, cut in cells:
+        dropped, series = cut or (0, ())
+        dropped_days += dropped
+        if len(series) < MIN_WINDOW_SERIES:
+            short_deltas.append(delta)
+            continue
+        reference = delta == reference_delta
+        surface = fluctuation_function(series, MfdfaConfig.for_series(
+            len(series), detrend_order, None if reference else [2.0]))
+        curve = generalized_hurst(surface)
+        i = curve.index(2.0)
+        report.h2_by_delta[delta] = float(curve.h_values[i])
+        report.h2_stderr_by_delta[delta] = float(curve.stderr[i])
+        if reference:
+            report.curve_q = curve.q_values.tolist()
+            report.curve_h = curve.h_values.tolist()
+            report.diagnostics["zero_variance_segments"] = int(surface.excluded_segments.sum())
+            report.delta_h3 = delta_h(curve, 3.0)
+            report.b0, report.b1 = taylor_b1(curve, 3.0)
+    report.diagnostics["dropped_days"] = dropped_days
+    if short_deltas:
+        report.diagnostics["short_deltas"] = short_deltas
+    if not report.h2_by_delta:
+        report.reason = "insufficient_data"
+    elif len(report.h2_by_delta) < 3:
+        report.reason = "too_few_deltas_for_ansatz"
+    else:
+        deltas = sorted(report.h2_by_delta)
+        sweep = FrequencySweep(deltas=np.array(deltas),
+                               h2=np.array([report.h2_by_delta[d] for d in deltas]))
+        try:
+            report.ansatz = fit_ansatz(sweep, exclude=exclude_deltas)
+        except NumericError as exc:
+            report.reason = "ansatz_fit_failed"
+            report.diagnostics["ansatz_error"] = str(exc)
+    return report
+
+
+class TestStackedDeltas:
+    """A window's deltas go through MFDFA as one stack per series length."""
+
+    def test_report_matches_the_per_delta_loop(self):
+        # zero-RV days that differ by delta give the deltas' series of one
+        # window different lengths: 15 and 30 share one, 60 and 120 differ
+        zero_days = {5: [], 15: [40], 30: [90], 60: [40, 41], 120: [100, 200, 300]}
+        data = {}
+        for delta, zeros in zero_days.items():
+            rv = fgn_rv_series(400, seed=delta, delta=delta)
+            values = rv.rv.copy()
+            values[zeros] = 0.0
+            data[delta] = RVSeries(delta_minutes=delta, dates=rv.dates, rv=values,
+                                   daily_return=rv.daily_return, samples_per_day=1440 // delta)
+        calls = 0
+        want = []
+        for i in range((400 - 365) // 35 + 1):
+            start = DAY0 + dt.timedelta(days=35 * i)
+            end = start + dt.timedelta(days=365)
+            cells = [(d, direct_cell(data[d], start, end)) for d in sorted(data)]
+            lengths = {len(cell[1]) for d, cell in cells if d != 5}
+            assert len(lengths) == 3
+            calls += 1 + len(lengths)
+            want.append(reference_window_report(start, end, cells, 5, 1, []))
+            assert _window_report(start, end, cells, 5, 1, []) == want[-1]
+        with mock.patch.object(pipeline, "fluctuation_function",
+                               wraps=pipeline.fluctuation_function) as spy:
+            got = run_rolling(data, RollingSpec(window_days=365, step_days=35))
+        assert spy.call_count == calls == 8
+        assert got == want
+        assert json.dumps(report_document(got)) == json.dumps(report_document(want))
+
+    def test_memory_peak_of_a_paper_scale_window(self):
+        # one 2922-day window of all 36 deltas: the stack of 35 series plus
+        # one pass of rows; the per-delta calls peaked at 1.3 MB, a stack
+        # taken in a single pass at 11.6 MB
+        inputs = rolling_inputs(3, 2922)
+        tracemalloc.start()
+        try:
+            reports = run_rolling(inputs.rv_by_delta, RollingSpec(window_days=2922, step_days=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 1 and len(reports[0].h2_by_delta) == 36
+        assert peak <= 4 * 2 ** 20
 
 
 def window_curve(rv, report, detrend_order, q_values=None):

@@ -269,7 +269,9 @@ def _order1_variances(Y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np
     index = np.arange(-(N // 2), N - N // 2, dtype=np.longdouble)  # centred: small sums
     # each row minus its least-squares line, after the 0 that starts a running sum
     y = np.zeros((len(rows), N + 1), dtype=np.longdouble)
-    slope = np.vecdot(rows, i) / (i @ i)
+    # the one-row product per row: a matrix-vector product may sum in
+    # another order and so change a row's bits
+    slope = np.array([i @ row for row in rows]) / (i @ i)
     np.multiply(index, slope[:, None].astype(np.longdouble), out=y[:, 1:])
     y[:, 1:] += rows.mean(axis=1, keepdims=True).astype(np.longdouble)
     np.subtract(rows, y[:, 1:], out=y[:, 1:])

@@ -147,6 +147,9 @@ def _window_report(start: dt.date, end: dt.date,
             MfdfaConfig.for_series(length, detrend_order, [2.0])))
         report.h2_by_delta.update(zip(group, curve.h_values[:, 0].tolist()))
         report.h2_stderr_by_delta.update(zip(group, curve.stderr[:, 0].tolist()))
+    # in delta order, as the sweep below and the report's readers take them
+    report.h2_by_delta = dict(sorted(report.h2_by_delta.items()))
+    report.h2_stderr_by_delta = dict(sorted(report.h2_stderr_by_delta.items()))
     report.diagnostics["dropped_days"] = dropped_days
     if short_deltas:
         report.diagnostics["short_deltas"] = short_deltas
@@ -154,9 +157,8 @@ def _window_report(start: dt.date, end: dt.date,
         report.reason = "insufficient_data"
         return report
     if len(report.h2_by_delta) >= 3:
-        sweep = FrequencySweep(
-            deltas=np.array(sorted(report.h2_by_delta)),
-            h2=np.array([report.h2_by_delta[d] for d in sorted(report.h2_by_delta)]))
+        sweep = FrequencySweep(deltas=np.array(list(report.h2_by_delta)),
+                               h2=np.array(list(report.h2_by_delta.values())))
         try:
             report.ansatz = fit_ansatz(sweep, exclude=exclude_deltas)
         except NumericError as exc:

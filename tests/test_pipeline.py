@@ -299,6 +299,10 @@ class TestStackedDeltas:
             calls += 1 + len(lengths)
             want.append(reference_window_report(start, end, cells, 5, 1, []))
             assert _window_report(start, end, cells, 5, 1, []) == want[-1]
+            # delta order whichever delta is the reference: 60 here comes
+            # before the groups of 5, of 15 and 30, and of 120
+            other = _window_report(start, end, cells, 60, 1, [])
+            assert list(other.h2_by_delta) == list(other.h2_stderr_by_delta) == sorted(data)
         with mock.patch.object(pipeline, "fluctuation_function",
                                wraps=pipeline.fluctuation_function) as spy:
             got = run_rolling(data, RollingSpec(window_days=365, step_days=35))

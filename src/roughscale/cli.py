@@ -367,7 +367,7 @@ def main(argv=None) -> int:
         if args.func is cmd_rolling and not args.ticks:
             raise ValueError("rolling: --ticks is required (flag or config file)")
         return args.func(args)
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, csv.Error) as exc:
         print(f"roughscale: data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -87,19 +87,13 @@ class IntradayReturnGrid:
     returns: np.ndarray  # (days, n), n = 1440/delta
 
 
-# Tick CSVs are read in chunks of _CHUNK lines, each parsed by np.loadtxt
-# where that is exact; the lines loadtxt rejects, and every line it cannot be
-# trusted on, go through the row rules (`_TickReader.row`) in file order.
-_CHUNK = 8192
-# A piece loadtxt rejects is split at the row its error names: the lines before
-# that row go to loadtxt again and the failing line to the row rules. A failure
-# within the first _ROW_RUN lines sends a run of lines through the row rules
-# instead (~1-2 us a line), since a loadtxt call costs ~15 us however short its
-# input; the run doubles while each run holds at least one bad line in _DENSE,
-# so a stretch of dense bad lines takes a few loadtxt calls, not one per run.
-_ROW_RUN = 64
-_DENSE = 32
-_FAILED_ROW = re.compile(r"at row (\d+)")
+# Tick CSVs are read in chunks of _CHUNK lines. A chunk is read by one
+# np.loadtxt call where that is exact; a chunk loadtxt rejects or cannot be
+# trusted on goes through the row rules (`_TickReader.row`) whole. The row
+# rules cost ~1.7 us a line and loadtxt ~0.19 us a line plus ~6 us a call, so
+# at 1024 lines a chunk with one bad line costs ~2 ms, where 8192 cost ~15 ms,
+# and the calls add ~6 ms to a clean 1M-row file (~0.25 s).
+_CHUNK = 1024
 _RECORD = np.dtype([("t", "<i8"), ("p", "<f8")])
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 # loadtxt reads some characters that int()/float() reject (it takes "12,3\x1c"
@@ -122,18 +116,6 @@ def _plain(text: str) -> bool:
     half = csv.field_size_limit() // 2
     return all(text.find("\n", i, i + half) >= 0
                for i in range(0, len(text) - half + 1, half))
-
-
-def _failed_line(lines: list[str], message: str) -> int:
-    """The index in `lines` of the row a loadtxt error names, 0 when it names
-    none. The row counts the lines loadtxt reads, which skips empty ones; the
-    result only steers the split, as every line is parsed by one rule or the
-    other whatever it is."""
-    found = _FAILED_ROW.search(message)
-    if found is None:
-        return 0
-    rows = (i for i, line in enumerate(lines) if line.strip("\r\n"))
-    return next(itertools.islice(rows, int(found.group(1)), None), len(lines) - 1)
 
 
 class _TickReader:
@@ -186,47 +168,27 @@ class _TickReader:
         self._parts.append(records)
 
     def _loadtxt(self, lines: list[str], first: int) -> None:
-        """Plain lines by np.loadtxt, with each line it rejects, and each row it
-        reads with a non-finite price, through the row rules."""
-        run = _ROW_RUN
-        while lines:
-            try:
-                with warnings.catch_warnings():
-                    # loadtxt warns when every line is blank
-                    warnings.simplefilter("ignore", UserWarning)
-                    records = np.loadtxt(lines, delimiter=",", usecols=(0, 1),
-                                         dtype=_RECORD, comments=None, ndmin=1)
-            except ValueError as exc:
-                cut = _failed_line(lines, str(exc))
-                if cut < _ROW_RUN:
-                    cut, malformed = run, self.malformed
-                    self._rows(lines[:cut], first)
-                    dense = (self.malformed - malformed) * _DENSE >= cut
-                    run = 2 * run if dense else _ROW_RUN
-                else:
-                    self._loadtxt(lines[:cut], first)
-                    self._rows(lines[cut:cut + 1], first + cut)
-                    cut += 1
-                lines, first = lines[cut:], first + cut
-                continue
-            at = range(len(lines))  # the line each record was read from
-            if len(records) < len(lines):
-                # loadtxt skips blank lines, as the row rules do
-                at = [i for i, line in enumerate(lines) if line.strip()]
-            if len(records) != len(at):
-                # a record that cannot be placed on its line is parsed again
-                self._rows(lines, first)
-                return
-            finite = np.isfinite(records["p"])
-            if not finite.all():
-                bad = np.flatnonzero(~finite).tolist()
-                for k, fields in zip(bad, csv.reader([lines[at[k]] for k in bad])):
-                    record = self.row(first + at[k], fields)
-                    if record is not None:
-                        records[k], finite[k] = record, True
-                records = records[finite]
+        """Plain lines by one np.loadtxt call, or all of them through the row
+        rules when loadtxt rejects a line, reads a non-finite price or skips a
+        line that is not blank."""
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns when every line is blank
+                warnings.simplefilter("ignore", UserWarning)
+                records = np.loadtxt(lines, delimiter=",", usecols=(0, 1),
+                                     dtype=_RECORD, comments=None, ndmin=1)
+        except ValueError:
+            records = None
+        # loadtxt rejects a line break inside a line, so it reads at most one
+        # record a line: a record for every line means it skipped none, and the
+        # blank lines are counted only when it skipped some
+        if (records is None
+                or (len(records) != len(lines)
+                    and len(records) != sum(1 for line in lines if line.strip()))
+                or not np.isfinite(records["p"]).all()):
+            self._rows(lines, first)
+        else:
             self._append(records)
-            return
 
     def read(self, stream) -> np.ndarray:
         """All records of `stream`, as one record array."""
@@ -260,8 +222,11 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0) -> Tick
     newlines. Out-of-order rows are stably sorted by timestamp; rows with
     non-positive price are dropped and counted. More than `max_malformed`
     unparsable rows aborts with a DataError naming the offending line, and so
-    does the first byte that is not UTF-8.
+    does the first byte that is not UTF-8. A negative `max_malformed` raises
+    ValueError before `source` is read.
     """
+    if max_malformed < 0:
+        raise ValueError(f"max_malformed must be >= 0, got {max_malformed}")
     release = None
     if isinstance(source, (str, os.PathLike)):
         stream = open(source, "r", encoding="utf-8", errors="surrogateescape")

@@ -52,6 +52,8 @@ class MfdfaConfig:
     def __post_init__(self):
         object.__setattr__(self, "q_values", np.asarray(self.q_values, dtype=float))
         object.__setattr__(self, "scales", np.asarray(self.scales, dtype=int))
+        if not np.isfinite(self.q_values).all():
+            raise ValueError(f"q values must be finite, got {self.q_values.tolist()}")
         check_detrend_order(self.detrend_order)
         s = self.scales
         if len(s) == 0 or np.any(np.diff(s) <= 0):

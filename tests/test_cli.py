@@ -331,6 +331,9 @@ def _cli_case(name, tmp_path):
         return ["rolling", "--config", str(tmp_path / "nope.cfg"), *out]
     if name == "missing_ticks_file":
         return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *out]
+    if name == "max_malformed_negative":
+        return ["rolling", "--ticks", str(tmp_path / "nope.csv"), "--max-malformed", "-1",
+                *out]
     if name == "deltas_with_zero":
         return ["rolling", "--ticks", str(ticks), "--deltas", "0,5", *out]
     # a usage error is reported before the tick file is opened
@@ -353,9 +356,12 @@ def _cli_case(name, tmp_path):
                 "ticks_timestamp_out_of_range": b"99999999999999999999,2.0\r\n",
                 "ticks_after_the_calendar": b"9223372036854775000,2.0\r\n",
                 "ticks_before_the_calendar": b"-9000000000000000000,2.0\r\n"}
+    # a field over csv's size limit (128 Ki characters)
+    bad_rows["ticks_field_over_csv_limit"] = f"100,1.0,{'9' * 140_000}\n".encode()
     if name in bad_rows:
         ticks.write_bytes(ticks.read_bytes() + bad_rows[name])
-        return ["rolling", "--ticks", str(ticks), *out]
+        command = "rv" if name == "ticks_field_over_csv_limit" else "rolling"
+        return [command, "--ticks", str(ticks), *out]
     sweeps = {"zero_stderr_in_sweep": "1,0.12,0.01\n5,0.11,0.0\n60,0.09,0.01\n",
               "sweep_row_without_h2": "1,0.12\n5\n60,0.09\n",
               "sweep_h2_not_a_number": "1,0.12\n5,abc\n60,0.09\n",
@@ -366,13 +372,16 @@ def _cli_case(name, tmp_path):
         sweep.write_text("delta,h2,stderr\n" + sweeps[name])
         exclude = ["--exclude", "7"] if name == "fit_ansatz_exclude_not_a_divisor" else []
         return ["fit-ansatz", "--sweep", str(sweep), *exclude, *out]
-    bad_values = {"series_with_nan": "nan", "series_with_inf": "-inf"}
-    if name in bad_values:
+    bad_values = {"series_with_nan": "nan", "series_with_inf": "-inf",
+                  "series_field_over_csv_limit": "9" * 140_000}
+    q_lists = {"q_list_nan": "--q-list=nan,2", "q_list_inf": "--q-list=2,inf"}
+    if name in bad_values or name in q_lists:
         values = [repr(v) for v in np.random.default_rng(0).normal(size=400).tolist()]
-        values[250] = bad_values[name]
+        if name in bad_values:
+            values[250] = bad_values[name]
         series = tmp_path / "series.csv"
         series.write_text("value\n" + "\n".join(values) + "\n")
-        return ["mfdfa", "--series", str(series), *out]
+        return ["mfdfa", "--series", str(series), *q_lists.get(name, "").split(), *out]
     synth = {"fgn_without_hurst": ["--kind", "fgn", "--len", "1024"],
              "cascade_without_p": ["--kind", "cascade", "--levels", "8"],
              "cascade_without_levels": ["--kind", "cascade", "--p", "0.6"],
@@ -413,6 +422,11 @@ class TestExitCodes:
         ("fit_ansatz_exclude_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("series_with_nan", 2, "non-finite value at line 252"),
         ("series_with_inf", 2, "non-finite value at line 252"),
+        ("series_field_over_csv_limit", 2, "field larger than field limit"),
+        ("ticks_field_over_csv_limit", 2, "field larger than field limit"),
+        ("max_malformed_negative", 1, "max_malformed must be >= 0, got -1"),
+        ("q_list_nan", 1, "q values must be finite, got [nan, 2.0]"),
+        ("q_list_inf", 1, "q values must be finite, got [2.0, inf]"),
         ("fgn_without_hurst", 1, "--hurst"),
         ("cascade_without_p", 1, "--p"),
         ("cascade_without_levels", 1, "--levels"),

@@ -70,6 +70,13 @@ class TestParseTicks:
         with pytest.raises(DataError):
             parse_ticks(io.StringIO(""))
 
+    def test_negative_tolerance_raises_before_reading(self, tmp_path):
+        stream = io.StringIO("100,1.0\n")
+        for source in (stream, tmp_path / "missing.csv"):
+            with pytest.raises(ValueError, match="max_malformed must be >= 0, got -1"):
+                parse_ticks(source, max_malformed=-1)
+        assert stream.tell() == 0
+
     def test_header_skipped(self):
         ts = parse_ticks(io.StringIO("timestamp,price\n100,1.0"), header=True)
         assert len(ts) == 1
@@ -232,17 +239,16 @@ class TestChunkedParseMatchesReference:
                             max_size=40),
            newline=st.sampled_from(["\n", "\r\n", "\r"]),
            final_newline=st.booleans(), chunk=st.integers(2, 16),
-           floor=st.integers(1, 4), header=st.booleans(),
+           header=st.booleans(),
            max_malformed=st.integers(0, 8))
     def test_equal_to_reference(self, records, newline, final_newline, chunk,
-                                floor, header, max_malformed):
+                                header, max_malformed):
         def join(records):
             return newline.join(records) + (newline if final_newline else "")
         kw = dict(header=header, max_malformed=max_malformed)
         expected = expected_outcome(records, join, **kw)
-        # small chunks and row runs put bad lines on chunk edges and
-        # inside split pieces
-        with mock.patch.multiple(market_data, _CHUNK=chunk, _ROW_RUN=floor):
+        # small chunks put bad lines on chunk edges
+        with mock.patch.multiple(market_data, _CHUNK=chunk):
             assert outcome(parse_ticks, io.StringIO(join(records)), **kw) == expected
             # bytes are read with universal newlines, as binary streams always were
             data = join(r for r in records if r != OUT_OF_RANGE).encode()

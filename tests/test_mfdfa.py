@@ -224,6 +224,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MfdfaConfig(q_values=[2.0], scales=[3, 10], detrend_order=2)
 
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_q_values_must_be_finite(self, q):
+        with pytest.raises(ValueError, match="q values must be finite"):
+            MfdfaConfig(q_values=[q, 2.0], scales=[10, 20, 40])
+
     def test_fit_range_membership(self):
         with pytest.raises(ValueError):
             MfdfaConfig(q_values=[2.0], scales=[10, 20, 40], fit_range=(10, 30))

@@ -90,9 +90,10 @@ class IntradayReturnGrid:
 # Tick CSVs are read in chunks of _CHUNK lines. A chunk is read by one
 # np.loadtxt call where that is exact; a chunk loadtxt rejects or cannot be
 # trusted on goes through the row rules (`_TickReader.row`) whole. The row
-# rules cost ~1.7 us a line and loadtxt ~0.19 us a line plus ~6 us a call, so
-# at 1024 lines a chunk with one bad line costs ~2 ms, where 8192 cost ~15 ms,
-# and the calls add ~6 ms to a clean 1M-row file (~0.25 s).
+# rules take ~7 times loadtxt's time a line (~0.7 against ~0.1 us on a 2-core
+# x86-64 VM), so a chunk of 1024 lines with one bad line costs ~0.7 ms, where
+# 8192 cost ~6 ms; a clean file still parses within ~5 % of its time at 8192,
+# as a loadtxt call costs only ~3 us beyond its lines.
 _CHUNK = 1024
 _RECORD = np.dtype([("t", "<i8"), ("p", "<f8")])
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1

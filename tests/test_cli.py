@@ -355,9 +355,9 @@ def _cli_case(name, tmp_path):
     bad_rows = {"ticks_not_utf8": b"\xff\xfe,1.0\r\n",
                 "ticks_timestamp_out_of_range": b"99999999999999999999,2.0\r\n",
                 "ticks_after_the_calendar": b"9223372036854775000,2.0\r\n",
-                "ticks_before_the_calendar": b"-9000000000000000000,2.0\r\n"}
-    # a field over csv's size limit (128 Ki characters)
-    bad_rows["ticks_field_over_csv_limit"] = f"100,1.0,{'9' * 140_000}\n".encode()
+                "ticks_before_the_calendar": b"-9000000000000000000,2.0\r\n",
+                # a field over csv's size limit (128 Ki characters)
+                "ticks_field_over_csv_limit": b"100,1.0," + b"9" * 140_000 + b"\n"}
     if name in bad_rows:
         ticks.write_bytes(ticks.read_bytes() + bad_rows[name])
         command = "rv" if name == "ticks_field_over_csv_limit" else "rolling"
@@ -374,14 +374,14 @@ def _cli_case(name, tmp_path):
         return ["fit-ansatz", "--sweep", str(sweep), *exclude, *out]
     bad_values = {"series_with_nan": "nan", "series_with_inf": "-inf",
                   "series_field_over_csv_limit": "9" * 140_000}
-    q_lists = {"q_list_nan": "--q-list=nan,2", "q_list_inf": "--q-list=2,inf"}
+    q_lists = {"q_list_nan": ["--q-list=nan,2"], "q_list_inf": ["--q-list=2,inf"]}
     if name in bad_values or name in q_lists:
         values = [repr(v) for v in np.random.default_rng(0).normal(size=400).tolist()]
         if name in bad_values:
             values[250] = bad_values[name]
         series = tmp_path / "series.csv"
         series.write_text("value\n" + "\n".join(values) + "\n")
-        return ["mfdfa", "--series", str(series), *q_lists.get(name, "").split(), *out]
+        return ["mfdfa", "--series", str(series), *q_lists.get(name, []), *out]
     synth = {"fgn_without_hurst": ["--kind", "fgn", "--len", "1024"],
              "cascade_without_p": ["--kind", "cascade", "--levels", "8"],
              "cascade_without_levels": ["--kind", "cascade", "--p", "0.6"],

@@ -51,10 +51,11 @@ def main(argv=None) -> int:
     deltas = divisors_of_1440()
     runs = []
 
-    def timed(run: dict, stage: str, fn, *args, **kwargs):
+    def timed(run: dict, stage: str, call):
+        """`call()`, its wall and CPU seconds and peak RSS recorded in `run`."""
         wall0, cpu0 = time.perf_counter(), time.process_time()
         with PeakRSS() as rss:
-            result = fn(*args, **kwargs)
+            result = call()
         run[stage] = {"wall_s": time.perf_counter() - wall0,
                       "cpu_s": time.process_time() - cpu0,
                       "peak_rss_mb": rss.peak_bytes / 2 ** 20}
@@ -70,15 +71,18 @@ def main(argv=None) -> int:
             reports = None  # free the last run's outputs first
             release_free_heap()
             run = {}
-            # as `roughscale rolling` does, the ticks stay alive to the end
-            ticks = timed(run, "parse_ticks", parse_ticks, inputs.path,
-                          max_malformed=inputs.malformed)
-            rv = timed(run, "build_rv_by_delta", pipeline.build_rv_by_delta, ticks, deltas)
-            reports = timed(run, "run_rolling", pipeline.run_rolling, rv, spec)
-            timed(run, "emit_report", pipeline.emit_report, reports,
-                  str(work / "report.json"), str(work / "h2.csv"), str(work / "hq.csv"))
+            held = [timed(run, "parse_ticks", lambda: parse_ticks(
+                inputs.path, max_malformed=inputs.malformed))]
+            # as `roughscale rolling` does, the ticks are handed over with no
+            # other reference, so they die once the trade index is built
+            rv = timed(run, "build_rv_by_delta",
+                       lambda: pipeline.build_rv_by_delta(held.pop(), deltas))
+            reports = timed(run, "run_rolling", lambda: pipeline.run_rolling(rv, spec))
+            timed(run, "emit_report", lambda: pipeline.emit_report(
+                reports, str(work / "report.json"), str(work / "h2.csv"),
+                str(work / "hq.csv")))
             runs.append(run)
-            del ticks, rv
+            del rv
     h0 = [r.ansatz.h0 for r in reports if r.ansatz is not None]
     record = {
         "job": "parse_ticks, build_rv_by_delta, run_rolling and emit_report on "

@@ -191,8 +191,12 @@ class _TickReader:
         else:
             self._append(records)
 
-    def read(self, stream) -> np.ndarray:
-        """All records of `stream`, as one record array."""
+    def read(self, stream) -> tuple[np.ndarray, np.ndarray]:
+        """The timestamps and prices of all records of `stream`, as two arrays.
+
+        The reader's records are dropped as the arrays are made: at the peak,
+        the records and the two arrays are live, twice the arrays' bytes.
+        """
         lines = iter(stream)
         lineno = 0  # lines read so far, each one record while no quote is seen
         while chunk := list(itertools.islice(lines, _CHUNK)):
@@ -212,7 +216,10 @@ class _TickReader:
                 self._loadtxt(chunk, first)
             else:
                 self._rows(chunk, first)
-        return np.concatenate([*self._parts, np.array(self._pending, dtype=_RECORD)])
+        parts = [*self._parts, np.array(self._pending, dtype=_RECORD)]
+        self._parts, self._pending = [], []
+        return (np.concatenate([part["t"] for part in parts]),
+                np.concatenate([part["p"] for part in parts]))
 
 
 def parse_ticks(source, *, header: bool = False, max_malformed: int = 0) -> TickSeries:
@@ -242,18 +249,26 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0) -> Tick
 
     reader = _TickReader(header, max_malformed)
     try:
-        records = reader.read(stream)
+        timestamps, prices = reader.read(stream)
     finally:
         if release is not None:
             release()
 
-    positive = records["p"] > 0
-    ts_arr, px_arr = records["t"][positive], records["p"][positive]
-    if not len(ts_arr):
+    # Each array is rebound to its successor, so the old one dies as the new
+    # one is made: the parse never holds more than twice the output's bytes.
+    parsed = len(prices)
+    positive = prices > 0
+    if not positive.all():
+        timestamps = timestamps[positive]
+        prices = prices[positive]
+    del positive
+    if not len(timestamps):
         raise DataError("empty tick stream (no usable records)")
-    order = np.argsort(ts_arr, kind="stable")  # stable: ties keep file order
-    return TickSeries(timestamps=ts_arr[order], prices=px_arr[order],
-                      dropped_nonpositive=len(records) - len(ts_arr),
+    order = np.argsort(timestamps, kind="stable")  # stable: ties keep file order
+    timestamps = timestamps[order]
+    prices = prices[order]
+    return TickSeries(timestamps=timestamps, prices=prices,
+                      dropped_nonpositive=parsed - len(timestamps),
                       malformed_lines=reader.malformed)
 
 
@@ -274,6 +289,11 @@ class TradeIndex:
     prices: np.ndarray    # (days, 1440/step + 1): previous-tick price, leading edge backfilled
     coverage: dict[int, np.ndarray]  # per delta, (days,): share of intervals with a trade
     leading: int          # day-opens with no prior trade, backfilled from the day's first trade
+
+
+# grid times a run of `trade_index` bins at once: ~1 MB of int64 per array,
+# next to the ~12 MB a whole 1000-day span at a 1-minute step would take
+_RUN_POINTS = 2 ** 17
 
 
 def trade_index(ticks: TickSeries, deltas: list[int],
@@ -313,40 +333,55 @@ def trade_index(ticks: TickSeries, deltas: list[int],
     bounds = np.searchsorted(ts, day0 + SECONDS_PER_DAY * np.arange(
         last_day - first_day + 2, dtype=np.int64))
     traded = np.flatnonzero(bounds[1:] > bounds[:-1])  # zero-trade days are omitted
-    # The span's grid times are day0 + width*m, m = 0..total; day d's row is
-    # m = n*d .. n*(d+1). Binning the span's ticks against them and taking
-    # running sums counts the ticks up to every grid time in one pass.
-    total = (last_day - first_day + 1) * n
-    lo = int(bounds[0])  # ticks before the span
-    span = ts[lo:np.searchsorted(ts, day0 + total * width, side="right")]
+    prices = np.empty((len(traded), n + 1))
+    coverage = {delta: np.empty(len(traded)) for delta in deltas}
+    leading = 0
+    # The index is built a run of at most `run` days at a time, so that its
+    # transients stay a few times _RUN_POINTS int64s however long the span.
+    # A run starts on a trading day, so a gap in the data is never binned.
+    run = max(1, _RUN_POINTS // n)
+    r0 = 0
+    while r0 < len(traded):
+        r1 = int(np.searchsorted(traded, traded[r0] + run))
+        # The run's grid times are start + width*m, m = 0..total; its day d's
+        # row is m = n*d .. n*(d+1). Binning the run's ticks against them and
+        # taking running sums counts the ticks up to every grid time in one pass.
+        days = traded[r0:r1] - traded[r0]
+        start = day0 + int(traded[r0]) * SECONDS_PER_DAY
+        total = (int(days[-1]) + 1) * n
+        lo = int(bounds[traded[r0]])  # ticks before the run
+        span = ts[lo:np.searchsorted(ts, start + total * width, side="right")]
 
-    def rows(ticks_per_bin: np.ndarray, offset: int) -> np.ndarray:
-        """`offset` plus the running sums of bins 0..total, as (traded days, n+1)."""
-        sums = ticks_per_bin[:total + 1]
-        np.cumsum(sums, out=sums)
-        out = sliding_window_view(sums, n + 1)[::n][traded]
-        out += offset
-        return out
+        def rows(ticks_per_bin: np.ndarray, offset: int) -> np.ndarray:
+            """`offset` plus the running sums of bins 0..total, as (days, n+1)."""
+            sums = ticks_per_bin[:total + 1]
+            np.cumsum(sums, out=sums)
+            out = sliding_window_view(sums, n + 1)[::n][days]
+            out += offset
+            return out
 
-    # the ticks strictly before each grid time, so that interval k is
-    # [time k-1, time k) and a day-open trade counts
-    counts = rows(np.bincount((span - day0) // width + 1, minlength=total + 2), lo)
-    coverage = {}
-    for delta in deltas:
-        k = delta // step
-        coverage[delta] = np.count_nonzero(counts[:, k::k] > counts[:, :-k:k], axis=1) / (n // k)
-    del counts  # free it before the previous-tick index is built
-    # the previous tick: the last at or before the grid time, so in bin
-    # ceil((t - day0) / width) or below
-    idx = rows(np.bincount((span - day0 + width - 1) // width, minlength=total + 2), lo - 1)
-    # a day-open with no trade anywhere before it is backfilled from the day's
-    # first trade; only the data's leading edge can hit this, later day-opens
-    # forward-fill from prior days. A row's negative entries come first.
-    lead = np.flatnonzero(idx[:, 0] < 0)
-    idx[lead] = np.where(idx[lead] < 0, bounds[traded[lead], None], idx[lead])
+        # the ticks strictly before each grid time, so that interval k is
+        # [time k-1, time k) and a day-open trade counts
+        counts = rows(np.bincount((span - start) // width + 1, minlength=total + 2), lo)
+        for delta in deltas:
+            k = delta // step
+            coverage[delta][r0:r1] = np.count_nonzero(
+                counts[:, k::k] > counts[:, :-k:k], axis=1) / (n // k)
+        # the previous tick: the last at or before the grid time, so in bin
+        # ceil((t - start) / width) or below
+        idx = rows(np.bincount((span - start + width - 1) // width, minlength=total + 2), lo - 1)
+        # a day-open with no trade anywhere before it is backfilled from the
+        # day's first trade; only the data's leading edge can hit this, later
+        # day-opens forward-fill from prior days. A row's negative entries
+        # come first.
+        lead = np.flatnonzero(idx[:, 0] < 0)
+        idx[lead] = np.where(idx[lead] < 0, bounds[traded[r0 + lead], None], idx[lead])
+        leading += len(lead)
+        prices[r0:r1] = ticks.prices[idx]
+        r0 = r1
     return TradeIndex(step_minutes=step,
                       days=[_epoch_day_to_date(d) for d in first_day + traded],
-                      prices=ticks.prices[idx], coverage=coverage, leading=len(lead))
+                      prices=prices, coverage=coverage, leading=leading)
 
 
 def resample_prices(index: TradeIndex, delta_minutes: int,
@@ -370,13 +405,15 @@ def resample_prices(index: TradeIndex, delta_minutes: int,
     coverage = index.coverage[delta_minutes]
     keep = ~(coverage < min_coverage)
     prices = index.prices[:, ::delta_minutes // index.step_minutes]
+    days = index.days  # shared by every delta's grid that keeps all days
     if not keep.all():
         prices, coverage = prices[keep], coverage[keep]
+        days = list(itertools.compress(days, keep))
     if index.leading:
         warnings.warn(f"backfilled the day-open of {index.leading} leading day(s) "
                       "with no prior trade", stacklevel=2)
     return PriceGrid(delta_minutes=delta_minutes,
-                     days=list(itertools.compress(index.days, keep)),
+                     days=days,
                      prices=np.ascontiguousarray(prices), coverage=coverage)
 
 

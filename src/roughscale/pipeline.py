@@ -67,8 +67,11 @@ def build_rv_by_delta(ticks: TickSeries, deltas: list[int],
     The index is built once, on the grid of the deltas' greatest common
     divisor, and each delta's grid is a column stride of it: one
     `resample_prices` call per delta, with no further pass over the ticks.
+    The ticks are let go once the index is built, so ticks that the caller
+    passes as a temporary are freed before the grids are made.
     """
     index = trade_index(ticks, deltas, start_date, end_date)
+    del ticks
     out = {}
     for delta in deltas:
         grid = resample_prices(index, delta, min_coverage=min_coverage)
@@ -76,9 +79,11 @@ def build_rv_by_delta(ticks: TickSeries, deltas: list[int],
     return out
 
 
-def _window_slices(rv: RVSeries, starts: np.ndarray,
+def _window_slices(rv: RVSeries, ordinals: np.ndarray, starts: np.ndarray,
                    window_days: int) -> Iterator[tuple[int, np.ndarray] | None]:
     """One delta's share of every window, in window order.
+
+    `ordinals` are the proleptic ordinals of `rv.dates`, as are `starts`.
 
     Log-increments are taken once over the full span. A window is the index
     range [i0, i1) of its days, and its series is the run of full-span
@@ -95,7 +100,6 @@ def _window_slices(rv: RVSeries, starts: np.ndarray,
     usable = rv.rv > 0
     kept = np.concatenate([[0], np.cumsum(usable[1:] & usable[:-1])])
     zeros = np.concatenate([[0], np.cumsum(~usable)])
-    ordinals = np.array([d.toordinal() for d in rv.dates], dtype=np.int64)
     lo = np.searchsorted(ordinals, starts)
     hi = np.searchsorted(ordinals, starts + window_days)
     bounds = zip((hi - lo).tolist(), (zeros[hi] - zeros[lo]).tolist(),
@@ -214,7 +218,14 @@ def run_rolling(data: Mapping[int, RVSeries], rolling: RollingSpec,
                         f"{rolling.window_days}-day window")
     count = (total_days - rolling.window_days) // rolling.step_days + 1
     starts = first.toordinal() + rolling.step_days * np.arange(count, dtype=np.int64)
-    by_delta = {d: _window_slices(data[d], starts, rolling.window_days) for d in sorted(data)}
+    # the day ordinals of each distinct date list: the deltas of one trade
+    # index, like those of a synthetic sweep, share one list
+    ordinals = {}
+    for rv in data.values():
+        if id(rv.dates) not in ordinals:
+            ordinals[id(rv.dates)] = np.array([d.toordinal() for d in rv.dates], dtype=np.int64)
+    by_delta = {d: _window_slices(data[d], ordinals[id(data[d].dates)], starts,
+                                  rolling.window_days) for d in sorted(data)}
     reports = []
     for i, window in enumerate(zip(*by_delta.values())):
         start = first + dt.timedelta(days=i * rolling.step_days)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,7 @@ def log_increments(rv: RVSeries, zero_policy: str = "drop") -> LogIncrementSerie
     keep = usable[1:] & usable[:-1]  # drops increments bridging a dropped day
     logs = np.log(np.where(values > 0, values, 1.0))
     incr = (logs[1:] - logs[:-1])[keep]
-    dates = [d for d, k in zip(rv.dates[1:], keep) if k]
+    dates = list(itertools.compress(rv.dates[1:], keep))
     if len(incr) == 0 and len(values) - dropped < 2:
         raise DataError("fewer than 2 usable days after zero-RV drops")
     return LogIncrementSeries(values=incr, dates=dates, dropped_days=dropped)

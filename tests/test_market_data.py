@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -134,6 +135,30 @@ class TestParseTicks:
         for source in (data, io.BytesIO(data), path):
             with pytest.raises(DataError, match=f"not valid UTF-8 at line {lineno}$"):
                 parse_ticks(source, max_malformed=5)
+
+
+    def test_memory_peak_is_at_most_three_times_the_output(self, tmp_path):
+        # each copy dies as the next is made: at the peak, the records and
+        # their field arrays, or the fields, the sort order and one sorted
+        # field, twice the output's bytes (4.6 times while every copy lived)
+        rng = np.random.default_rng(5)
+        n = 200_000
+        ts = T0 + 3 * np.arange(n, dtype=np.int64)
+        swap = np.arange(1, n - 1, 97)
+        ts[swap], ts[swap + 1] = ts[swap + 1], ts[swap]
+        px = np.round(100 + rng.random(n), 2)
+        px[n // 2] = -1.0
+        path = tmp_path / "ticks.csv"
+        path.write_text("".join(f"{t},{p!r}\n" for t, p in zip(ts.tolist(), px.tolist())))
+        tracemalloc.start()
+        try:
+            ticks = parse_ticks(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ticks) == n - 1 and ticks.dropped_nonpositive == 1
+        assert np.array_equal(ticks.timestamps, np.sort(ts[px > 0]))
+        assert peak <= 3 * (ticks.timestamps.nbytes + ticks.prices.nbytes)
 
 
 def reference_parse(source, *, header=False, max_malformed=0):
@@ -514,8 +539,10 @@ delta_sets = (st.sampled_from(DIVISORS).map(lambda d: [d])
 
 class TestSharedIndexMatchesPerDeltaLoop:
     @settings(max_examples=300, deadline=None)
-    @given(tick_streams(), delta_sets)
-    def test_build_rv_by_delta_equal_to_reference(self, case, deltas):
+    # grid times a run of the trade index bins: from one day a run up to the
+    # whole span in one
+    @given(tick_streams(), delta_sets, st.sampled_from([1, 1440, 3000, 2 ** 17]))
+    def test_build_rv_by_delta_equal_to_reference(self, case, deltas, run_points):
         ticks, _, start, end, min_coverage = case
         try:
             refs = {d: reference_resample(ticks, d, start, end, min_coverage)
@@ -534,7 +561,8 @@ class TestSharedIndexMatchesPerDeltaLoop:
             backfills[delta] = backfill_count(caught)
             return grid
 
-        with mock.patch.object(pipeline, "resample_prices", resample):
+        with mock.patch.object(pipeline, "resample_prices", resample), \
+                mock.patch.object(market_data, "_RUN_POINTS", run_points):
             out = pipeline.build_rv_by_delta(ticks, deltas, start, end, min_coverage)
         assert list(out) == deltas
         for delta, (dates, prices, _, leading) in refs.items():

@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -384,6 +385,31 @@ class TestBuildRvByDelta:
         assert len(rv[60]) == 5
         # RV at coarser sampling comes from pairwise-summed returns of the same grid
         assert np.all(rv[60].rv > 0)
+
+    def test_ticks_passed_as_a_temporary_die_before_the_grids(self):
+        # as `roughscale rolling` passes them: the job's memory peak is then
+        # the larger of the parse and the trade index, not their sum
+        ref = None
+
+        def make_ticks():
+            nonlocal ref
+            t0 = date_to_epoch_seconds(DAY0)
+            ticks = TickSeries(timestamps=t0 + 60 * np.arange(3 * 1440, dtype=np.int64),
+                               prices=np.full(3 * 1440, 100.0))
+            ref = weakref.ref(ticks)
+            return ticks
+
+        seen = []
+        real = pipeline.resample_prices
+
+        def resample(*args, **kwargs):
+            seen.append(ref() is None)
+            return real(*args, **kwargs)
+
+        with mock.patch.object(pipeline, "resample_prices", resample):
+            rv = build_rv_by_delta(make_ticks(), [60, 120])
+        assert seen == [True, True]
+        assert len(rv[60]) == len(rv[120]) == 3
 
     def test_one_resample_call_per_delta(self):
         # what the benchmark's tick workload counts: one resample_prices call,

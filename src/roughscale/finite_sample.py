@@ -6,10 +6,10 @@ the standard normal as n grows. Moments and kurtosis follow in closed form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def density(law: FiniteSampleLaw, x) -> np.ndarray | float:
     if n < 2:
         raise ValueError("density is degenerate for n < 2")
     x = np.asarray(x, dtype=float)
-    log_pref = gammaln(n / 2.0) - 0.5 * np.log(np.pi * n) - gammaln((n - 1) / 2.0)
+    log_pref = math.lgamma(n / 2.0) - 0.5 * np.log(np.pi * n) - math.lgamma((n - 1) / 2.0)
     inside = np.abs(x) < np.sqrt(n)
     base = np.where(inside, 1.0 - x ** 2 / n, 1.0)
     out = np.where(inside, np.exp(log_pref + ((n - 3) / 2.0) * np.log(base)), 0.0)

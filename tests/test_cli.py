@@ -2,6 +2,9 @@ import csv
 import datetime as dt
 import json
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -387,6 +390,27 @@ def _cli_case(name, tmp_path):
              "cascade_without_levels": ["--kind", "cascade", "--p", "0.6"],
              "sv_day_without_n": ["--kind", "sv_day", "--sigma", "0.01"]}
     return ["synth", *synth[name], *out]
+
+
+def test_runtime_needs_no_scipy():
+    """numpy is the one runtime dependency; scipy is for the tests alone."""
+    code = "\n".join([
+        "import sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "import numpy as np",
+        "import roughscale.cli, roughscale.pipeline",
+        "from roughscale.finite_sample import FiniteSampleLaw, density",
+        "from roughscale.scaling import FrequencySweep, divisors_of_1440, fit_ansatz",
+        "deltas = np.array(divisors_of_1440())",
+        "n = 1440.0 / deltas",
+        "fit_ansatz(FrequencySweep(deltas=deltas, h2=0.13 * n / (n + 3.0)))",
+        "density(FiniteSampleLaw(288), 0.5)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestExitCodes:

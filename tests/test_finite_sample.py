@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from roughscale.finite_sample import (FiniteSampleLaw, density, kurtosis,
                                       moment_2k, relative_error)
@@ -29,6 +30,16 @@ class TestDensity:
         law = FiniteSampleLaw(2)
         assert density(law, 0.0) > 0
         assert density(law, np.sqrt(2)) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 288, 1440, 10 ** 6])
+    def test_matches_scipy_log_gamma_constant(self, n):
+        xs = np.linspace(-0.99, 0.99, 9) * np.sqrt(n)
+        log_pref = gammaln(n / 2.0) - 0.5 * np.log(np.pi * n) - gammaln((n - 1) / 2.0)
+        want = np.exp(log_pref + ((n - 3) / 2.0) * np.log(1.0 - xs ** 2 / n))
+        # log C_n is a difference of two log-gammas near gammaln(n/2), so two
+        # libraries that each round them within an ulp can differ by 4 ulps of it
+        rtol = 1e-13 + 4 * np.spacing(abs(gammaln(n / 2.0)))
+        np.testing.assert_allclose(density(FiniteSampleLaw(n), xs), want, rtol=rtol)
 
     @pytest.mark.parametrize("n", [3, 10, 288, 1440])
     def test_normalization(self, n):

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+from perfbench.generators import rolling_inputs
+from roughscale import scaling
 from roughscale.errors import NumericError
 from roughscale.finite_sample import relative_error
 from roughscale.market_data import samples_per_day
+from roughscale.pipeline import RollingSpec, run_rolling
 from roughscale.scaling import (AnsatzFit, FrequencySweep, divisors_of_1440,
                                 fit_ansatz, predict_h)
 
@@ -46,6 +49,47 @@ def reference_fit(sweep, exclude=None):
     cov = np.linalg.inv(best.jac.T @ best.jac) * s2
     a = float(np.exp(alpha))
     return float(h0), a, float(np.sqrt(cov[0, 0])), float(a * np.sqrt(cov[1, 1]))
+
+
+def reference_polish(sweep):
+    """The one-start Levenberg-Marquardt polish that the Newton polish replaced.
+
+    Same log-a grid bracket and closed-form H0 as `fit_ansatz`; returns (h0, a).
+    """
+    n = sweep.n.astype(float)
+    w = 1.0 / sweep.h2_stderr if sweep.h2_stderr is not None else np.ones_like(n)
+    y = w * sweep.h2
+
+    def reduced(alpha):
+        g = w * n / (n + np.exp(alpha)[:, None])
+        h0 = (g @ y) / np.einsum("ij,ij->i", g, g)
+        return y - g * h0[:, None], h0
+
+    grid_resid, _ = reduced(scaling._LOG_A_GRID)
+    i = int(np.argmin(np.einsum("ij,ij->i", grid_resid, grid_resid)))
+    sol = least_squares(lambda x: reduced(x)[0][0], x0=scaling._LOG_A_GRID[i:i + 1],
+                        method="lm", ftol=1e-12, xtol=1e-12, gtol=1e-12,
+                        max_nfev=200)
+    return float(reduced(sol.x)[1][0]), float(np.exp(sol.x[0]))
+
+
+def dpsi_dalpha(sweep, a):
+    """d/dalpha of psi = 2 log(g.y) - log(g.g), g = w*n/(n + a), at alpha = log a."""
+    n = sweep.n.astype(float)
+    w = 1.0 / sweep.h2_stderr if sweep.h2_stderr is not None else np.ones_like(n)
+    y = w * sweep.h2
+    g = w * n / (n + a)
+    dg = -g * a / (n + a)
+    return 2 * (dg @ y) / (g @ y) - 2 * (dg @ g) / (g @ g)
+
+
+def window_sweeps():
+    """The h2 sweeps of five paper-length rolling windows over synthetic RV."""
+    inputs = rolling_inputs(21, 2942)
+    reports = run_rolling(inputs.rv_by_delta, RollingSpec(window_days=2922, step_days=5),
+                          workers=1)
+    return [FrequencySweep(deltas=np.array(list(r.h2_by_delta)),
+                           h2=np.array(list(r.h2_by_delta.values()))) for r in reports]
 
 
 def weighted_cost(sweep, residuals):
@@ -210,6 +254,31 @@ class TestMatchesReferenceFit:
         assert (fit.h0_stderr, fit.a_stderr) == pytest.approx(ref[2:], rel=1e-6)
 
 
+class TestStationarity:
+    """The Newton polish ends where d(psi)/d(alpha) is at roundoff, at a cost no
+    higher than the Levenberg-Marquardt polish it replaced."""
+
+    @staticmethod
+    def check(sweep):
+        fit = fit_ansatz(sweep)
+        assert abs(dpsi_dalpha(sweep, fit.a)) <= 1e-12
+        ref_h0, ref_a = reference_polish(sweep)
+        n = 1440.0 / sweep.deltas
+        cost = weighted_cost(sweep, sweep.h2 - fit.h0 * n / (n + fit.a))
+        ref_cost = weighted_cost(sweep, sweep.h2 - ref_h0 * n / (n + ref_a))
+        assert cost <= ref_cost * (1 + 1e-12) + weighted_cost(sweep, 1e-15 * sweep.h2)
+
+    @pytest.mark.parametrize("sweep,check_stderr", gate_sweeps())
+    def test_gate_sweeps(self, sweep, check_stderr):
+        self.check(sweep)
+
+    def test_rolling_windows(self):
+        sweeps = window_sweeps()
+        assert len(sweeps) == 5
+        for sweep in sweeps:
+            self.check(sweep)
+
+
 class TestBoundaries:
     @pytest.mark.parametrize("a", [1e-11, 1e-9, 1e-7])
     def test_tiny_a_fits_with_warning(self, a):
@@ -242,12 +311,12 @@ class TestBoundaries:
             fit_ansatz(FrequencySweep(deltas=np.array(DIVISORS), h2=h2))
 
     def test_one_solver_call_per_fit(self, monkeypatch):
-        import roughscale.scaling as scaling
+        polish = scaling.least_squares
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return least_squares(*args, **kwargs)
+            return polish(*args, **kwargs)
 
         monkeypatch.setattr(scaling, "least_squares", counting)
         fit_ansatz(exact_sweep(0.13, 3.0))

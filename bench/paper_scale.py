@@ -8,12 +8,15 @@ windows are 2922 days stepped by 5 (439 windows), the paper's layout. The job
 runs `REPEATS` times with one BLAS thread. The record goes to
 `bench/BENCH_<label>.json`: per-run wall and CPU seconds, peak resident memory
 during each run, window and degraded-window counts, the median window H₀, and
-provenance (commit, sha256 of `src/roughscale`, Python, numpy and scipy
-versions, processor count, seed and input digest).
+provenance (commit, sha256 of `src/roughscale`, Python and numpy versions, the
+scipy version or null where scipy is not installed, processor count, seed and
+input digest).
 """
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
+import importlib.util
 import json
 import os
 import platform
@@ -48,12 +51,14 @@ def src_modified() -> bool | None:
 def provenance(seed: int, input_sha256: str) -> dict:
     """Where a record's numbers come from; call after `BLAS_ENV` is set."""
     import numpy
-    import scipy
+    # scipy is no runtime dependency: its version, read without importing it,
+    # where the tests' install has it
+    scipy = importlib.metadata.version("scipy") if importlib.util.find_spec("scipy") else None
     return {
         "git_commit": git_commit(), "src_modified": src_modified(),
         "source_sha256": source_digest(),
         "python": platform.python_version(), "numpy": numpy.__version__,
-        "scipy": scipy.__version__, "nproc": os.cpu_count(),
+        "scipy": scipy, "nproc": os.cpu_count(),
         "machine": platform.machine(), "blas_threads": BLAS_ENV["OPENBLAS_NUM_THREADS"],
         "seed": seed, "input_sha256": input_sha256,
     }

@@ -80,17 +80,17 @@ class MfdfaConfig:
 
 @dataclass(frozen=True)
 class FluctuationSurface:
-    """F_q(s) of one series, or of each row of a stack of equal-length series.
+    """F_q(s) of one series, or of each window of a windowed call.
 
     The leading axis of `values` and `excluded_segments`, present for a
-    stack only, is the row.
+    windowed call only, is the window.
     """
     q_values: np.ndarray
     scales: np.ndarray
-    values: np.ndarray            # shape ([rows,] len(q), len(scales)), all > 0
-    series_length: int
+    values: np.ndarray            # shape ([windows,] len(q), len(scales)), > 0 or NaN
+    series_length: int            # points in the series
     config: MfdfaConfig
-    excluded_segments: np.ndarray  # ([rows,] len(scales)): zero-variance segments
+    excluded_segments: np.ndarray  # ([windows,] len(scales)): zero-variance segments
                                    # excluded from q<0 sums and the q=0 log-average
 
 
@@ -98,7 +98,7 @@ class FluctuationSurface:
 class GHECurve:
     """h(q) over a q grid: per q, the slope, its standard error and r^2.
 
-    For a stacked surface `h_values`, `stderr` and `r2` are (rows, len(q)).
+    For a windowed surface `h_values`, `stderr` and `r2` are (windows, len(q)).
     """
     q_values: np.ndarray
     h_values: np.ndarray
@@ -120,7 +120,7 @@ class GHECurve:
 def profile(series) -> np.ndarray:
     """Cumulative sum of the demeaned series; last entry is 0 up to roundoff.
 
-    A (rows, N) stack gives each row's profile.
+    A 2-D array gives each row's profile.
     """
     x = np.asarray(series, dtype=float)
     if x.shape[-1] < 2:
@@ -159,8 +159,8 @@ def _power_means(log_f2: np.ndarray, starts: np.ndarray, qs: np.ndarray) -> np.n
     (F^2) ** (q/2) would overflow or underflow; q = 0 is exp(mean(log F^2) / 2).
     The logsumexp shifts by the run's largest log F^2 for q > 0 and its
     smallest for q < 0, so every exponent is <= 0. Every sum is one
-    `reduceat`, whose value for a run does not depend on the other runs or
-    rows, so a run alone gives the same bits as in a batch.
+    `reduceat`, whose value for a run does not depend on the other runs, so
+    a run alone gives the same bits as in a batch.
     """
     counts = np.diff(np.append(starts, len(log_f2)))
     out = np.empty((len(qs), len(starts)))
@@ -195,201 +195,180 @@ def aggregate_fluctuation(f2: np.ndarray, q: float) -> float:
     return float(_power_means(log_f2, np.zeros(1, dtype=np.intp), np.array([float(q)]))[0, 0])
 
 
-# A prefix-sum residual sum of squares at or below this many longdouble
-# epsilons of the window's sum of y^2 is recomputed by projection. Against
-# exact rational arithmetic on adversarial series (steps, trends, heavy tails,
-# N <= 800) the sums' roundoff stayed below 61 such epsilons, so a segment
-# above the floor carries a relative error of a few 1e-13 at most.
+# A running-sum residual sum of squares over s points is recomputed by
+# projection at or below _PREFIX_GUARD longdouble epsilons of the series' sum
+# of y^2 (the sums' roundoff stayed below 61 of them against exact rational
+# arithmetic on steps, trends and heavy tails) plus (_PROFILE_GUARD * s * eps
+# * max|Y|)^2, the longdouble profile's own roundoff where it sits far from 0.
 _PREFIX_GUARD = 3e14
+_PROFILE_GUARD = 1e14
 
-# Longest series whose order-1 variances come from the running sums. Their
-# roundoff grows with N: against the projection, over fGn (H 0.05 to 0.85),
-# white noise, offsets, trends and steps, the worst relative error per
-# segment was 1.4e-13 at N = 4096 but 5.9e-13 at 8192 and 6e-12 at 2^20,
-# where the guard also sends most scales to the projection anyway.
-_PREFIX_MAX_LENGTH = 4096
+# Longest series whose order-1 variances come from the running sums: against
+# the per-segment projection, over fGn (H 0.05 to 0.85), white noise, offsets,
+# trends, steps and a sine, the worst relative error per segment was 4.0e-13
+# at 5113 points (the paper's 14-year span), 5.8e-13 at 8192, 2.7e-12 at 16384.
+_PREFIX_MAX_LENGTH = 8192
 
-
-@functools.lru_cache(maxsize=64)
-def _prefix_layout(N: int, scales: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Where every segment of every scale lies, for one (N, scales) pair.
-
-    Read-only arrays: per segment, scale by scale, starts, ends and shift
-    (p - N//2 + (s-1)/2 as longdouble), then per scale counts (2 N_s), size
-    (s as longdouble) and weight (12 / (s (s^2 - 1)), which is
-    1 / sum (t - mean t)^2). Building them takes about a sixth of an
-    `_order1_variances` call; at N = _PREFIX_MAX_LENGTH with the default
-    scales they hold 120 kB.
-    """
-    sc = np.array(scales)
-    n_seg = N // sc
-    counts = 2 * n_seg
-    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    n = np.repeat(n_seg, counts)
-    s = np.repeat(sc, counts)
-    backward = k >= n
-    starts = (k - n * backward) * s + backward * (N - n * s)
-    size = sc.astype(np.longdouble)
-    layout = (starts, starts + s,
-              (starts - N // 2).astype(np.longdouble) + np.repeat((size - 1) / 2, counts),
-              counts, size, 12 / (size * (size * size - 1)))
-    for a in layout:
-        a.flags.writeable = False
-    return layout
-
-
-def _segment_sums(run: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Per row, the sum of run[:, 1:] over every segment [start, end).
-
-    Turns run[:, 1:] into its running sum in place; run[:, 0] must be 0.
-    """
-    np.cumsum(run[:, 1:], axis=1, out=run[:, 1:])
-    total = run.take(ends, axis=1)
-    total -= run.take(starts, axis=1)
-    return total
-
-
-def _order1_variances(Y: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """segment_variances(Y, s, 1) for every scale at once, concatenated.
-
-    A linear fit's residual sum of squares over [p, p+s) is
-    S2 - S1^2/s - (T1 - (s-1)/2 S1)^2 / (s(s^2-1)/12), with S1, S2, T1 the
-    sums of y, y^2 and (i-p) y over the segment: differences of three running
-    sums, one pass over the profile whatever the number of scales. The sums
-    are longdouble, which the cancellation needs, and run over the profile
-    minus its mean line (invisible to a linear fit) on a centred index, which
-    keeps them small. Returns the variances and the segment count per scale.
-    A scale with a segment near the sums' roundoff (constant or linear
-    stretches of Y) is recomputed by `segment_variances`. Y may be a
-    (rows, N) stack of profiles; each row gives the bits it gives alone,
-    with its own guard.
-    """
-    N = Y.shape[-1]
-    rows = Y.reshape(-1, N)
-    starts, ends, shift, counts, size, weight = _prefix_layout(N, tuple(scales.tolist()))
-    i = np.arange(N) - (N - 1) / 2
-    index = np.arange(-(N // 2), N - N // 2, dtype=np.longdouble)  # centred: small sums
-    # each row minus its least-squares line, after the 0 that starts a running sum
-    y = np.zeros((len(rows), N + 1), dtype=np.longdouble)
-    # the one-row product per row: a matrix-vector product may sum in
-    # another order and so change a row's bits
-    slope = np.array([i @ row for row in rows]) / (i @ i)
-    np.multiply(index, slope[:, None].astype(np.longdouble), out=y[:, 1:])
-    y[:, 1:] += rows.mean(axis=1, keepdims=True).astype(np.longdouble)
-    np.subtract(rows, y[:, 1:], out=y[:, 1:])
-    # per segment s1 = sum y, d = sum (i - N//2) y, rss = sum y^2, one
-    # running sum at a time; the last reuses y's own buffer
-    run = y.copy()
-    s1 = _segment_sums(run, starts, ends)
-    np.multiply(y[:, 1:], index, out=run[:, 1:])
-    d = _segment_sums(run, starts, ends)
-    del run
-    np.multiply(y, y, out=y)
-    rss = _segment_sums(y, starts, ends)
-    floor = _PREFIX_GUARD * np.finfo(np.longdouble).eps * y[:, -1:]
-    del y  # free the running sums before the per-segment temporaries
-    # in place, rss -= s1^2 / s + d^2 / sum (t - mean t)^2
-    d -= shift * s1  # sum (t - (s-1)/2) y, t the time within the segment
-    s1 *= s1
-    s1 /= np.repeat(size, counts)
-    rss -= s1
-    d *= d
-    d *= np.repeat(weight, counts)
-    rss -= d
-    f2 = rss.astype(float) / np.repeat(scales, counts)
-    offsets = np.cumsum(counts) - counts
-    for r, j in zip(*np.nonzero(np.minimum.reduceat(rss, offsets, axis=1) <= floor)):
-        f2[r, offsets[j]:offsets[j] + counts[j]] = segment_variances(rows[r], int(scales[j]), 1)
-    return f2.reshape(*Y.shape[:-1], -1), counts
-
-
-# Points of a stack that `fluctuation_function` takes through one pass: it caps
-# the working set (about 80 bytes a point, most of it longdouble) while the
-# per-pass overhead stays small next to the longdouble arithmetic.
+# Points of windows in one pass of `fluctuation_function`, and cells in one
+# pass of `_order1_table`: bounded working sets at a small per-pass cost, the
+# cells' 64 kB longdouble temporaries below the allocator's mmap threshold.
 _PASS_POINTS = 16384
+_TABLE_CHUNK = 4096
 
 
-def fluctuation_function(series, config: MfdfaConfig) -> FluctuationSurface:
-    """F_q(s) over the configured (q, s) grid, of one series or of each row of a
-    (rows, N) stack of equal-length series.
+def _window_passes(first: np.ndarray, lengths: np.ndarray, scales: np.ndarray,
+                   L: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """The windows x[i0:i0+n] of a series of L points in passes of one length
+    n and about _PASS_POINTS points: (window indices, n, cells). A window's
+    segments, in `segment_variances`' order, are the flat indices j * L + g
+    (scale j, start g) of its cells plus i0."""
+    passes = []
+    for n in np.unique(lengths).tolist():
+        index = np.flatnonzero(lengths == n)
+        counts = 2 * (n // scales)
+        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        m, s = np.repeat(n // scales, counts), np.repeat(scales, counts)
+        backward = k >= m  # the k-th segment of its scale starts at k s, or from the back
+        cells = np.repeat(np.arange(len(scales)) * L, counts) + (k - m * backward) * s \
+            + backward * (n - m * s)
+        step = max(1, _PASS_POINTS // n)
+        passes += [(index[w0:w0 + step], n, cells) for w0 in range(0, len(index), step)]
+    return passes
 
-    q = 0 uses the log-average limit; zero-variance segments are excluded from
-    q < 0 sums and the log-average, with counts reported per scale. A segment
-    counts as zero-variance when F^2 <= (s * eps * max|Y|)^2, the roundoff
-    that detrending the profile Y leaves where the series is constant; q > 0
-    uses every segment. Order-1 detrending of a series of at most
-    _PREFIX_MAX_LENGTH points takes every scale from one set of longdouble
-    running sums (`_order1_variances`); longer series, higher orders, and
-    every order where longdouble is no wider than float64, project scale by
-    scale. A series is the one-row stack: the rows go through in passes of
-    about _PASS_POINTS points, and every row's values are the bits it gets
-    alone. NumericError when any row has a scale whose every segment is
-    zero-variance.
+
+def _local_variances(x: np.ndarray, starts: np.ndarray, s: int) -> np.ndarray:
+    """Order-1 variance of the profile segments [g, g+s) of x, g in `starts`,
+    each projected from the running sum of its own s-1 increments: a window's
+    profile differs from that by a constant and a line, which a linear fit
+    does not see. Laid end to end, the segments are the forward ones of one
+    `segment_variances` call.
+    """
+    inc = x[starts[:, None] + np.arange(1, s)]
+    seg = np.zeros((len(starts), s))
+    np.cumsum(inc - inc[:, :1], axis=1, out=seg[:, 1:])  # a constant run gives exactly 0
+    return segment_variances(seg.ravel(), s, 1)[:len(starts)]
+
+
+def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Order-1 variance of each used cell j * L + g, the segment [g, g+s_j) of
+    x's profile; NaN elsewhere.
+
+    A linear fit sees no line, and a window's profile is x's profile minus a
+    line, so every window's segments are cells of this one table. A fit's
+    residual sum of squares over [g, g+s) is S2 - S1^2/s - 12 D^2/(s(s^2-1)),
+    with S1, S2 and D the sums of y, y^2 and (i - g - (s-1)/2) y: differences
+    of longdouble running sums, over the profile minus its least-squares line
+    on a centred index, which keeps them small. A cell at or below the guard
+    floor is recomputed by `_local_variances`.
+    """
+    L = len(x)
+    t = np.arange(L, dtype=np.longdouble) - (L - 1) / 2
+    y = np.cumsum(x - x.mean(), dtype=np.longdouble)
+    eps = np.finfo(np.longdouble).eps
+    reach = _PROFILE_GUARD * eps * np.max(np.abs(y))
+    y -= y.mean() + (t @ y) / (t @ t) * t
+    sums = np.zeros((3, L + 1), dtype=np.longdouble)
+    np.cumsum(y, out=sums[0, 1:])
+    np.cumsum(t * y, out=sums[1, 1:])
+    np.cumsum(y * y, out=sums[2, 1:])
+    size = scales.astype(np.longdouble)
+    weight = 12 / (size * (size * size - 1))  # 1 / sum (t - mean t)^2 over a segment
+    floor = _PREFIX_GUARD * eps * sums[2, -1] + (reach * size) ** 2
+    table = np.full(len(used), np.nan)
+    marked = np.flatnonzero(used)
+    for c0 in range(0, len(marked), _TABLE_CHUNK):
+        cells = marked[c0:c0 + _TABLE_CHUNK]
+        j, g = np.divmod(cells, L)
+        s = scales[j]
+        # one row at a time: a gather from a 2-D longdouble array is ~6x slower
+        s1, d, rss = (run[g + s] - run[g] for run in sums)
+        d -= (g - (L - s) / 2) * s1  # sum (t - (s-1)/2) y, t the time within the segment
+        rss -= s1 * s1 / size[j] + d * d * weight[j]
+        table[cells] = rss.astype(float) / s
+        tripped = rss <= floor[j]
+        for s_t in np.unique(s[tripped]).tolist():
+            at = tripped & (s == s_t)
+            table[cells[at]] = _local_variances(x, g[at], s_t)
+    return table
+
+
+def fluctuation_function(series, config: MfdfaConfig, starts=None,
+                         lengths=None) -> FluctuationSurface:
+    """F_q(s) over the configured (q, s) grid, of one series or, given
+    `starts` and `lengths`, of each window series[i0:i0+n].
+
+    q = 0 uses the log-average limit; zero-variance segments, with F^2 <=
+    (s * eps * max|Y|)^2 for the window's own profile Y (the roundoff its
+    detrending leaves where the series is constant), are excluded from q < 0
+    sums and the log-average, with counts reported per scale. Order-1
+    detrending of a series of at most _PREFIX_MAX_LENGTH points takes every
+    window's segments from one table (`_order1_table`); longer series, higher
+    orders, and every order where longdouble is no wider than float64,
+    project each window scale by scale. A scale whose every segment is
+    zero-variance raises NumericError for a series and gives a window NaN.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim not in (1, 2):
-        raise DataError("need a series or a (rows, N) stack of series")
-    N = x.shape[-1]
-    config.validate_length(N)
-    rows = x.reshape(-1, N)
+    if x.ndim != 1:
+        raise DataError("need a one-dimensional series")
+    windowed = starts is not None
+    first = np.atleast_1d(np.asarray(starts if windowed else 0, dtype=np.intp))
+    lengths = np.broadcast_to(lengths if windowed else len(x), first.shape)
+    config.validate_length(int(lengths.min(initial=len(x))))
+    if np.any(first < 0) or np.any(first + lengths > len(x)):
+        raise DataError(f"a window leaves the series of {len(x)} points")
     qs = config.q_values
     scales = config.scales
-    values = np.empty((len(rows), len(qs), len(scales)))
-    excluded = np.empty((len(rows), len(scales)), dtype=np.intp)
-    step = max(1, _PASS_POINTS // N)
-    for r0 in range(0, len(rows), step):
-        _fluctuation_pass(rows[r0:r0 + step], config, values[r0:r0 + step],
-                          excluded[r0:r0 + step])
-    return FluctuationSurface(q_values=qs, scales=scales,
-                              values=values.reshape(*x.shape[:-1], *values.shape[1:]),
-                              series_length=N, config=config,
-                              excluded_segments=excluded.reshape(*x.shape[:-1], -1))
-
-
-def _fluctuation_pass(x: np.ndarray, config: MfdfaConfig, values: np.ndarray,
-                      excluded: np.ndarray) -> None:
-    """`fluctuation_function` of the rows of x, written to values and excluded."""
-    Y = profile(x)
-    N = x.shape[1]
-    qs = config.q_values
-    scales = config.scales
-    if (config.detrend_order == 1 and N <= _PREFIX_MAX_LENGTH
+    passes = _window_passes(first, lengths, scales, len(x))
+    table = None
+    if (config.detrend_order == 1 and len(x) <= _PREFIX_MAX_LENGTH
             and np.finfo(np.longdouble).eps < np.finfo(float).eps):
-        f2, counts = _order1_variances(Y, scales)
-    else:
+        used = np.zeros(len(scales) * len(x), dtype=bool)
+        for rows, _, cells in passes:
+            used[cells + first[rows, None]] = True
+        table = _order1_table(x, scales, used)
+    values = np.full((len(first), len(qs), len(scales)), np.nan)
+    excluded = np.empty((len(first), len(scales)), dtype=np.intp)
+    for rows, N, cells in passes:
         counts = 2 * (N // scales)
-        f2 = np.empty((len(Y), counts.sum()))
-        for y, out in zip(Y, f2):
-            np.concatenate([segment_variances(y, int(s), config.detrend_order)
-                            for s in scales], out=out)
-    offsets = np.cumsum(counts) - counts
-    roundoff = (scales * (np.finfo(float).eps * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
-    keep = f2 > np.repeat(roundoff, counts, axis=1)
-    kept = np.add.reduceat(keep, offsets, axis=1, dtype=np.intp)
-    empty = np.argwhere(kept == 0)
-    if len(empty):
-        raise NumericError(f"all segments have zero variance at scale s = {scales[empty[0, 1]]}")
-    with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a q > 0 sum
-        log_f2 = np.log(f2, out=f2)
-    # _power_means over the rows laid end to end: one run per (row, scale)
-    positive = qs > 0
-    if positive.any():
-        runs = (offsets + log_f2.shape[1] * np.arange(len(Y))[:, None]).ravel()
-        values[:, positive] = _power_means(log_f2.ravel(), runs, qs[positive]) \
-            .reshape(-1, *kept.shape).swapaxes(0, 1)
-    if not positive.all():
-        runs = np.cumsum(kept) - kept.ravel()
-        values[:, ~positive] = _power_means(log_f2[keep], runs, qs[~positive]) \
-            .reshape(-1, *kept.shape).swapaxes(0, 1)
-    np.subtract(counts, kept, out=excluded)
+        Y = profile(x[first[rows, None] + np.arange(N)])
+        if table is not None:
+            f2 = table[cells + first[rows, None]]
+        else:
+            f2 = np.array([np.concatenate([segment_variances(y, int(s), config.detrend_order)
+                                           for s in scales]) for y in Y])
+        roundoff = (scales * (np.finfo(float).eps * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
+        keep = f2 > np.repeat(roundoff, counts, axis=1)
+        kept = np.add.reduceat(keep, np.cumsum(counts) - counts, axis=1, dtype=np.intp)
+        excluded[rows] = counts - kept
+        ok = (kept > 0).all(axis=1)
+        if not windowed and not ok[0]:
+            raise NumericError(f"all segments have zero variance at scale s = "
+                               f"{scales[np.argmin(kept[0])]}")
+        if not ok.all():
+            f2, keep, kept = f2[ok], keep[ok], kept[ok]
+        with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a q > 0 sum
+            log_f2 = np.log(f2, out=f2)
+        # _power_means over the windows laid end to end: one run per (window,
+        # scale), of every segment for q > 0 and of the kept ones otherwise
+        out = np.empty((len(qs), *kept.shape))
+        for group, terms, n in ((qs > 0, log_f2, np.broadcast_to(counts, kept.shape)),
+                                (qs <= 0, log_f2[keep], kept)):
+            if group.any():
+                out[group] = _power_means(terms.ravel(), np.cumsum(n) - n.ravel(), qs[group]) \
+                    .reshape(np.count_nonzero(group), *kept.shape)
+        values[rows[ok]] = out.swapaxes(0, 1)
+    if not windowed:
+        values, excluded = values[0], excluded[0]
+    return FluctuationSurface(q_values=qs, scales=scales, values=values, series_length=len(x),
+                              config=config, excluded_segments=excluded)
 
 
 def generalized_hurst(surface: FluctuationSurface) -> GHECurve:
     """h(q) as the OLS slope of log F_q(s) vs log s over the fit range.
 
     The fit range is the config's, or every scale when it sets none. Slope,
-    its standard error and r^2 for every q, and every row of a stacked
-    surface, come from one array pass.
+    its standard error and r^2 for every q, and every window of a windowed
+    surface, come from one array pass; a window of NaN values gets NaN.
     """
     fit_range = surface.config.fit_range
     if fit_range is None:
@@ -400,13 +379,7 @@ def generalized_hurst(surface: FluctuationSurface) -> GHECurve:
     if k < 3:
         raise NumericError(f"fewer than 3 scales inside fit range {fit_range}")
     log_s = np.log(surface.scales[mask].astype(float))
-    # each (q, k) block column-major, the layout a 2-D values[:, mask] copy
-    # has: the matrix-vector product's summation order, and so a row's
-    # bits, depend on it
-    v = surface.values
-    log_f = np.empty((*v.shape[:-2], k, v.shape[-2])).swapaxes(-1, -2)
-    np.compress(mask, v, axis=-1, out=log_f)
-    np.log(log_f, out=log_f)
+    log_f = np.log(surface.values[..., mask])
     sx = log_s - log_s.sum() / k
     sy = log_f - log_f.sum(axis=-1, keepdims=True) / k
     sxx = sx @ sx

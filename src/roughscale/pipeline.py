@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -14,7 +14,8 @@ from . import __version__
 from .errors import DataError, NumericError
 from .market_data import (TickSeries, intraday_log_returns, resample_prices,
                           samples_per_day, trade_index)
-from .mfdfa import SCALE_MIN, MfdfaConfig, fluctuation_function, generalized_hurst
+from .mfdfa import (SCALE_MIN, GHECurve, MfdfaConfig, default_scales, fluctuation_function,
+                    generalized_hurst)
 from .multifractal_metrics import delta_h, taylor_b1
 from .realized_volatility import RVSeries, compute_daily_rv, log_increments
 from .scaling import AnsatzFit, FrequencySweep, divisors_of_1440, fit_ansatz
@@ -79,19 +80,19 @@ def build_rv_by_delta(ticks: TickSeries, deltas: list[int],
     return out
 
 
-def _window_slices(rv: RVSeries, ordinals: np.ndarray, starts: np.ndarray,
-                   window_days: int) -> Iterator[tuple[int, np.ndarray] | None]:
-    """One delta's share of every window, in window order.
+def _delta_column(rv: RVSeries, ordinals: np.ndarray, starts: np.ndarray, window_days: int,
+                  reference: bool, detrend_order: int) -> tuple[np.ndarray, list]:
+    """One delta's share of every window: its zero-RV days, and the MFDFA of
+    its series as (h(2), its stderr, zero-variance segments, h(q) curve), or
+    None when the series is shorter than MIN_WINDOW_SERIES. Only the
+    reference delta gets a curve, over the default q grid.
 
-    `ordinals` are the proleptic ordinals of `rv.dates`, as are `starts`.
-
-    Log-increments are taken once over the full span. A window is the index
-    range [i0, i1) of its days, and its series is the run of full-span
-    increments between those days: exactly the increments the window's own
-    `log_increments` would keep, since one that bridges a zero-RV day is
-    dropped either way and none crosses the window's edges. Yields None when
-    the window holds fewer than 2 days, else (dropped_days, series). Every
-    window's bounds are found here, so only the increments outlive the call.
+    `ordinals` are the proleptic ordinals of `rv.dates`, as are `starts`. A
+    window's series is the run of full-span log-increments between its days:
+    exactly those its own `log_increments` would keep, since one that
+    bridges a zero-RV day is dropped either way and none crosses the
+    window's edges. Windows whose series share a default scale grid take one
+    `fluctuation_function` call; a failed MFDFA gives a NaN h(2).
     """
     try:
         incr = log_increments(rv, zero_policy="drop").values
@@ -102,61 +103,55 @@ def _window_slices(rv: RVSeries, ordinals: np.ndarray, starts: np.ndarray,
     zeros = np.concatenate([[0], np.cumsum(~usable)])
     lo = np.searchsorted(ordinals, starts)
     hi = np.searchsorted(ordinals, starts + window_days)
-    bounds = zip((hi - lo).tolist(), (zeros[hi] - zeros[lo]).tolist(),
-                 kept[lo].tolist(), kept[hi - 1].tolist())
-    return (None if days < 2 else (dropped, incr[i0:i1])
-            for days, dropped, i0, i1 in bounds)
+    days = (hi - lo) >= 2
+    first = kept.take(lo, mode="clip")
+    length = np.where(days, kept.take(hi - 1, mode="clip") - first, 0)
+    by_grid: dict[tuple[int, ...], list[int]] = {}
+    for n in np.unique(length[length >= MIN_WINDOW_SERIES]).tolist():
+        by_grid.setdefault(tuple(default_scales(n).tolist()), []).append(n)
+    results: list[tuple | None] = [None] * len(starts)
+    for lengths in by_grid.values():
+        rows = np.flatnonzero(np.isin(length, lengths))
+        surface = fluctuation_function(
+            incr, MfdfaConfig.for_series(lengths[0], detrend_order, None if reference else [2.0]),
+            first[rows], length[rows])
+        curve = generalized_hurst(surface)
+        i = curve.index(2.0)
+        for r, h, se, r2, excluded in zip(rows.tolist(), curve.h_values, curve.stderr, curve.r2,
+                                          surface.excluded_segments.sum(axis=1).tolist()):
+            results[r] = (float(h[i]), float(se[i]), excluded,
+                          GHECurve(curve.q_values, h, se, r2, curve.fit_range) if reference else None)
+    return np.where(days, zeros[hi] - zeros[lo], 0), results
 
 
-def _window_report(start: dt.date, end: dt.date,
-                   slices: Iterable[tuple[int, tuple[int, np.ndarray] | None]],
-                   reference_delta: int, detrend_order: int,
-                   exclude_deltas: list[int]) -> WindowReport:
-    """One window's step: MFDFA of every delta, then the ansatz fit and metrics.
+def _window_report(start: dt.date, end: dt.date, dropped_days: int, cells: Iterable[tuple],
+                   reference_delta: int, exclude_deltas: list[int]) -> WindowReport:
+    """One window's report from its deltas' MFDFA results, then the ansatz fit.
 
-    `slices` pairs each delta, in order, with its `_window_slices` entry. A
-    delta with fewer than MIN_WINDOW_SERIES increments is listed in
-    `short_deltas`. The reference delta gets h(q) over the default q grid
-    from a call of its own; the others get h(2) alone, from one call per
-    series length on the stack of that length's series.
+    `cells` pairs each delta, in order, with its `_delta_column` result for
+    the window. A delta with no result is listed in `short_deltas`, and one
+    whose MFDFA failed in `mfdfa_failed_deltas`.
     """
     report = WindowReport(window_start=start, window_end=end,
                           reference_delta=reference_delta,
                           reference_n=samples_per_day(reference_delta))
-    dropped_days = 0
     short_deltas = []
-    by_length: dict[int, dict[int, np.ndarray]] = {}
-    for delta, cut in slices:
-        dropped, series = cut or (0, ())
-        dropped_days += dropped
-        if len(series) < MIN_WINDOW_SERIES:
-            short_deltas.append(delta)
-        elif delta == reference_delta:
-            surface = fluctuation_function(series, MfdfaConfig.for_series(
-                len(series), detrend_order))
-            curve = generalized_hurst(surface)
-            i = curve.index(2.0)
-            report.h2_by_delta[delta] = float(curve.h_values[i])
-            report.h2_stderr_by_delta[delta] = float(curve.stderr[i])
+    failed_deltas = []
+    for delta, result in cells:
+        if result is None or np.isnan(result[0]):
+            (failed_deltas if result else short_deltas).append(delta)
+            continue
+        report.h2_by_delta[delta], report.h2_stderr_by_delta[delta], excluded, curve = result
+        if delta == reference_delta:
             report.curve_q = curve.q_values.tolist()
             report.curve_h = curve.h_values.tolist()
-            report.diagnostics["zero_variance_segments"] = int(surface.excluded_segments.sum())
+            report.diagnostics["zero_variance_segments"] = excluded
             report.delta_h3 = delta_h(curve, 3.0)
             report.b0, report.b1 = taylor_b1(curve, 3.0)
-        else:
-            by_length.setdefault(len(series), {})[delta] = series
-    for length, group in by_length.items():
-        curve = generalized_hurst(fluctuation_function(
-            np.stack(list(group.values())),
-            MfdfaConfig.for_series(length, detrend_order, [2.0])))
-        report.h2_by_delta.update(zip(group, curve.h_values[:, 0].tolist()))
-        report.h2_stderr_by_delta.update(zip(group, curve.stderr[:, 0].tolist()))
-    # in delta order, as the sweep below and the report's readers take them
-    report.h2_by_delta = dict(sorted(report.h2_by_delta.items()))
-    report.h2_stderr_by_delta = dict(sorted(report.h2_stderr_by_delta.items()))
     report.diagnostics["dropped_days"] = dropped_days
-    if short_deltas:
-        report.diagnostics["short_deltas"] = short_deltas
+    for key, listed in (("short_deltas", short_deltas), ("mfdfa_failed_deltas", failed_deltas)):
+        if listed:
+            report.diagnostics[key] = listed
     if not report.h2_by_delta:
         report.reason = "insufficient_data"
         return report
@@ -196,10 +191,11 @@ def run_rolling(data: Mapping[int, RVSeries], rolling: RollingSpec,
     one from ticks, and synthetic oracles pass their own (perfbench's tracer
     reads the mapping by this parameter's name). Each key must be a positive
     divisor of 1440 equal to its series' `delta_minutes`, else ValueError
-    before any MFDFA runs. Windows advance by `rolling.step_days`; each is
-    one `_window_report` step. `workers` is accepted and has no effect: a
-    thread pool over the deltas was slower than one thread on every input
-    measured.
+    before any MFDFA runs. Windows advance by `rolling.step_days`; each
+    delta's MFDFA covers them all at once (`_delta_column`), and
+    `_window_report` assembles each window. `workers` is accepted and has no
+    effect: a thread pool over the deltas was slower than one thread on every
+    input measured.
     """
     for delta, rv in data.items():
         samples_per_day(delta)
@@ -224,14 +220,21 @@ def run_rolling(data: Mapping[int, RVSeries], rolling: RollingSpec,
     for rv in data.values():
         if id(rv.dates) not in ordinals:
             ordinals[id(rv.dates)] = np.array([d.toordinal() for d in rv.dates], dtype=np.int64)
-    by_delta = {d: _window_slices(data[d], ordinals[id(data[d].dates)], starts,
-                                  rolling.window_days) for d in sorted(data)}
+    deltas = sorted(data)
+    dropped = np.zeros(count, dtype=np.int64)
+    columns = []
+    for delta in deltas:
+        lost, results = _delta_column(data[delta], ordinals[id(data[delta].dates)], starts,
+                                      rolling.window_days, delta == reference_delta,
+                                      detrend_order)
+        dropped += lost
+        columns.append(results)
     reports = []
-    for i, window in enumerate(zip(*by_delta.values())):
+    for i, (lost, window) in enumerate(zip(dropped.tolist(), zip(*columns))):
         start = first + dt.timedelta(days=i * rolling.step_days)
         reports.append(_window_report(start, start + dt.timedelta(days=rolling.window_days),
-                                      zip(by_delta, window), reference_delta,
-                                      detrend_order, exclude_deltas or []))
+                                      lost, zip(deltas, window), reference_delta,
+                                      exclude_deltas or []))
     return reports
 
 

@@ -36,9 +36,9 @@ def test_rolling_workload_call_is_accepted():
     assert len(reports) == 2 and v["pipeline.windows"] == 4
     assert [r.to_dict() for r in by_name] == [r.to_dict() for r in reports]
     assert all(len(r.h2_by_delta) == DELTAS for r in reports)
-    # per window one call for the reference delta and one for the stack of the
-    # others: a flat day is flat at every delta, so their series share a length
-    assert v["mfdfa.fluctuation_function_calls"] == 2 * 4
+    # per run one call per delta: a flat day is flat at every delta, so each
+    # delta's windows hold series of one length
+    assert v["mfdfa.fluctuation_function_calls"] == 2 * DELTAS
 
 
 def test_traced_cli_workload_keeps_its_probes(tmp_path):

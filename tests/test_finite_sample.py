@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -40,6 +41,17 @@ class TestDensity:
         # libraries that each round them within an ulp can differ by 4 ulps of it
         rtol = 1e-13 + 4 * np.spacing(abs(gammaln(n / 2.0)))
         np.testing.assert_allclose(density(FiniteSampleLaw(n), xs), want, rtol=rtol)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 59, 60, 288, 1440, 10 ** 5, 10 ** 6])
+    def test_constant_matches_50_digit_log_gamma(self, n):
+        # the density at 0 is C_n itself; 59 and 60 straddle the switch from
+        # the closed form to the asymptotic series
+        with mpmath.workdps(50):
+            want = float(mpmath.exp(mpmath.loggamma(mpmath.mpf(n) / 2)
+                                    - mpmath.loggamma(mpmath.mpf(n - 1) / 2)
+                                    - mpmath.log(mpmath.pi * n) / 2))
+        assert density(FiniteSampleLaw(n), 0.0) == pytest.approx(want, rel=4 * np.finfo(float).eps,
+                                                                 abs=0)
 
     @pytest.mark.parametrize("n", [3, 10, 288, 1440])
     def test_normalization(self, n):

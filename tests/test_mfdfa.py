@@ -239,15 +239,41 @@ class TestConfigValidation:
             config.validate_length(100)
 
 
-def reference_surface(series, config):
+def local_variances(x, s, m=1, starts=None):
+    """segment_variances of profile(x) at scale s, each segment projected from
+    its own profile: the running sum of its s-1 increments minus the first.
+
+    A fit of order m >= 1 sees no line, so in exact arithmetic these are
+    profile(x)'s segment variances; each is computed at the magnitude of its
+    own increments, where profile(x) carries the roundoff of a running sum
+    over the whole series (1e-11 relative and worse on trends and offsets).
+    The segments start at `starts`, by default those of `segment_variances`;
+    laid end to end, they are the forward segments of one
+    `segment_variances` call.
+    """
+    N = len(x)
+    n = N // s
+    if starts is None:
+        starts = np.r_[np.arange(n) * s, N - n * s + np.arange(n) * s]
+    inc = x[np.asarray(starts)[:, None] + np.arange(1, s)]
+    seg = np.zeros((len(inc), s))
+    seg[:, 1:] = np.cumsum(inc - inc[:, :1], axis=1)
+    return segment_variances(seg.ravel(), s, m)[:len(inc)]
+
+
+def reference_surface(series, config, local=False):
     """F_q(s) and exclusion counts by the per-scale loop: one
-    `segment_variances` call per scale and the power mean (F^2)^(q/2) per q."""
-    Y = profile(series)
+    `segment_variances` call per scale, on profile(x) or, when `local`, on
+    each segment's own profile (`local_variances`), and the power mean
+    (F^2)^(q/2) per q."""
+    x = np.asarray(series, dtype=float)
+    Y = profile(x)
     roundoff = (config.scales * (np.finfo(float).eps * np.max(np.abs(Y)))) ** 2
     values = np.empty((len(config.q_values), len(config.scales)))
     excluded = np.zeros(len(config.scales), dtype=int)
     for j, s in enumerate(config.scales):
-        f2 = segment_variances(Y, int(s), config.detrend_order)
+        f2 = (local_variances(x, int(s), config.detrend_order) if local
+              else segment_variances(Y, int(s), config.detrend_order))
         positive = f2[f2 > roundoff[j]]
         excluded[j] = len(f2) - len(positive)
         if len(positive) == 0:
@@ -261,11 +287,33 @@ def reference_surface(series, config):
     return values, excluded
 
 
-@st.composite
-def awkward_series(draw):
-    """Noise with constant and two-level blocks, strong trends, large offsets
-    and zero stretches; scales reach N/4 and q reaches +-3."""
-    n = draw(st.integers(40, 600))
+def own_table(x, scales):
+    """The order-1 table of the series x with its own segments' cells in use,
+    and those cells in `segment_variances`' order."""
+    (_, _, cells), = mfdfa._window_passes(np.zeros(1, dtype=np.intp), np.array([len(x)]),
+                                          scales, len(x))
+    used = np.zeros(len(scales) * len(x), dtype=bool)
+    used[cells] = True
+    return mfdfa._order1_table(x, scales, used), cells
+
+
+def assert_same_variances(got, want, x, s):
+    """Equal to 1e-12 relative, or both at most the zero-variance roundoff
+    (s * eps * max|Y|)^2 that `fluctuation_function` excludes; s holds each
+    variance's scale."""
+    roundoff = (s * (np.finfo(float).eps * np.abs(profile(x)).max())) ** 2
+    real = (got > roundoff) | (want > roundoff)
+    np.testing.assert_allclose(got[real], want[real], rtol=1e-12, atol=0)
+
+
+def each_scale(N, scales):
+    """The scale of each segment of a series of N points."""
+    return np.repeat(scales, 2 * (N // scales))
+
+
+def _awkward_values(draw, n):
+    """n points of noise with constant and two-level blocks, strong trends,
+    large offsets and zero stretches."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
     t = np.arange(n)
@@ -281,31 +329,52 @@ def awkward_series(draw):
             x[a:b] += draw(st.sampled_from([0.01, 1.0, 100.0])) * t[a:b]
         else:
             x[a:b] = 0.0
-    x += draw(st.sampled_from([0.0, 1e6, -3.5e6]))
+    return x + draw(st.sampled_from([0.0, 1e6, -3.5e6]))
+
+
+def _awkward_config(draw, n):
+    """Scales reaching n/4 and q reaching +-3."""
     top = n // 4
     lo = draw(st.integers(3, max(3, top // 4)))
     scales = np.unique(np.r_[np.geomspace(lo, top, draw(st.integers(3, 8))).astype(int), top])
     q = draw(st.lists(st.sampled_from([-3.0, -2.0, -0.5, 0.0, 0.5, 2.0, 3.0]),
                       min_size=1, max_size=4, unique=True))
-    return x, MfdfaConfig(q_values=np.sort(q), scales=scales)
+    return MfdfaConfig(q_values=np.sort(q), scales=scales)
+
+
+@st.composite
+def awkward_series(draw):
+    """An awkward series of 40 to 600 points and a config for it."""
+    n = draw(st.integers(40, 600))
+    return _awkward_values(draw, n), _awkward_config(draw, n)
+
+
+@st.composite
+def awkward_windows(draw):
+    """An awkward span, and windows of it of one or two lengths with a config
+    that serves both."""
+    n = draw(st.integers(40, 600))
+    x = _awkward_values(draw, n)
+    N = draw(st.integers(40, n))
+    lengths = draw(st.lists(st.sampled_from([N, max(40, N - 3)]), min_size=1, max_size=6))
+    starts = [draw(st.integers(0, n - length)) for length in lengths]
+    return x, np.array(starts), np.array(lengths), _awkward_config(draw, min(lengths))
 
 
 class TestPrefixPathMatchesReference:
-    """Order-1 detrending from running sums against the per-scale projection."""
+    """Order-1 variances from the table over a series' running sums against
+    the per-segment projection."""
 
     @settings(max_examples=200, deadline=None)
     @given(awkward_series())
     @example((np.full(200, 7.5), MfdfaConfig(q_values=[-3.0, 2.0], scales=[10, 20, 40])))
     def test_equal_to_reference(self, case):
         x, config = case
-        Y = profile(x)
-        f2, counts = mfdfa._order1_variances(Y, config.scales)
-        ends = np.cumsum(counts)
-        for s, stop, count in zip(config.scales, ends, counts):
-            want = segment_variances(Y, int(s), 1)
-            np.testing.assert_allclose(f2[stop - count:stop], want, rtol=1e-12, atol=0)
+        table, cells = own_table(x, config.scales)
+        want = np.concatenate([local_variances(x, int(s)) for s in config.scales])
+        assert_same_variances(table[cells], want, x, each_scale(len(x), config.scales))
         try:
-            want, excluded = reference_surface(x, config)
+            want, excluded = reference_surface(x, config, local=True)
         except NumericError as exc:
             with pytest.raises(NumericError, match=str(exc)):
                 fluctuation_function(x, config)
@@ -315,66 +384,31 @@ class TestPrefixPathMatchesReference:
         np.testing.assert_allclose(surface.values, want, rtol=1e-12, atol=0)
 
 
-def _profiles_that_trip_the_guard():
-    rng = np.random.default_rng(0)
-    roundoff = profile(np.concatenate([np.full(4000, 0.3), np.full(4000, -0.2),
-                                       rng.standard_normal(2000)]))
-    linear = np.concatenate([2.0 + 0.5 * np.arange(400.0),
-                             202.0 + np.cumsum(rng.standard_normal(400))])
-    two_level = profile(np.repeat(np.tile([0.75, 1.25], 20), 50)
-                        + np.r_[np.zeros(1000), rng.standard_normal(1000)])[:1600]
-    return {"roundoff": roundoff, "linear": linear, "two_level": two_level}
+class TestWindows:
+    """A windowed call gives every window what it gets as a series alone."""
 
+    @settings(max_examples=200, deadline=None)
+    @given(awkward_windows())
+    def test_each_window_as_alone(self, case):
+        x, starts, lengths, config = case
+        surface = fluctuation_function(x, config, starts, lengths)
+        curve = generalized_hurst(surface)
+        assert surface.values.shape == (len(starts), len(config.q_values), len(config.scales))
+        for w, (i0, n) in enumerate(zip(starts, lengths)):
+            try:
+                alone = fluctuation_function(x[i0:i0 + n], config)
+            except NumericError:
+                assert np.isnan(surface.values[w]).all() and np.isnan(curve.h_values[w]).all()
+                continue
+            np.testing.assert_array_equal(surface.excluded_segments[w], alone.excluded_segments)
+            np.testing.assert_allclose(surface.values[w], alone.values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(curve.h_values[w], generalized_hurst(alone).h_values,
+                                       rtol=1e-12, atol=1e-14)
 
-class TestGuard:
-    @pytest.mark.parametrize("name", ["roundoff", "linear", "two_level"])
-    def test_tripped_scale_is_the_projection(self, name):
-        Y = _profiles_that_trip_the_guard()[name]
-        scales = default_scales(len(Y))
-        with mock.patch.object(mfdfa, "segment_variances",
-                               wraps=segment_variances) as fallback:
-            f2, counts = mfdfa._order1_variances(Y, scales)
-        tripped = [call.args[1] for call in fallback.call_args_list]
-        assert scales[0] in tripped
-        ends = np.cumsum(counts)
-        for s, stop, count in zip(scales, ends, counts):
-            if s in tripped:
-                assert np.array_equal(f2[stop - count:stop], segment_variances(Y, int(s), 1))
-
-    def test_stationary_profile_takes_no_fallback(self):
-        # increments of a stationary series, like the daily log-RV increments
-        # of one rolling window
-        Y = profile(np.diff(np.random.default_rng(1).standard_normal(2901)))
-        with mock.patch.object(mfdfa, "segment_variances") as fallback:
-            mfdfa._order1_variances(Y, default_scales(len(Y)))
-        fallback.assert_not_called()
-
-    def test_order_2_never_takes_the_prefix_path(self):
-        x = np.random.default_rng(2).standard_normal(1000)
-        config = MfdfaConfig(q_values=[-2.0, 2.0], scales=default_scales(1000),
-                             detrend_order=2)
-        with mock.patch.object(mfdfa, "_order1_variances",
-                               side_effect=AssertionError("prefix path")):
-            surface = fluctuation_function(x, config)
-        want, _ = reference_surface(x, config)
-        np.testing.assert_allclose(surface.values, want, rtol=1e-12)
-
-    def test_narrow_longdouble_projects_every_scale(self):
-        # where longdouble is float64 the running sums cannot carry the
-        # cancellation, so no scale takes them
-        real = np.finfo
-
-        def narrow(dtype):
-            return real(float) if dtype is np.longdouble else real(dtype)
-
-        x = np.random.default_rng(3).standard_normal(1000)
-        config = MfdfaConfig(q_values=[-2.0, 2.0], scales=default_scales(1000))
-        with mock.patch("numpy.finfo", narrow), \
-                mock.patch.object(mfdfa, "_order1_variances",
-                                  side_effect=AssertionError("prefix path")):
-            surface = fluctuation_function(x, config)
-        want, _ = reference_surface(x, config)
-        np.testing.assert_allclose(surface.values, want, rtol=1e-12)
+    def test_windows_must_lie_in_the_series(self):
+        config = MfdfaConfig.for_series(100)
+        with pytest.raises(DataError, match="a window leaves the series of 200 points"):
+            fluctuation_function(np.ones(200), config, [0, 101], 100)
 
 
 def _stack_rows(n):
@@ -396,39 +430,123 @@ def _stack_rows(n):
 
 
 class TestStackedRows:
-    """A (rows, N) stack gives every row the bits it gets as a series alone."""
+    """Series laid end to end: each, as a window of that span, gives what it
+    gives alone."""
 
     @pytest.mark.parametrize("order,q_values", [(1, None), (1, [2.0]), (2, None)])
     def test_each_row_as_alone(self, order, q_values):
+        # five rows to a span, within the order-1 table's length cap, and
+        # windows every quarter row: more than one pass of windows
         stack = _stack_rows(1600)
-        assert len(stack) > mfdfa._PASS_POINTS // stack.shape[1]  # several passes
-        config = MfdfaConfig.for_series(stack.shape[1], order, q_values)
-        with mock.patch.object(mfdfa, "segment_variances",
-                               wraps=segment_variances) as fallback:
-            surface = fluctuation_function(stack, config)
-        assert fallback.call_count > 0  # the guard tripped (every scale at order 2)
-        curve = generalized_hurst(surface)
-        assert surface.values.shape == (len(stack), len(config.q_values), len(config.scales))
-        assert curve.h_values.shape == (len(stack), len(config.q_values))
-        assert surface.excluded_segments[5].sum() > 0  # the constant stretch
-        for r, x in enumerate(stack):
-            alone = fluctuation_function(x, config)
-            alone_curve = generalized_hurst(alone)
-            assert np.array_equal(surface.values[r], alone.values)
-            assert np.array_equal(surface.excluded_segments[r], alone.excluded_segments)
-            assert np.array_equal(curve.h_values[r], alone_curve.h_values)
-            assert np.array_equal(curve.stderr[r], alone_curve.stderr)
-            assert np.array_equal(curve.r2[r], alone_curve.r2)
+        n = stack.shape[1]
+        config = MfdfaConfig.for_series(n, order, q_values)
+        starts = np.arange(0, 4 * n + 1, n // 4)
+        assert len(starts) > mfdfa._PASS_POINTS // n
+        fallback = "_local_variances" if order == 1 else "segment_variances"
+        with mock.patch.object(mfdfa, fallback, wraps=getattr(mfdfa, fallback)) as spy:
+            for k, rows in enumerate((stack[:5], stack[5:10], stack[9:])):
+                span = rows.ravel()
+                surface = fluctuation_function(span, config, starts, n)
+                curve = generalized_hurst(surface)
+                assert surface.values.shape == (len(starts), len(config.q_values),
+                                                len(config.scales))
+                assert curve.h_values.shape == (len(starts), len(config.q_values))
+                for w, i0 in enumerate(starts):
+                    alone = fluctuation_function(span[i0:i0 + n], config)
+                    alone_curve = generalized_hurst(alone)
+                    np.testing.assert_array_equal(surface.excluded_segments[w],
+                                                  alone.excluded_segments)
+                    np.testing.assert_allclose(surface.values[w], alone.values,
+                                               rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(curve.h_values[w], alone_curve.h_values,
+                                               rtol=1e-12, atol=1e-15)
+                    np.testing.assert_allclose(curve.stderr[w], alone_curve.stderr, rtol=1e-10)
+                if k == 1:
+                    assert surface.excluded_segments[0].sum() > 0  # the constant stretch
+        assert spy.call_count > 0  # the guard tripped (every scale at order 2)
 
     def test_a_row_with_only_zero_variance_segments_raises(self):
-        stack = _stack_rows(1600)
-        stack[9] = 1.5  # constant: every segment of every scale has zero variance
-        with pytest.raises(NumericError, match="all segments have zero variance at scale"):
-            fluctuation_function(stack, MfdfaConfig.for_series(1600, q_values=[2.0]))
+        # alone; as a window of a span it gets NaN, and the other windows do not
+        stack = _stack_rows(1600)[:4]
+        stack[1] = 1.5  # constant: every segment of every scale has zero variance
+        for order in (1, 2):
+            config = MfdfaConfig.for_series(1600, order, [-2.0, 2.0])
+            with pytest.raises(NumericError,
+                               match="all segments have zero variance at scale s = 10"):
+                fluctuation_function(stack[1], config)
+            surface = fluctuation_function(stack.ravel(), config, 1600 * np.arange(4), 1600)
+            assert np.isnan(surface.values[1]).all()
+            assert not np.isnan(surface.values[[0, 2, 3]]).any()
+            assert (surface.excluded_segments[1] == 2 * (1600 // config.scales)).all()
+
+
+def _series_that_trip_the_guard():
+    rng = np.random.default_rng(0)
+    roundoff = np.concatenate([np.full(4000, 0.3), np.full(4000, -0.2),
+                               rng.standard_normal(2000)])
+    linear = np.diff(np.concatenate([2.0 + 0.5 * np.arange(400.0),
+                                     202.0 + np.cumsum(rng.standard_normal(400))]))
+    two_level = (np.repeat(np.tile([0.75, 1.25], 20), 50)
+                 + np.r_[np.zeros(1000), rng.standard_normal(1000)])[:1600]
+    return {"roundoff": roundoff, "linear": linear, "two_level": two_level}
+
+
+class TestGuard:
+    @pytest.mark.parametrize("name", ["roundoff", "linear", "two_level"])
+    def test_tripped_scale_is_the_projection(self, name):
+        # each tripped segment of the scale, and every other segment
+        x = _series_that_trip_the_guard()[name]
+        scales = default_scales(len(x))
+        with mock.patch.object(mfdfa, "_local_variances",
+                               wraps=mfdfa._local_variances) as fallback:
+            table, cells = own_table(x, scales)
+        tripped = [call.args[2] for call in fallback.call_args_list]
+        assert scales[0] in tripped
+        for _, at, s in (call.args for call in fallback.call_args_list):
+            got = table[list(scales).index(s) * len(x) + at]
+            assert_same_variances(got, local_variances(x, s, 1, at), x, s)
+        want = np.concatenate([local_variances(x, int(s)) for s in scales])
+        assert_same_variances(table[cells], want, x, each_scale(len(x), scales))
+
+    def test_stationary_profile_takes_no_fallback(self):
+        # increments of a stationary series, like the daily log-RV increments
+        # of one rolling window
+        x = np.diff(np.random.default_rng(1).standard_normal(2901))
+        with mock.patch.object(mfdfa, "_local_variances") as fallback:
+            own_table(x, default_scales(len(x)))
+        fallback.assert_not_called()
+
+    def test_order_2_never_takes_the_prefix_path(self):
+        x = np.random.default_rng(2).standard_normal(1000)
+        config = MfdfaConfig(q_values=[-2.0, 2.0], scales=default_scales(1000),
+                             detrend_order=2)
+        with mock.patch.object(mfdfa, "_order1_table",
+                               side_effect=AssertionError("table path")):
+            surface = fluctuation_function(x, config)
+        want, _ = reference_surface(x, config)
+        np.testing.assert_allclose(surface.values, want, rtol=1e-12)
+
+    def test_narrow_longdouble_projects_every_scale(self):
+        # where longdouble is float64 the running sums cannot carry the
+        # cancellation, so no segment takes them
+        real = np.finfo
+
+        def narrow(dtype):
+            return real(float) if dtype is np.longdouble else real(dtype)
+
+        x = np.random.default_rng(3).standard_normal(1000)
+        config = MfdfaConfig(q_values=[-2.0, 2.0], scales=default_scales(1000))
+        with mock.patch("numpy.finfo", narrow), \
+                mock.patch.object(mfdfa, "_order1_table",
+                                  side_effect=AssertionError("table path")):
+            surface = fluctuation_function(x, config)
+        want, _ = reference_surface(x, config)
+        np.testing.assert_allclose(surface.values, want, rtol=1e-12)
 
 
 class TestSeriesLength:
-    """The running sums' roundoff grows with N, so they serve short series."""
+    """The running sums' roundoff grows with the series' length, so they serve
+    series up to a cap."""
 
     @pytest.mark.parametrize("name", ["fgn_0.1", "fgn_0.3", "white", "offset", "trend"])
     def test_accurate_at_the_length_cap(self, name):
@@ -439,23 +557,20 @@ class TestSeriesLength:
              "white": lambda: rng.standard_normal(n),
              "offset": lambda: rng.standard_normal(n) + 1e6,
              "trend": lambda: rng.standard_normal(n) + 1e-2 * np.arange(n)}[name]()
-        Y = profile(x)
         scales = default_scales(n)
-        f2, counts = mfdfa._order1_variances(Y, scales)
-        ends = np.cumsum(counts)
-        for s, stop, count in zip(scales, ends, counts):
-            np.testing.assert_allclose(f2[stop - count:stop], segment_variances(Y, int(s), 1),
-                                       rtol=1e-12, atol=0)
+        table, cells = own_table(x, scales)
+        want = np.concatenate([local_variances(x, int(s)) for s in scales])
+        np.testing.assert_allclose(table[cells], want, rtol=1e-12, atol=0)
 
     def test_path_switches_above_the_cap(self):
         n = mfdfa._PREFIX_MAX_LENGTH
         x = np.random.default_rng(4).standard_normal(n + 1)
         for length, calls in [(n, 1), (n + 1, 0)]:
             config = MfdfaConfig(q_values=[2.0], scales=default_scales(length))
-            with mock.patch.object(mfdfa, "_order1_variances",
-                                   wraps=mfdfa._order1_variances) as prefix:
+            with mock.patch.object(mfdfa, "_order1_table",
+                                   wraps=mfdfa._order1_table) as table:
                 fluctuation_function(x[:length], config)
-            assert prefix.call_count == calls
+            assert table.call_count == calls
 
     @pytest.mark.parametrize("name", ["fgn_0.1", "white"])
     def test_long_series_match_the_reference(self, name):

@@ -203,7 +203,7 @@ def aggregate_fluctuation(f2: np.ndarray, q: float) -> float:
 _PREFIX_GUARD = 3e14
 _PROFILE_GUARD = 1e14
 
-# Longest series whose order-1 variances come from the running sums: against
+# Most points one table's running sums span (`_window_groups`): against
 # the per-segment projection, over fGn (H 0.05 to 0.85), white noise, offsets,
 # trends, steps and a sine, the worst relative error per segment was 4.0e-13
 # at 5113 points (the paper's 14-year span), 5.8e-13 at 8192, 2.7e-12 at 16384.
@@ -216,15 +216,31 @@ _PASS_POINTS = 16384
 _TABLE_CHUNK = 4096
 
 
-def _window_passes(first: np.ndarray, lengths: np.ndarray, scales: np.ndarray,
+def _window_groups(first: np.ndarray, lengths: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """The windows x[i0:i0+n] in runs of rising i0 whose extent, from the
+    run's first start to its last end, is at most _PREFIX_MAX_LENGTH points,
+    as (lo, hi, window indices); a window longer than that is a run alone."""
+    starts, ends = first.tolist(), (first + lengths).tolist()
+    groups: list[list] = []
+    for w in np.argsort(first, kind="stable").tolist():
+        if groups and max(groups[-1][1], ends[w]) - groups[-1][0] <= _PREFIX_MAX_LENGTH:
+            groups[-1][1] = max(groups[-1][1], ends[w])
+            groups[-1][2].append(w)
+        else:
+            groups.append([starts[w], ends[w], [w]])
+    return [(lo, hi, np.array(index)) for lo, hi, index in groups]
+
+
+def _window_passes(index: np.ndarray, lengths: np.ndarray, scales: np.ndarray,
                    L: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """The windows x[i0:i0+n] of a series of L points in passes of one length
-    n and about _PASS_POINTS points: (window indices, n, cells). A window's
-    segments, in `segment_variances`' order, are the flat indices j * L + g
-    (scale j, start g) of its cells plus i0."""
+    """The windows `index`, of the given lengths, in a table over L points, in
+    passes of one length n and about _PASS_POINTS points: (window indices, n,
+    cells). A window's segments, in `segment_variances`' order, are the flat
+    indices j * L + g (scale j, start g) of its cells plus its start in the
+    table."""
     passes = []
     for n in np.unique(lengths).tolist():
-        index = np.flatnonzero(lengths == n)
+        chosen = index[lengths == n]
         counts = 2 * (n // scales)
         k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         m, s = np.repeat(n // scales, counts), np.repeat(scales, counts)
@@ -232,7 +248,7 @@ def _window_passes(first: np.ndarray, lengths: np.ndarray, scales: np.ndarray,
         cells = np.repeat(np.arange(len(scales)) * L, counts) + (k - m * backward) * s \
             + backward * (n - m * s)
         step = max(1, _PASS_POINTS // n)
-        passes += [(index[w0:w0 + step], n, cells) for w0 in range(0, len(index), step)]
+        passes += [(chosen[w0:w0 + step], n, cells) for w0 in range(0, len(chosen), step)]
     return passes
 
 
@@ -292,6 +308,28 @@ def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray) -> np.nda
     return table
 
 
+def _window_variances(x: np.ndarray, first: np.ndarray, lengths: np.ndarray,
+                      scales: np.ndarray, order: int):
+    """Each pass of the windows x[i0:i0+n]: (window indices, their profiles,
+    their segment variances in `segment_variances`' order). Order 1 takes
+    the variances from one table per `_window_groups` run that fits the cap;
+    the rest are projected window by window."""
+    tabled = order == 1 and np.finfo(np.longdouble).eps < np.finfo(float).eps
+    for lo, hi, group in _window_groups(first, lengths):
+        at = first - lo  # each window's start in the run's span x[lo:hi]
+        passes = _window_passes(group, lengths[group], scales, hi - lo)
+        table = None
+        if tabled and hi - lo <= _PREFIX_MAX_LENGTH:
+            used = np.zeros(len(scales) * (hi - lo), dtype=bool)
+            for rows, _, cells in passes:
+                used[cells + at[rows, None]] = True
+            table = _order1_table(x[lo:hi], scales, used)
+        for rows, n, cells in passes:
+            Y = profile(x[first[rows, None] + np.arange(n)])
+            yield rows, Y, (table[cells + at[rows, None]] if table is not None else np.array(
+                [np.concatenate([segment_variances(y, int(s), order) for s in scales]) for y in Y]))
+
+
 def fluctuation_function(series, config: MfdfaConfig, starts=None,
                          lengths=None) -> FluctuationSurface:
     """F_q(s) over the configured (q, s) grid, of one series or, given
@@ -301,11 +339,12 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     (s * eps * max|Y|)^2 for the window's own profile Y (the roundoff its
     detrending leaves where the series is constant), are excluded from q < 0
     sums and the log-average, with counts reported per scale. Order-1
-    detrending of a series of at most _PREFIX_MAX_LENGTH points takes every
-    window's segments from one table (`_order1_table`); longer series, higher
-    orders, and every order where longdouble is no wider than float64,
-    project each window scale by scale. A scale whose every segment is
-    zero-variance raises NumericError for a series and gives a window NaN.
+    detrending takes the segments of windows whose extent spans at most
+    _PREFIX_MAX_LENGTH points from one table over that extent
+    (`_order1_table`); a longer window, higher orders, and every order where
+    longdouble is no wider than float64, project each window scale by scale.
+    A scale whose every segment is zero-variance raises NumericError for a
+    series and gives a window NaN.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -318,24 +357,10 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
         raise DataError(f"a window leaves the series of {len(x)} points")
     qs = config.q_values
     scales = config.scales
-    passes = _window_passes(first, lengths, scales, len(x))
-    table = None
-    if (config.detrend_order == 1 and len(x) <= _PREFIX_MAX_LENGTH
-            and np.finfo(np.longdouble).eps < np.finfo(float).eps):
-        used = np.zeros(len(scales) * len(x), dtype=bool)
-        for rows, _, cells in passes:
-            used[cells + first[rows, None]] = True
-        table = _order1_table(x, scales, used)
     values = np.full((len(first), len(qs), len(scales)), np.nan)
     excluded = np.empty((len(first), len(scales)), dtype=np.intp)
-    for rows, N, cells in passes:
-        counts = 2 * (N // scales)
-        Y = profile(x[first[rows, None] + np.arange(N)])
-        if table is not None:
-            f2 = table[cells + first[rows, None]]
-        else:
-            f2 = np.array([np.concatenate([segment_variances(y, int(s), config.detrend_order)
-                                           for s in scales]) for y in Y])
+    for rows, Y, f2 in _window_variances(x, first, lengths, scales, config.detrend_order):
+        counts = 2 * (Y.shape[1] // scales)
         roundoff = (scales * (np.finfo(float).eps * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
         keep = f2 > np.repeat(roundoff, counts, axis=1)
         kept = np.add.reduceat(keep, np.cumsum(counts) - counts, axis=1, dtype=np.intp)

@@ -458,9 +458,10 @@ class TestStackedRows:
                                                   alone.excluded_segments)
                     np.testing.assert_allclose(surface.values[w], alone.values,
                                                rtol=1e-12, atol=0)
-                    np.testing.assert_allclose(curve.h_values[w], alone_curve.h_values,
-                                               rtol=1e-12, atol=1e-15)
-                    np.testing.assert_allclose(curve.stderr[w], alone_curve.stderr, rtol=1e-10)
+                    for got, want in ((curve.h_values, alone_curve.h_values),
+                                      (curve.stderr, alone_curve.stderr),
+                                      (curve.r2, alone_curve.r2)):
+                        np.testing.assert_allclose(got[w], want, rtol=1e-12, atol=1e-15)
                 if k == 1:
                     assert surface.excluded_segments[0].sum() > 0  # the constant stretch
         assert spy.call_count > 0  # the guard tripped (every scale at order 2)
@@ -571,6 +572,25 @@ class TestSeriesLength:
                                    wraps=mfdfa._order1_table) as table:
                 fluctuation_function(x[:length], config)
             assert table.call_count == calls
+
+    def test_windows_of_a_longer_span_take_tables(self):
+        # one table per run of windows whose extent fits under the cap; only
+        # a window longer than the cap is projected
+        n = mfdfa._PREFIX_MAX_LENGTH
+        x = np.diff(np.random.default_rng(12).standard_normal(n + 2))
+        inside = np.arange(0, n - 2000, 500)
+        config = MfdfaConfig.for_series(2000)
+        for starts, tables in [(inside, 1), (np.r_[inside, n + 1 - 2000], 2)]:
+            with mock.patch.object(mfdfa, "_order1_table",
+                                   wraps=mfdfa._order1_table) as table:
+                surface = fluctuation_function(x, config, starts, 2000)
+            assert table.call_count == tables
+            assert all(len(call.args[0]) <= n for call in table.call_args_list)
+            for w, i0 in enumerate(starts):
+                alone = fluctuation_function(x[i0:i0 + 2000], config)
+                np.testing.assert_array_equal(surface.excluded_segments[w],
+                                              alone.excluded_segments)
+                np.testing.assert_allclose(surface.values[w], alone.values, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", ["fgn_0.1", "white"])
     def test_long_series_match_the_reference(self, name):

@@ -20,8 +20,8 @@ from .finite_sample import FiniteSampleLaw, density, kurtosis, moment_2k
 from .market_data import (grid_records, intraday_log_returns, parse_ticks,
                           resample_prices, return_records, samples_per_day,
                           trade_index)
-from .mfdfa import MfdfaConfig, check_detrend_order, default_q_values, \
-    default_scales, fluctuation_function, generalized_hurst
+from .mfdfa import MfdfaConfig, default_q_values, default_scales, fluctuation_function, \
+    generalized_hurst
 from .pipeline import RollingSpec, emit_report, resolve_deltas, run_rolling
 from .realized_volatility import log_increments
 from .scaling import FrequencySweep, fit_ansatz
@@ -243,7 +243,7 @@ def cmd_rolling(args) -> int:
                             else [int(t) for t in args.deltas.split(",")],
                             args.reference_delta)
     exclude = _exclude_from_args(args)
-    check_detrend_order(args.detrend_order)
+    MfdfaConfig(default_q_values(), None, args.detrend_order)  # the order fits the default grid
     rv_by_delta = pipeline.build_rv_by_delta(_ticks_from_args(args), deltas)
     reports = run_rolling(rv_by_delta, rolling, reference_delta=args.reference_delta,
                           detrend_order=args.detrend_order,

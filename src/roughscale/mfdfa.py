@@ -21,6 +21,7 @@ def default_q_values() -> np.ndarray:
 
 SCALE_MIN = 10    # smallest default scale
 SCALE_COUNT = 20  # log-spaced points in the default scale grid
+MIN_FIT_LENGTH = 4 * (SCALE_MIN + 2)  # shortest series whose default grid has 3 scales
 
 
 @functools.lru_cache(maxsize=256)
@@ -36,26 +37,24 @@ def default_scales(series_length: int) -> np.ndarray:
     return scales
 
 
-def check_detrend_order(order: int) -> None:
-    """The one check of a detrending order: raises ValueError below 1."""
-    if order < 1:
-        raise ValueError("detrend_order must be >= 1")
-
-
 @dataclass(frozen=True)
 class MfdfaConfig:
     q_values: np.ndarray
-    scales: np.ndarray
+    scales: np.ndarray | None  # None: each series' (or window's) own default_scales
     detrend_order: int = 1
     fit_range: tuple[int, int] | None = None  # (s_min, s_max), members of scales
 
     def __post_init__(self):
         object.__setattr__(self, "q_values", np.asarray(self.q_values, dtype=float))
-        object.__setattr__(self, "scales", np.asarray(self.scales, dtype=int))
+        if self.scales is not None:
+            object.__setattr__(self, "scales", np.asarray(self.scales, dtype=int))
+        elif self.fit_range is not None:
+            raise ValueError("a fit_range needs explicit scales")
         if not np.isfinite(self.q_values).all():
             raise ValueError(f"q values must be finite, got {self.q_values.tolist()}")
-        check_detrend_order(self.detrend_order)
-        s = self.scales
+        if self.detrend_order < 1:
+            raise ValueError("detrend_order must be >= 1")
+        s = [SCALE_MIN] if self.scales is None else self.scales  # default grids start there
         if len(s) == 0 or np.any(np.diff(s) <= 0):
             raise ValueError("scales must be strictly increasing and non-empty")
         if s[0] < self.detrend_order + 2:
@@ -65,10 +64,14 @@ class MfdfaConfig:
             if lo not in s or hi not in s:
                 raise ValueError("fit_range bounds must be members of scales")
 
-    def validate_length(self, series_length: int) -> None:
+    def grid(self, series_length: int) -> np.ndarray:
+        """The scales of a series of this length, by default its default_scales."""
+        if self.scales is None:
+            return default_scales(series_length)
         if self.scales[-1] > series_length // 4:
             raise ValueError(
                 f"largest scale {self.scales[-1]} exceeds N/4 = {series_length // 4}")
+        return self.scales
 
     @classmethod
     def for_series(cls, series_length: int, detrend_order: int = 1,
@@ -231,21 +234,22 @@ def _window_groups(first: np.ndarray, lengths: np.ndarray) -> list[tuple[int, in
     return [(lo, hi, np.array(index)) for lo, hi, index in groups]
 
 
-def _window_passes(index: np.ndarray, lengths: np.ndarray, scales: np.ndarray,
+def _window_passes(index: np.ndarray, lengths: np.ndarray, columns: dict, scales: np.ndarray,
                    L: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
     """The windows `index`, of the given lengths, in a table over L points, in
     passes of one length n and about _PASS_POINTS points: (window indices, n,
-    cells). A window's segments, in `segment_variances`' order, are the flat
-    indices j * L + g (scale j, start g) of its cells plus its start in the
-    table."""
+    cells). Length n's grid is `scales[columns[n]]`; a window's segments over
+    it, in `segment_variances`' order, are the flat indices j * L + g (column
+    j, start g) of its cells plus its start in the table."""
     passes = []
     for n in np.unique(lengths).tolist():
         chosen = index[lengths == n]
-        counts = 2 * (n // scales)
+        grid = scales[columns[n]]
+        counts = 2 * (n // grid)
         k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        m, s = np.repeat(n // scales, counts), np.repeat(scales, counts)
+        m, s = np.repeat(n // grid, counts), np.repeat(grid, counts)
         backward = k >= m  # the k-th segment of its scale starts at k s, or from the back
-        cells = np.repeat(np.arange(len(scales)) * L, counts) + (k - m * backward) * s \
+        cells = np.repeat(columns[n] * L, counts) + (k - m * backward) * s \
             + backward * (n - m * s)
         step = max(1, _PASS_POINTS // n)
         passes += [(chosen[w0:w0 + step], n, cells) for w0 in range(0, len(chosen), step)]
@@ -308,16 +312,17 @@ def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray) -> np.nda
     return table
 
 
-def _window_variances(x: np.ndarray, first: np.ndarray, lengths: np.ndarray,
+def _window_variances(x: np.ndarray, first: np.ndarray, lengths: np.ndarray, columns: dict,
                       scales: np.ndarray, order: int):
     """Each pass of the windows x[i0:i0+n]: (window indices, their profiles,
-    their segment variances in `segment_variances`' order). Order 1 takes
-    the variances from one table per `_window_groups` run that fits the cap;
-    the rest are projected window by window."""
+    their segment variances in `segment_variances`' order over the grid
+    `scales[columns[n]]`). Order 1 takes the variances of every grid from
+    one table per `_window_groups` run that fits the cap; the rest are
+    projected window by window."""
     tabled = order == 1 and np.finfo(np.longdouble).eps < np.finfo(float).eps
     for lo, hi, group in _window_groups(first, lengths):
         at = first - lo  # each window's start in the run's span x[lo:hi]
-        passes = _window_passes(group, lengths[group], scales, hi - lo)
+        passes = _window_passes(group, lengths[group], columns, scales, hi - lo)
         table = None
         if tabled and hi - lo <= _PREFIX_MAX_LENGTH:
             used = np.zeros(len(scales) * (hi - lo), dtype=bool)
@@ -326,14 +331,19 @@ def _window_variances(x: np.ndarray, first: np.ndarray, lengths: np.ndarray,
             table = _order1_table(x[lo:hi], scales, used)
         for rows, n, cells in passes:
             Y = profile(x[first[rows, None] + np.arange(n)])
+            grid = scales[columns[n]].tolist()
             yield rows, Y, (table[cells + at[rows, None]] if table is not None else np.array(
-                [np.concatenate([segment_variances(y, int(s), order) for s in scales]) for y in Y]))
+                [np.concatenate([segment_variances(y, s, order) for s in grid]) for y in Y]))
 
 
 def fluctuation_function(series, config: MfdfaConfig, starts=None,
                          lengths=None) -> FluctuationSurface:
-    """F_q(s) over the configured (q, s) grid, of one series or, given
+    """F_q(s) over the configured q and scales, of one series or, given
     `starts` and `lengths`, of each window series[i0:i0+n].
+
+    A config without scales gives each window the `default_scales` of its
+    length, and the surface the union of those grids: NaN, with no excluded
+    segments, at a window's scales outside its own.
 
     q = 0 uses the log-average limit; zero-variance segments, with F^2 <=
     (s * eps * max|Y|)^2 for the window's own profile Y (the roundoff its
@@ -352,23 +362,25 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     windowed = starts is not None
     first = np.atleast_1d(np.asarray(starts if windowed else 0, dtype=np.intp))
     lengths = np.broadcast_to(lengths if windowed else len(x), first.shape)
-    config.validate_length(int(lengths.min(initial=len(x))))
+    grids = {n: config.grid(n) for n in np.unique(lengths).tolist() or [len(x)]}
     if np.any(first < 0) or np.any(first + lengths > len(x)):
         raise DataError(f"a window leaves the series of {len(x)} points")
     qs = config.q_values
-    scales = config.scales
+    scales = np.unique(np.concatenate(list(grids.values())))
+    columns = {n: np.searchsorted(scales, grid) for n, grid in grids.items()}
     values = np.full((len(first), len(qs), len(scales)), np.nan)
-    excluded = np.empty((len(first), len(scales)), dtype=np.intp)
-    for rows, Y, f2 in _window_variances(x, first, lengths, scales, config.detrend_order):
-        counts = 2 * (Y.shape[1] // scales)
-        roundoff = (scales * (np.finfo(float).eps * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
+    excluded = np.zeros((len(first), len(scales)), dtype=np.intp)
+    for rows, Y, f2 in _window_variances(x, first, lengths, columns, scales, config.detrend_order):
+        grid = grids[Y.shape[1]]
+        counts = 2 * (Y.shape[1] // grid)
+        roundoff = (grid * (np.finfo(float).eps * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
         keep = f2 > np.repeat(roundoff, counts, axis=1)
         kept = np.add.reduceat(keep, np.cumsum(counts) - counts, axis=1, dtype=np.intp)
-        excluded[rows] = counts - kept
+        excluded[np.ix_(rows, columns[Y.shape[1]])] = counts - kept
         ok = (kept > 0).all(axis=1)
         if not windowed and not ok[0]:
             raise NumericError(f"all segments have zero variance at scale s = "
-                               f"{scales[np.argmin(kept[0])]}")
+                               f"{grid[np.argmin(kept[0])]}")
         if not ok.all():
             f2, keep, kept = f2[ok], keep[ok], kept[ok]
         with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a q > 0 sum
@@ -381,7 +393,7 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
             if group.any():
                 out[group] = _power_means(terms.ravel(), np.cumsum(n) - n.ravel(), qs[group]) \
                     .reshape(np.count_nonzero(group), *kept.shape)
-        values[rows[ok]] = out.swapaxes(0, 1)
+        values[np.ix_(rows[ok], np.arange(len(qs)), columns[Y.shape[1]])] = out.swapaxes(0, 1)
     if not windowed:
         values, excluded = values[0], excluded[0]
     return FluctuationSurface(q_values=qs, scales=scales, values=values, series_length=len(x),
@@ -393,26 +405,30 @@ def generalized_hurst(surface: FluctuationSurface) -> GHECurve:
 
     The fit range is the config's, or every scale when it sets none. Slope,
     its standard error and r^2 for every q, and every window of a windowed
-    surface, come from one array pass; a window of NaN values gets NaN.
+    surface, come from one array pass over each window's finite F_q(s); a
+    window with fewer than 3 in range gets NaN, a single series raises.
     """
     fit_range = surface.config.fit_range
     if fit_range is None:
         fit_range = (int(surface.scales[0]), int(surface.scales[-1]))
     lo, hi = fit_range
     mask = (surface.scales >= lo) & (surface.scales <= hi)
-    k = np.count_nonzero(mask)
-    if k < 3:
+    if surface.values.ndim == 2 and np.count_nonzero(mask) < 3:
         raise NumericError(f"fewer than 3 scales inside fit range {fit_range}")
     log_s = np.log(surface.scales[mask].astype(float))
     log_f = np.log(surface.values[..., mask])
-    sx = log_s - log_s.sum() / k
-    sy = log_f - log_f.sum(axis=-1, keepdims=True) / k
-    sxx = sx @ sx
-    slope = (sy @ sx) / sxx
-    resid = sy - slope[..., None] * sx
-    rss = (resid * resid).sum(axis=-1)
-    tss = (sy * sy).sum(axis=-1)
-    stderr = np.sqrt(rss / (k - 2) / sxx)
+    fit = np.isfinite(log_f)  # NaN off a window's own grid, and on a failed window
+    k = np.count_nonzero(fit, axis=-1)
+    x, y = np.where(fit, log_s, 0.0), np.where(fit, log_f, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # where k < 3, the slope is NaN
+        sx = x - fit * (x.sum(axis=-1) / k)[..., None]
+        sy = y - fit * (y.sum(axis=-1) / k)[..., None]
+        sxx = (sx * sx).sum(axis=-1)
+        slope = np.where(k < 3, np.nan, (sy * sx).sum(axis=-1) / sxx)
+        resid = sy - slope[..., None] * sx
+        rss = (resid * resid).sum(axis=-1)
+        tss = (sy * sy).sum(axis=-1)
+        stderr = np.sqrt(rss / (k - 2) / sxx)
     r2 = 1.0 - rss / np.where(tss > 0, tss, np.inf)  # r^2 = 1 for a flat log F
     return GHECurve(q_values=surface.q_values, h_values=slope, stderr=stderr, r2=r2,
                     fit_range=(int(lo), int(hi)))

@@ -14,13 +14,11 @@ from . import __version__
 from .errors import DataError, NumericError
 from .market_data import (TickSeries, intraday_log_returns, resample_prices,
                           samples_per_day, trade_index)
-from .mfdfa import (SCALE_MIN, GHECurve, MfdfaConfig, default_scales, fluctuation_function,
-                    generalized_hurst)
+from .mfdfa import (MIN_FIT_LENGTH, GHECurve, MfdfaConfig, default_q_values,
+                    fluctuation_function, generalized_hurst)
 from .multifractal_metrics import delta_h, taylor_b1
 from .realized_volatility import RVSeries, compute_daily_rv, log_increments
 from .scaling import AnsatzFit, FrequencySweep, divisors_of_1440, fit_ansatz
-
-MIN_WINDOW_SERIES = 4 * SCALE_MIN  # shortest V_t series the default scale grid supports
 
 
 @dataclass(frozen=True)
@@ -84,15 +82,15 @@ def _delta_column(rv: RVSeries, ordinals: np.ndarray, starts: np.ndarray, window
                   reference: bool, detrend_order: int) -> tuple[np.ndarray, list]:
     """One delta's share of every window: its zero-RV days, and the MFDFA of
     its series as (h(2), its stderr, zero-variance segments, h(q) curve), or
-    None when the series is shorter than MIN_WINDOW_SERIES. Only the
+    None when the series is shorter than MIN_FIT_LENGTH. Only the
     reference delta gets a curve, over the default q grid.
 
     `ordinals` are the proleptic ordinals of `rv.dates`, as are `starts`. A
     window's series is the run of full-span log-increments between its days:
     exactly those its own `log_increments` would keep, since one that
     bridges a zero-RV day is dropped either way and none crosses the
-    window's edges. Windows whose series share a default scale grid take one
-    `fluctuation_function` call; a failed MFDFA gives a NaN h(2).
+    window's edges. All windows take one `fluctuation_function` call, each on
+    its own series' default scale grid; a failed MFDFA gives a NaN h(2).
     """
     try:
         incr = log_increments(rv, zero_policy="drop").values
@@ -106,15 +104,11 @@ def _delta_column(rv: RVSeries, ordinals: np.ndarray, starts: np.ndarray, window
     days = (hi - lo) >= 2
     first = kept.take(lo, mode="clip")
     length = np.where(days, kept.take(hi - 1, mode="clip") - first, 0)
-    by_grid: dict[tuple[int, ...], list[int]] = {}
-    for n in np.unique(length[length >= MIN_WINDOW_SERIES]).tolist():
-        by_grid.setdefault(tuple(default_scales(n).tolist()), []).append(n)
+    rows = np.flatnonzero(length >= MIN_FIT_LENGTH)
     results: list[tuple | None] = [None] * len(starts)
-    for lengths in by_grid.values():
-        rows = np.flatnonzero(np.isin(length, lengths))
-        surface = fluctuation_function(
-            incr, MfdfaConfig.for_series(lengths[0], detrend_order, None if reference else [2.0]),
-            first[rows], length[rows])
+    if len(rows):
+        config = MfdfaConfig(default_q_values() if reference else [2.0], None, detrend_order)
+        surface = fluctuation_function(incr, config, first[rows], length[rows])
         curve = generalized_hurst(surface)
         i = curve.index(2.0)
         for r, h, se, r2, excluded in zip(rows.tolist(), curve.h_values, curve.stderr, curve.r2,

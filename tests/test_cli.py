@@ -269,6 +269,20 @@ class TestRollingCommand:
             assert doc["config"]["step_days"] == 30
             assert doc["config"]["window_days"] == 60
 
+    def test_windows_too_short_to_fit_are_short_deltas(self, tmp_path):
+        # 45-day windows hold 44 increments: every delta is short, exit 0
+        ticks = write_tick_fixture(tmp_path / "ticks.csv", days=130, step_minutes=5)
+        out = tmp_path / "report.json"
+        rc = main(["rolling", "--ticks", str(ticks), "--window-days", "45",
+                   "--step-days", "10", "--deltas", "30,60,120,288",
+                   "--reference-delta", "30", "--out", str(out)])
+        assert rc == 0
+        windows = json.loads(out.read_text())["windows"]
+        assert len(windows) == (130 - 45) // 10 + 1
+        for window in windows:
+            assert window["reason"] == "insufficient_data"
+            assert window["diagnostics"]["short_deltas"] == [30, 60, 120, 288]
+
     def test_usage_error_exit_1(self, tmp_path):
         rc = main(["rolling", "--out", str(tmp_path / "r.json")])
         assert rc == 1
@@ -344,7 +358,8 @@ def _cli_case(name, tmp_path):
                 "reference_delta_not_a_divisor": ["--reference-delta", "7"],
                 "window_not_longer_than_step": ["--window-days", "5", "--step-days", "10"],
                 "exclude_not_a_divisor": ["--exclude", "60,7"],
-                "detrend_order_zero": ["--detrend-order", "0"]}
+                "detrend_order_zero": ["--detrend-order", "0"],
+                "detrend_order_above_the_default_grid": ["--detrend-order", "9"]}
     if name in bad_runs:
         return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *bad_runs[name], *out]
     if name in ("rv_delta_not_a_divisor", "ingest_delta_not_a_divisor"):
@@ -429,6 +444,8 @@ class TestExitCodes:
         ("reference_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("window_not_longer_than_step", 1, "need window_days > step_days > 0"),
         ("detrend_order_zero", 1, "detrend_order must be >= 1"),
+        ("detrend_order_above_the_default_grid", 1,
+         "smallest scale must be >= detrend_order + 2"),
         ("exclude_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("rv_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("ingest_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from roughscale import mfdfa
 from roughscale.errors import DataError, NumericError
-from roughscale.mfdfa import (FluctuationSurface, MfdfaConfig,
+from roughscale.mfdfa import (MIN_FIT_LENGTH, SCALE_MIN, FluctuationSurface, MfdfaConfig,
                               aggregate_fluctuation, default_scales,
                               fluctuation_function, generalized_hurst, profile,
                               segment_variances)
@@ -173,6 +173,23 @@ class TestGeneralizedHurst:
         with pytest.raises(NumericError):
             generalized_hurst(surface)
 
+    def test_windows_fit_their_own_finite_scales(self):
+        # a window fits the scales of its own grid, and one with fewer than 3
+        # of them, or none (a failed window), gets NaN with no warning
+        scales = np.array([10, 20, 40, 80])
+        config = MfdfaConfig(q_values=[2.0], scales=scales)
+        values = np.array([scales ** 0.3, scales ** 0.7, scales ** 0.5, scales ** 0.5,
+                           np.full(4, np.nan)], dtype=float)[:, None, :]
+        values[1, :, 3] = values[2, :, 1:3] = np.nan
+        surface = FluctuationSurface(q_values=config.q_values, scales=scales, values=values,
+                                     series_length=1000, config=config,
+                                     excluded_segments=np.zeros((5, 4), dtype=int))
+        curve = generalized_hurst(surface)
+        np.testing.assert_allclose(curve.h_values[[0, 1, 3], 0], [0.3, 0.7, 0.5], atol=1e-12)
+        np.testing.assert_allclose(curve.r2[[0, 1, 3], 0], 1.0, atol=1e-12)
+        for out in (curve.h_values, curve.stderr, curve.r2):
+            assert np.isnan(out[[2, 4]]).all()
+
 
 class TestInvariants:
     def test_affine_invariance(self):
@@ -235,8 +252,27 @@ class TestConfigValidation:
 
     def test_largest_scale_versus_length(self):
         config = MfdfaConfig(q_values=[2.0], scales=[10, 20, 40])
-        with pytest.raises(ValueError):
-            config.validate_length(100)
+        with pytest.raises(ValueError, match="largest scale 40 exceeds N/4 = 25"):
+            config.grid(100)
+        np.testing.assert_array_equal(config.grid(160), [10, 20, 40])
+
+    def test_no_scales_means_each_length_its_default_grid(self):
+        config = MfdfaConfig(q_values=[2.0], scales=None)
+        assert config.grid(1000) is default_scales(1000)
+        with pytest.raises(DataError, match="too short"):
+            config.grid(39)
+        assert MfdfaConfig.for_series(1000).scales is default_scales(1000)
+
+    def test_no_scales_checks_the_order_against_the_default_grid(self):
+        MfdfaConfig(q_values=[2.0], scales=None, detrend_order=SCALE_MIN - 2)
+        with pytest.raises(ValueError, match="smallest scale must be >= detrend_order"):
+            MfdfaConfig(q_values=[2.0], scales=None, detrend_order=SCALE_MIN - 1)
+        with pytest.raises(ValueError, match="detrend_order must be >= 1"):
+            MfdfaConfig(q_values=[2.0], scales=None, detrend_order=0)
+
+    def test_fit_range_needs_explicit_scales(self):
+        with pytest.raises(ValueError, match="a fit_range needs explicit scales"):
+            MfdfaConfig(q_values=[2.0], scales=None, fit_range=(10, 20))
 
 
 def local_variances(x, s, m=1, starts=None):
@@ -291,7 +327,7 @@ def own_table(x, scales):
     """The order-1 table of the series x with its own segments' cells in use,
     and those cells in `segment_variances`' order."""
     (_, _, cells), = mfdfa._window_passes(np.zeros(1, dtype=np.intp), np.array([len(x)]),
-                                          scales, len(x))
+                                          {len(x): np.arange(len(scales))}, scales, len(x))
     used = np.zeros(len(scales) * len(x), dtype=bool)
     used[cells] = True
     return mfdfa._order1_table(x, scales, used), cells
@@ -351,14 +387,21 @@ def awkward_series(draw):
 
 @st.composite
 def awkward_windows(draw):
-    """An awkward span, and windows of it of one or two lengths with a config
-    that serves both."""
+    """An awkward span, and windows of it: of one or two lengths with a config
+    that serves both, or of up to six lengths, each on its own default grid."""
     n = draw(st.integers(40, 600))
     x = _awkward_values(draw, n)
     N = draw(st.integers(40, n))
-    lengths = draw(st.lists(st.sampled_from([N, max(40, N - 3)]), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.integers(40, N), min_size=1, max_size=6))
+        q = draw(st.lists(st.sampled_from([-3.0, 0.0, 2.0, 3.0]), min_size=1, max_size=3,
+                          unique=True))
+        config = MfdfaConfig(q_values=np.sort(q), scales=None)
+    else:
+        lengths = draw(st.lists(st.sampled_from([N, max(40, N - 3)]), min_size=1, max_size=6))
+        config = _awkward_config(draw, min(lengths))
     starts = [draw(st.integers(0, n - length)) for length in lengths]
-    return x, np.array(starts), np.array(lengths), _awkward_config(draw, min(lengths))
+    return x, np.array(starts), np.array(lengths), config
 
 
 class TestPrefixPathMatchesReference:
@@ -389,21 +432,37 @@ class TestWindows:
 
     @settings(max_examples=200, deadline=None)
     @given(awkward_windows())
+    @example((np.diff(np.random.default_rng(6).standard_normal(601)), np.array([0, 100, 7, 3]),
+              np.array([600, 400, 45, 47]), MfdfaConfig(q_values=[-2.0, 2.0], scales=None)))
     def test_each_window_as_alone(self, case):
+        # at the scales of its own grid; NaN, with nothing excluded, elsewhere
         x, starts, lengths, config = case
         surface = fluctuation_function(x, config, starts, lengths)
         curve = generalized_hurst(surface)
-        assert surface.values.shape == (len(starts), len(config.q_values), len(config.scales))
+        np.testing.assert_array_equal(
+            surface.scales, np.unique(np.concatenate([config.grid(n) for n in lengths])))
+        assert surface.values.shape == (len(starts), len(config.q_values), len(surface.scales))
         for w, (i0, n) in enumerate(zip(starts, lengths)):
+            own = np.isin(surface.scales, config.grid(n))
+            assert np.isnan(surface.values[w][:, ~own]).all()
+            assert not surface.excluded_segments[w, ~own].any()
             try:
                 alone = fluctuation_function(x[i0:i0 + n], config)
             except NumericError:
                 assert np.isnan(surface.values[w]).all() and np.isnan(curve.h_values[w]).all()
                 continue
-            np.testing.assert_array_equal(surface.excluded_segments[w], alone.excluded_segments)
-            np.testing.assert_allclose(surface.values[w], alone.values, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(curve.h_values[w], generalized_hurst(alone).h_values,
-                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_array_equal(surface.excluded_segments[w, own],
+                                          alone.excluded_segments)
+            np.testing.assert_allclose(surface.values[w][:, own], alone.values, rtol=1e-12,
+                                       atol=0)
+            try:
+                want = generalized_hurst(alone)
+            except NumericError:  # a default grid of 2 scales, below MIN_FIT_LENGTH
+                assert n < MIN_FIT_LENGTH and np.isnan(curve.h_values[w]).all()
+                continue
+            for got, alone_fit in ((curve.h_values, want.h_values), (curve.stderr, want.stderr),
+                                   (curve.r2, want.r2)):
+                np.testing.assert_allclose(got[w], alone_fit, rtol=1e-12, atol=1e-14)
 
     def test_windows_must_lie_in_the_series(self):
         config = MfdfaConfig.for_series(100)
@@ -624,3 +683,13 @@ class TestDefaultScales:
         assert a is default_scales(1000)
         assert not a.flags.writeable
         assert a[0] == 10 and a[-1] == 250
+
+    def test_shortest_fittable_length(self):
+        # the 3 scales a fit needs start at MIN_FIT_LENGTH points
+        assert len(default_scales(MIN_FIT_LENGTH - 1)) == 2
+        assert len(default_scales(MIN_FIT_LENGTH)) == 3
+        x = np.random.default_rng(8).standard_normal(MIN_FIT_LENGTH)
+        config = MfdfaConfig(q_values=[2.0], scales=None)
+        assert np.isfinite(generalized_hurst(fluctuation_function(x, config)).h_values).all()
+        with pytest.raises(NumericError, match="fewer than 3 scales"):
+            generalized_hurst(fluctuation_function(x[:-1], config))

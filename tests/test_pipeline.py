@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from perfbench.generators import rolling_inputs
-from roughscale import pipeline
+from roughscale import mfdfa, pipeline
 from roughscale.errors import DataError, NumericError
 from roughscale.market_data import TickSeries, date_to_epoch_seconds, samples_per_day
-from roughscale.mfdfa import (MfdfaConfig, default_scales, fluctuation_function,
-                              generalized_hurst)
+from roughscale.mfdfa import (MIN_FIT_LENGTH, MfdfaConfig, default_scales,
+                              fluctuation_function, generalized_hurst)
 from roughscale.multifractal_metrics import delta_h, taylor_b1
-from roughscale.pipeline import (MIN_WINDOW_SERIES, RollingSpec, WindowReport,
+from roughscale.pipeline import (RollingSpec, WindowReport,
                                  build_rv_by_delta, emit_report, report_document,
                                  resolve_deltas, run_rolling)
 from roughscale.realized_volatility import RVSeries, log_increments
@@ -124,6 +124,20 @@ class TestRolling:
                           daily_return=rv.daily_return, samples_per_day=288)
         reports = run_rolling({5: broken}, RollingSpec(window_days=365, step_days=50))
         assert all(r.reason == "insufficient_data" for r in reports)
+
+    @pytest.mark.parametrize("increments", [MIN_FIT_LENGTH - 1, MIN_FIT_LENGTH])
+    def test_shortest_fittable_window(self, increments):
+        # a window of 40 to 47 increments has a default grid of 2 scales: its
+        # delta is short, and the run goes on
+        data = {d: fgn_rv_series(120, seed=d, delta=d) for d in (5, 60)}
+        reports = run_rolling(data, RollingSpec(window_days=increments + 1, step_days=10))
+        for report in reports:
+            if increments < MIN_FIT_LENGTH:
+                assert report.reason == "insufficient_data"
+                assert report.diagnostics["short_deltas"] == [5, 60]
+            else:
+                assert list(report.h2_by_delta) == [5, 60]
+                assert "short_deltas" not in report.diagnostics
 
     def test_window_with_fewer_than_two_positive_days_not_fatal(self):
         rv = fgn_rv_series(400)
@@ -246,7 +260,7 @@ def reference_window_report(start, end, cells, reference_delta, detrend_order,
     for delta, cut in cells:
         dropped, series = cut or (0, ())
         dropped_days += dropped
-        if len(series) < MIN_WINDOW_SERIES:
+        if len(series) < MIN_FIT_LENGTH:
             short_deltas.append(delta)
             continue
         reference = delta == reference_delta
@@ -329,7 +343,6 @@ class TestStackedDeltas:
             values[zeros] = 0.0
             data[delta] = RVSeries(delta_minutes=delta, dates=rv.dates, rv=values,
                                    daily_return=rv.daily_return, samples_per_day=1440 // delta)
-        grids = {d: set() for d in data}
         want = []
         for i in range((400 - 365) // 35 + 1):
             start = DAY0 + dt.timedelta(days=35 * i)
@@ -337,15 +350,12 @@ class TestStackedDeltas:
             cells = [(d, direct_cell(data[d], start, end)) for d in sorted(data)]
             lengths = {len(cell[1]) for d, cell in cells if d != 5}
             assert len(lengths) == 3
-            for d, (_, series) in cells:
-                grids[d].add(tuple(default_scales(len(series))))
             want.append(reference_window_report(start, end, cells, 5, 1, []))
-        # one call per delta and default scale grid of its windows' series
-        calls = sum(len(g) for g in grids.values())
+        # one call per delta, whatever its windows' series lengths
         with mock.patch.object(pipeline, "fluctuation_function",
                                wraps=pipeline.fluctuation_function) as spy:
             got = run_rolling(data, RollingSpec(window_days=365, step_days=35))
-        assert spy.call_count == calls
+        assert spy.call_count == len(data)
         assert_reports_match(got, want)
         # delta order whichever delta is the reference
         other = run_rolling(data, RollingSpec(window_days=365, step_days=35),
@@ -353,6 +363,29 @@ class TestStackedDeltas:
         for report in other:
             assert list(report.h2_by_delta) == list(report.h2_stderr_by_delta) == sorted(data)
             assert len(report.curve_q) == 13
+
+    def test_windows_on_two_grids_take_one_call_and_one_table(self):
+        # zero-RV days split each delta's windows over two default scale
+        # grids; the kernel gives each window its own, from one table
+        data = rolling_inputs(3, 3062).rv_by_delta
+        rolling = RollingSpec(window_days=2922, step_days=20)
+        first = data[5].dates[0]
+        grids = {d: set() for d in data}
+        want = []
+        for i in range((3062 - 2922) // 20 + 1):
+            start = first + dt.timedelta(days=20 * i)
+            end = start + dt.timedelta(days=2922)
+            cells = [(d, direct_cell(data[d], start, end)) for d in sorted(data)]
+            for d, (_, series) in cells:
+                grids[d].add(tuple(default_scales(len(series))))
+            want.append(reference_window_report(start, end, cells, 5, 1, []))
+        assert all(len(g) == 2 for g in grids.values())
+        with mock.patch.object(pipeline, "fluctuation_function",
+                               wraps=pipeline.fluctuation_function) as calls, \
+                mock.patch.object(mfdfa, "_order1_table", wraps=mfdfa._order1_table) as tables:
+            got = run_rolling(data, rolling)
+        assert calls.call_count == tables.call_count == len(data) == 36
+        assert_reports_match(got, want)
 
     def test_a_window_with_a_constant_delta_drops_that_delta(self):
         # a stretch of equal RV makes every log-increment of Δ = 30 zero in

@@ -404,9 +404,9 @@ def generalized_hurst(surface: FluctuationSurface) -> GHECurve:
     """h(q) as the OLS slope of log F_q(s) vs log s over the fit range.
 
     The fit range is the config's, or every scale when it sets none. Slope,
-    its standard error and r^2 for every q, and every window of a windowed
-    surface, come from one array pass over each window's finite F_q(s); a
-    window with fewer than 3 in range gets NaN, a single series raises.
+    its standard error and r^2 for every q and window come from one array
+    pass over each window's scales with F_q(s) finite at every q; a window
+    with fewer than 3 in range gets NaN, a single series raises.
     """
     fit_range = surface.config.fit_range
     if fit_range is None:
@@ -416,18 +416,20 @@ def generalized_hurst(surface: FluctuationSurface) -> GHECurve:
     if surface.values.ndim == 2 and np.count_nonzero(mask) < 3:
         raise NumericError(f"fewer than 3 scales inside fit range {fit_range}")
     log_s = np.log(surface.scales[mask].astype(float))
-    log_f = np.log(surface.values[..., mask])
-    fit = np.isfinite(log_f)  # NaN off a window's own grid, and on a failed window
+    sy = np.log(surface.values[..., mask])
+    fit = np.isfinite(sy).all(axis=-2, keepdims=True)  # a window's own grid, none if it failed
     k = np.count_nonzero(fit, axis=-1)
-    x, y = np.where(fit, log_s, 0.0), np.where(fit, log_f, 0.0)
+    np.copyto(sy, 0.0, where=~fit)
+    sx = np.where(fit, log_s, 0.0)
+    dot = functools.partial(np.einsum, "...i,...i->...")  # no (windows, q, scales) temporary
     with np.errstate(divide="ignore", invalid="ignore"):  # where k < 3, the slope is NaN
-        sx = x - fit * (x.sum(axis=-1) / k)[..., None]
-        sy = y - fit * (y.sum(axis=-1) / k)[..., None]
-        sxx = (sx * sx).sum(axis=-1)
-        slope = np.where(k < 3, np.nan, (sy * sx).sum(axis=-1) / sxx)
-        resid = sy - slope[..., None] * sx
-        rss = (resid * resid).sum(axis=-1)
-        tss = (sy * sy).sum(axis=-1)
+        sx -= fit * (sx.sum(axis=-1) / k)[..., None]
+        sy -= fit * (sy.sum(axis=-1) / k)[..., None]
+        sxx = dot(sx, sx)
+        slope = np.where(k < 3, np.nan, dot(sy, sx) / sxx)
+        tss = dot(sy, sy)
+        sy -= slope[..., None] * sx  # the residuals
+        rss = dot(sy, sy)
         stderr = np.sqrt(rss / (k - 2) / sxx)
     r2 = 1.0 - rss / np.where(tss > 0, tss, np.inf)  # r^2 = 1 for a flat log F
     return GHECurve(q_values=surface.q_values, h_values=slope, stderr=stderr, r2=r2,

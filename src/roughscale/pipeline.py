@@ -104,10 +104,10 @@ def _delta_column(rv: RVSeries, ordinals: np.ndarray, starts: np.ndarray, window
     days = (hi - lo) >= 2
     first = kept.take(lo, mode="clip")
     length = np.where(days, kept.take(hi - 1, mode="clip") - first, 0)
+    config = MfdfaConfig(default_q_values() if reference else [2.0], None, detrend_order)
     rows = np.flatnonzero(length >= MIN_FIT_LENGTH)
     results: list[tuple | None] = [None] * len(starts)
     if len(rows):
-        config = MfdfaConfig(default_q_values() if reference else [2.0], None, detrend_order)
         surface = fluctuation_function(incr, config, first[rows], length[rows])
         curve = generalized_hurst(surface)
         i = curve.index(2.0)

@@ -139,6 +139,11 @@ class TestRolling:
                 assert list(report.h2_by_delta) == [5, 60]
                 assert "short_deltas" not in report.diagnostics
 
+    def test_detrend_order_checked_when_every_window_is_short(self):
+        data = {5: fgn_rv_series(120)}
+        with pytest.raises(ValueError, match=r"smallest scale must be >= detrend_order \+ 2"):
+            run_rolling(data, RollingSpec(window_days=30, step_days=10), detrend_order=9)
+
     def test_window_with_fewer_than_two_positive_days_not_fatal(self):
         rv = fgn_rv_series(400)
         positive = (np.arange(400) == 0) | (np.arange(400) >= 390)

@@ -189,8 +189,7 @@ def cmd_fit_ansatz(args) -> int:
                 raise DataError(f"bad sweep row at line {i + 1}") from None
     if stderr and len(stderr) != len(h2):
         raise DataError("stderr column must be present for all rows or none")
-    sweep = FrequencySweep(deltas=np.array(deltas), h2=np.array(h2),
-                           h2_stderr=np.array(stderr) if stderr else None)
+    sweep = FrequencySweep(deltas=deltas, h2=h2, h2_stderr=stderr or None)
     fit = fit_ansatz(sweep, exclude=exclude)
     doc = {"h0": fit.h0, "a": fit.a, "h0_stderr": fit.h0_stderr,
            "a_stderr": fit.a_stderr, "residual_rms": fit.residual_rms,
@@ -323,7 +322,7 @@ def build_parser() -> _Parser:
     p.add_argument("--exclude", default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; has no effect")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=False)
     p.add_argument("--h2-csv", default=None)
     p.add_argument("--hq-csv", default=None)
     p.set_defaults(func=cmd_rolling)
@@ -364,8 +363,10 @@ def main(argv=None) -> int:
             # itself lets every flag given on the command line win
             parser.rolling.set_defaults(**_config_defaults(parser.rolling, args.config))
             args = parser.parse_args(argv)
-        if args.func is cmd_rolling and not args.ticks:
-            raise ValueError("rolling: --ticks is required (flag or config file)")
+        if args.func is cmd_rolling:
+            for name in ("ticks", "out"):
+                if not getattr(args, name):
+                    raise ValueError(f"rolling: --{name} is required (flag or config file)")
         return args.func(args)
     except (DataError, OSError, csv.Error) as exc:
         print(f"roughscale: data error: {exc}", file=sys.stderr)

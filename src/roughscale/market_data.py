@@ -89,10 +89,10 @@ class IntradayReturnGrid:
 
 # Tick CSVs are read in chunks of _CHUNK lines. A chunk is read by one
 # np.loadtxt call where that is exact; a chunk loadtxt rejects or cannot be
-# trusted on goes through the row rules (`_TickReader.row`) whole. The row
-# rules take ~7 times loadtxt's time a line (~0.7 against ~0.1 us on a 2-core
-# x86-64 VM), so a chunk of 1024 lines with one bad line costs ~0.7 ms, where
-# 8192 cost ~6 ms; a clean file still parses within ~5 % of its time at 8192,
+# trusted on goes through the row rules (`_read_ticks`) whole. The row
+# rules take ~6 times loadtxt's time a line (~0.7 against ~0.12 us on a 2-core
+# x86-64 VM), so a chunk of 1024 lines with one bad line costs ~0.6 ms, where
+# 8192 cost ~5 ms; a clean file still parses within ~5 % of its time at 8192,
 # as a loadtxt call costs only ~3 us beyond its lines.
 _CHUNK = 1024
 _RECORD = np.dtype([("t", "<i8"), ("p", "<f8")])
@@ -119,107 +119,88 @@ def _plain(text: str) -> bool:
                for i in range(0, len(text) - half + 1, half))
 
 
-class _TickReader:
-    """(timestamp, price) records of a tick CSV, in file order."""
+def _loadtxt(lines: list[str]) -> np.ndarray | None:
+    """The records of plain `lines` by one np.loadtxt call, or None when
+    loadtxt rejects a line, reads a non-finite price or skips a line that is
+    not blank."""
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns when every line is blank
+            warnings.simplefilter("ignore", UserWarning)
+            records = np.loadtxt(lines, delimiter=",", usecols=(0, 1),
+                                 dtype=_RECORD, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    # loadtxt rejects a line break inside a line, so it reads at most one
+    # record a line: a record for every line means it skipped none, and the
+    # blank lines are counted only when it skipped some
+    if ((len(records) == len(lines)
+         or len(records) == sum(1 for line in lines if line.strip()))
+            and np.isfinite(records["p"]).all()):
+        return records
+    return None
 
-    def __init__(self, header: bool, max_malformed: int):
-        self.header = header  # skip record 1
-        self.max_malformed = max_malformed
-        self.malformed = 0
-        self._parts: list[np.ndarray] = []  # record arrays in file order
-        self._pending: list[tuple[int, float]] = []  # row-rule records after them
 
-    def row(self, lineno: int, fields: list[str]) -> tuple[int, float] | None:
-        """The row rules: None for a header or blank row and for a malformed
-        one, which is counted; else the row's (timestamp, price)."""
-        if (self.header and lineno == 1) or not fields or (
-                len(fields) == 1 and not fields[0].strip()):
-            return None
-        line = ",".join(fields)
-        if not line.isascii() and _UNDECODABLE.search(line):
-            raise DataError(f"tick data is not valid UTF-8 at line {lineno}")
-        try:
-            if len(fields) < 2:
-                raise ValueError("fewer than 2 fields")
-            ts = int(fields[0])
-            if not _INT64_MIN <= ts <= _INT64_MAX:
-                raise ValueError("timestamp out of range")
-            price = float(fields[1])
-            if not math.isfinite(price):
-                raise ValueError("non-finite price")
-        except ValueError as exc:
-            self.malformed += 1
-            if self.malformed > self.max_malformed:
-                raise DataError(f"malformed tick record at line {lineno}: {exc}") from None
-            return None
-        return ts, price
+def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The timestamps and prices of all records of `stream`, as two arrays in
+    file order, and the count of malformed records.
 
-    def _rows(self, lines, first: int) -> None:
-        """The row rules over the records csv.reader makes of `lines`,
-        numbered from `first`."""
-        for lineno, fields in enumerate(csv.reader(lines), start=first):
-            record = self.row(lineno, fields)
-            if record is not None:
-                self._pending.append(record)
-
-    def _append(self, records: np.ndarray) -> None:
-        if self._pending:
-            self._parts.append(np.array(self._pending, dtype=_RECORD))
-            self._pending = []
-        self._parts.append(records)
-
-    def _loadtxt(self, lines: list[str], first: int) -> None:
-        """Plain lines by one np.loadtxt call, or all of them through the row
-        rules when loadtxt rejects a line, reads a non-finite price or skips a
-        line that is not blank."""
-        try:
-            with warnings.catch_warnings():
-                # loadtxt warns when every line is blank
-                warnings.simplefilter("ignore", UserWarning)
-                records = np.loadtxt(lines, delimiter=",", usecols=(0, 1),
-                                     dtype=_RECORD, comments=None, ndmin=1)
-        except ValueError:
-            records = None
-        # loadtxt rejects a line break inside a line, so it reads at most one
-        # record a line: a record for every line means it skipped none, and the
-        # blank lines are counted only when it skipped some
-        if (records is None
-                or (len(records) != len(lines)
-                    and len(records) != sum(1 for line in lines if line.strip()))
-                or not np.isfinite(records["p"]).all()):
-            self._rows(lines, first)
-        else:
-            self._append(records)
-
-    def read(self, stream) -> tuple[np.ndarray, np.ndarray]:
-        """The timestamps and prices of all records of `stream`, as two arrays.
-
-        The reader's records are dropped as the arrays are made: at the peak,
-        the records and the two arrays are live, twice the arrays' bytes.
-        """
-        lines = iter(stream)
-        lineno = 0  # lines read so far, each one record while no quote is seen
-        while chunk := list(itertools.islice(lines, _CHUNK)):
-            text = "".join(chunk)
-            if '"' in text:
-                # a quoted field may span lines: the rest of the stream goes
-                # through one csv.reader, records numbered on from here
-                self._rows(itertools.chain(chunk, lines), lineno + 1)
-                break
-            first = lineno + 1
-            lineno += len(chunk)
-            if self.header and first == 1:
-                # csv.reader still reads the header line, and may reject it
-                self._rows(chunk[:1], 1)
-                chunk, first = chunk[1:], 2
-            if _plain(text):
-                self._loadtxt(chunk, first)
-            else:
-                self._rows(chunk, first)
-        parts = [*self._parts, np.array(self._pending, dtype=_RECORD)]
-        self._parts, self._pending = [], []
-        return (np.concatenate([part["t"] for part in parts]),
-                np.concatenate([part["p"] for part in parts]))
+    A chunk of _CHUNK lines is read by `_loadtxt` or else whole by the row
+    rules: record 1 when `header` and blank records are skipped, a byte that
+    is not UTF-8 raises, and a record without an int64 timestamp and a finite
+    price is malformed, the one beyond `max_malformed` raising. At the peak,
+    the chunks' records and the two arrays are live, twice the arrays' bytes.
+    """
+    parts = [np.empty(0, dtype=_RECORD)]  # then one record array a chunk
+    malformed = 0
+    lines = iter(stream)
+    lineno = 0  # lines read so far, each one record while no quote is seen
+    while chunk := list(itertools.islice(lines, _CHUNK)):
+        text = "".join(chunk)
+        quoted = '"' in text
+        ascii_text = not quoted and text.isascii()  # then no byte fails UTF-8
+        first = lineno + 1
+        lineno += len(chunk)
+        # the header line's chunk goes to the row rules, as csv.reader may
+        # reject that line
+        records = (_loadtxt(chunk) if not quoted and not (header and first == 1)
+                   and _plain(text) else None)
+        if records is None:
+            stamps, prices = [], []
+            # a quoted field may span lines: the rest of the stream goes
+            # through one csv.reader, records numbered on from here
+            for number, fields in enumerate(
+                    csv.reader(itertools.chain(chunk, lines) if quoted else chunk), first):
+                if (header and number == 1) or not fields or (
+                        len(fields) == 1 and not fields[0].strip()):
+                    continue
+                if not ascii_text and not (line := ",".join(fields)).isascii() \
+                        and _UNDECODABLE.search(line):
+                    raise DataError(f"tick data is not valid UTF-8 at line {number}")
+                try:
+                    if len(fields) < 2:
+                        raise ValueError("fewer than 2 fields")
+                    ts = int(fields[0])
+                    if not _INT64_MIN <= ts <= _INT64_MAX:
+                        raise ValueError("timestamp out of range")
+                    price = float(fields[1])
+                    if not math.isfinite(price):
+                        raise ValueError("non-finite price")
+                except ValueError as exc:
+                    malformed += 1
+                    if malformed > max_malformed:
+                        raise DataError(
+                            f"malformed tick record at line {number}: {exc}") from None
+                    continue
+                stamps.append(ts)
+                prices.append(price)
+            records = np.empty(len(stamps), dtype=_RECORD)
+            records["t"], records["p"] = stamps, prices
+        parts.append(records)
+        if quoted:
+            break
+    timestamps = np.concatenate([part["t"] for part in parts])
+    return timestamps, np.concatenate([part["p"] for part in parts]), malformed
 
 
 def parse_ticks(source, *, header: bool = False, max_malformed: int = 0) -> TickSeries:
@@ -247,9 +228,8 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0) -> Tick
     else:
         stream = source
 
-    reader = _TickReader(header, max_malformed)
     try:
-        timestamps, prices = reader.read(stream)
+        timestamps, prices, malformed = _read_ticks(stream, header, max_malformed)
     finally:
         if release is not None:
             release()
@@ -269,7 +249,7 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0) -> Tick
     prices = prices[order]
     return TickSeries(timestamps=timestamps, prices=prices,
                       dropped_nonpositive=parsed - len(timestamps),
-                      malformed_lines=reader.malformed)
+                      malformed_lines=malformed)
 
 
 @dataclass(frozen=True)

@@ -146,9 +146,13 @@ def segment_variances(Y: np.ndarray, s: int, m: int = 1) -> np.ndarray:
     n_seg = N // s
     fwd = Y[: n_seg * s].reshape(n_seg, s)
     bwd = Y[N - n_seg * s:].reshape(n_seg, s)
-    seg = np.concatenate([fwd, bwd], axis=0)
-    # shared design matrix: one batched projection instead of 2*N_s polyfits
-    design = np.vander(np.arange(s, dtype=float), m + 1)
+    return _projected_variances(np.concatenate([fwd, bwd], axis=0), m)
+
+
+def _projected_variances(seg: np.ndarray, m: int) -> np.ndarray:
+    """Mean squared residual of an order-m polynomial fit to each row of `seg`."""
+    # shared design matrix: one batched projection instead of a polyfit a row
+    design = np.vander(np.arange(seg.shape[1], dtype=float), m + 1)
     fit = (seg @ np.linalg.pinv(design).T) @ design.T
     fit -= seg  # minus the residual; squared in place, with no further temporaries
     fit *= fit
@@ -260,13 +264,12 @@ def _local_variances(x: np.ndarray, starts: np.ndarray, s: int) -> np.ndarray:
     """Order-1 variance of the profile segments [g, g+s) of x, g in `starts`,
     each projected from the running sum of its own s-1 increments: a window's
     profile differs from that by a constant and a line, which a linear fit
-    does not see. Laid end to end, the segments are the forward ones of one
-    `segment_variances` call.
+    does not see.
     """
     inc = x[starts[:, None] + np.arange(1, s)]
     seg = np.zeros((len(starts), s))
     np.cumsum(inc - inc[:, :1], axis=1, out=seg[:, 1:])  # a constant run gives exactly 0
-    return segment_variances(seg.ravel(), s, 1)[:len(starts)]
+    return _projected_variances(seg, 1)
 
 
 def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray) -> np.ndarray:

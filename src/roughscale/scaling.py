@@ -23,15 +23,18 @@ class FrequencySweep:
     h2_stderr: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", np.asarray(self.deltas, dtype=int))
+        # the given values are checked before the int conversion, which
+        # overflows beyond int64
+        deltas = list(self.deltas)
+        if len(set(deltas)) != len(deltas):
+            raise ValueError("delta values must be distinct")
+        for delta in deltas:
+            samples_per_day(delta)
+        object.__setattr__(self, "deltas", np.asarray(deltas, dtype=int))
         object.__setattr__(self, "h2", np.asarray(self.h2, dtype=float))
         if self.h2_stderr is not None:
             object.__setattr__(self, "h2_stderr",
                                np.asarray(self.h2_stderr, dtype=float))
-        if len(set(self.deltas.tolist())) != len(self.deltas):
-            raise ValueError("delta values must be distinct")
-        for delta in self.deltas.tolist():
-            samples_per_day(delta)
         stderr = self.h2_stderr
         if any(len(v) != len(self.deltas) for v in (self.h2, stderr) if v is not None):
             raise ValueError("h2 and h2_stderr need one entry per delta")

@@ -269,6 +269,15 @@ class TestRollingCommand:
             assert doc["config"]["step_days"] == 30
             assert doc["config"]["window_days"] == 60
 
+    def test_config_file_supplies_out(self, tmp_path):
+        ticks = write_tick_fixture(tmp_path / "ticks.csv", days=130, step_minutes=5)
+        out = tmp_path / "report.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"ticks = {ticks}\nout = {out}\nwindow-days = 60\n"
+                       "step-days = 30\ndeltas = 60,120\nreference-delta = 60\n")
+        assert main(["rolling", "--config", str(cfg)]) == 0
+        assert json.loads(out.read_text())["config"]["window_days"] == 60
+
     def test_windows_too_short_to_fit_are_short_deltas(self, tmp_path):
         # 45-day windows hold 44 increments: every delta is short, exit 0
         ticks = write_tick_fixture(tmp_path / "ticks.csv", days=130, step_minutes=5)
@@ -346,6 +355,8 @@ def _cli_case(name, tmp_path):
         return ["rolling", "--config", str(cfg), *out]
     if name == "missing_config_file":
         return ["rolling", "--config", str(tmp_path / "nope.cfg"), *out]
+    if name == "rolling_without_out":
+        return ["rolling", "--ticks", str(ticks)]
     if name == "missing_ticks_file":
         return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *out]
     if name == "max_malformed_negative":
@@ -384,6 +395,7 @@ def _cli_case(name, tmp_path):
               "sweep_row_without_h2": "1,0.12\n5\n60,0.09\n",
               "sweep_h2_not_a_number": "1,0.12\n5,abc\n60,0.09\n",
               "sweep_delta_not_positive": "1,0.12\n-5,0.11\n60,0.09\n",
+              "sweep_delta_beyond_int64": "1,0.12\n99999999999999999999,0.1\n60,0.09\n",
               "fit_ansatz_exclude_not_a_divisor": "1,0.12\n5,0.11\n60,0.09\n"}
     if name in sweeps:
         sweep = tmp_path / "sweep.csv"
@@ -439,6 +451,7 @@ class TestExitCodes:
         ("config_flag_not_a_boolean", 1, "config key 'header'"),
         ("missing_config_file", 2, "No such file or directory"),
         ("missing_ticks_file", 2, "No such file or directory"),
+        ("rolling_without_out", 1, "rolling: --out is required"),
         ("deltas_with_zero", 1, "delta 0 is not a positive divisor of 1440"),
         ("deltas_negative", 1, "delta -5 is not a positive divisor of 1440"),
         ("reference_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
@@ -460,6 +473,8 @@ class TestExitCodes:
         ("sweep_row_without_h2", 2, "bad sweep row at line 3"),
         ("sweep_h2_not_a_number", 2, "bad sweep row at line 3"),
         ("sweep_delta_not_positive", 1, "delta -5 is not a positive divisor of 1440"),
+        ("sweep_delta_beyond_int64", 1,
+         "delta 99999999999999999999 is not a positive divisor of 1440"),
         ("fit_ansatz_exclude_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("series_with_nan", 2, "non-finite value at line 252"),
         ("series_with_inf", 2, "non-finite value at line 252"),

@@ -137,6 +137,29 @@ class TestParseTicks:
                 parse_ticks(source, max_malformed=5)
 
 
+    @pytest.mark.parametrize("header,bad,loadtxt_calls,row_rule_chunks", [
+        (False, None, 3, []),  # a clean file: one loadtxt call a chunk
+        (True, None, 2, [0]),  # the header line's chunk goes to the row rules
+        (False, 5, 3, [1]),    # only the bad line's chunk goes to the row rules
+    ])
+    def test_loadtxt_reads_every_chunk_it_can(self, header, bad, loadtxt_calls,
+                                              row_rule_chunks):
+        # one timestamp for all: the stable sort keeps file order, so the
+        # prices show it
+        lines = [f"100,{i + 1}.0\n" for i in range(12)]
+        if bad is not None:
+            lines[bad] = "garbage\n"
+        with mock.patch.object(market_data, "_CHUNK", 4), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            ticks = parse_ticks(io.StringIO("".join(lines)), header=header, max_malformed=1)
+        assert loadtxt.call_count == loadtxt_calls
+        assert ([call.args[0] for call in reader.call_args_list]
+                == [lines[4 * c:4 * c + 4] for c in row_rule_chunks])
+        assert ticks.prices.tolist() == [i + 1.0 for i in range(12)
+                                         if i != bad and not (header and i == 0)]
+        assert ticks.malformed_lines == (bad is not None)
+
     def test_memory_peak_is_at_most_three_times_the_output(self, tmp_path):
         # each copy dies as the next is made: at the peak, the records and
         # their field arrays, or the fields, the sort order and one sorted

@@ -568,6 +568,19 @@ class TestGuard:
         want = np.concatenate([local_variances(x, int(s)) for s in scales])
         assert_same_variances(table[cells], want, x, each_scale(len(x), scales))
 
+    @pytest.mark.parametrize("name", ["roundoff", "linear", "two_level"])
+    def test_fallback_projects_one_row_per_tripped_cell(self, name):
+        x = _series_that_trip_the_guard()[name]
+        with mock.patch.object(mfdfa, "_local_variances",
+                               wraps=mfdfa._local_variances) as fallback, \
+                mock.patch.object(mfdfa, "_projected_variances",
+                                  wraps=mfdfa._projected_variances) as projection:
+            own_table(x, default_scales(len(x)))
+        assert fallback.call_count == projection.call_count > 0
+        for tripped, projected in zip(fallback.call_args_list, projection.call_args_list):
+            _, starts, s = tripped.args
+            assert projected.args[0].shape == (len(starts), s)
+
     def test_stationary_profile_takes_no_fallback(self):
         # increments of a stationary series, like the daily log-RV increments
         # of one rolling window

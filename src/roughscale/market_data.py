@@ -199,8 +199,8 @@ def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, n
         parts.append(records)
         if quoted:
             break
-    timestamps = np.concatenate([part["t"] for part in parts])
-    return timestamps, np.concatenate([part["p"] for part in parts]), malformed
+    return (np.concatenate([part["t"] for part in parts]),
+            np.concatenate([part["p"] for part in parts]), malformed)
 
 
 def parse_ticks(source, *, header: bool = False, max_malformed: int = 0) -> TickSeries:

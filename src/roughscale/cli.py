@@ -43,7 +43,7 @@ def _parse_date(text: str) -> dt.date:
 def _load_config_file(path: str) -> dict[str, str]:
     """Plain key=value lines; '#' starts a comment."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -125,7 +125,7 @@ def cmd_rv(args) -> int:
 def _read_series_csv(path: str) -> np.ndarray:
     """One finite value per row, last column taken; a non-numeric first row is skipped."""
     values = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for i, row in enumerate(csv.reader(fh)):
             if not row:
                 continue
@@ -171,7 +171,7 @@ def cmd_mfdfa(args) -> int:
 def cmd_fit_ansatz(args) -> int:
     exclude = _exclude_from_args(args)
     deltas, h2, stderr = [], [], []
-    with open(args.sweep, encoding="utf-8") as fh:
+    with open(args.sweep, encoding="utf-8-sig") as fh:
         for i, row in enumerate(csv.reader(fh)):
             if not row:
                 continue

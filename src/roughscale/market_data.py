@@ -87,9 +87,11 @@ class IntradayReturnGrid:
     returns: np.ndarray  # (days, n), n = 1440/delta
 
 
-# Tick CSVs are read in chunks of _CHUNK lines. A chunk is read by one
-# np.loadtxt call where that is exact; a chunk loadtxt rejects or cannot be
-# trusted on goes through the row rules (`_read_ticks`) whole. The row
+# Tick CSVs are read in chunks of _CHUNK lines, after the header record. A
+# chunk is read by one np.loadtxt call where that is exact; a chunk that holds
+# a quote, or that loadtxt rejects or cannot be trusted on, goes through the
+# row rules (`_read_ticks`) whole, with the lines that finish a quoted field
+# crossing its end. So a quote costs only its own chunk. The row
 # rules take ~6 times loadtxt's time a line (~0.7 against ~0.12 us on a 2-core
 # x86-64 VM), so a chunk of 1024 lines with one bad line costs ~0.6 ms, where
 # 8192 cost ~5 ms; a clean file still parses within ~5 % of its time at 8192,
@@ -145,60 +147,64 @@ def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, n
     """The timestamps and prices of all records of `stream`, as two arrays in
     file order, and the count of malformed records.
 
-    A chunk of _CHUNK lines is read by `_loadtxt` or else whole by the row
-    rules: record 1 when `header` and blank records are skipped, a byte that
-    is not UTF-8 raises, and a record without an int64 timestamp and a finite
-    price is malformed, the one beyond `max_malformed` raising. At the peak,
-    the chunks' records and the two arrays are live, twice the arrays' bytes.
+    With `header`, record 1 is read first and skipped, however many lines it
+    spans. Then each chunk of _CHUNK lines is read by `_loadtxt` or else by
+    the row rules: a csv.reader of its own, which reads past the chunk only
+    the lines that finish the chunk's last record. Blank records are skipped,
+    a byte that is not UTF-8 raises, and a record without an int64 timestamp
+    and a finite price is malformed, the one beyond `max_malformed` raising;
+    both errors name the physical line the record starts on. At the peak, the
+    chunks' records and the two arrays are live, twice the arrays' bytes.
     """
     parts = [np.empty(0, dtype=_RECORD)]  # then one record array a chunk
     malformed = 0
     lines = iter(stream)
-    lineno = 0  # lines read so far, each one record while no quote is seen
+    lineno = 0  # lines read so far
+    if header:
+        reader = csv.reader(lines)
+        next(reader, None)
+        lineno = reader.line_num
     while chunk := list(itertools.islice(lines, _CHUNK)):
         text = "".join(chunk)
         quoted = '"' in text
-        ascii_text = not quoted and text.isascii()  # then no byte fails UTF-8
-        first = lineno + 1
-        lineno += len(chunk)
-        # the header line's chunk goes to the row rules, as csv.reader may
-        # reject that line
-        records = (_loadtxt(chunk) if not quoted and not (header and first == 1)
-                   and _plain(text) else None)
+        records = _loadtxt(chunk) if not quoted and _plain(text) else None
         if records is None:
+            ascii_text = not quoted and text.isascii()  # then no byte fails UTF-8
             stamps, prices = [], []
-            # a quoted field may span lines: the rest of the stream goes
-            # through one csv.reader, records numbered on from here
-            for number, fields in enumerate(
-                    csv.reader(itertools.chain(chunk, lines) if quoted else chunk), first):
-                if (header and number == 1) or not fields or (
-                        len(fields) == 1 and not fields[0].strip()):
-                    continue
+            reader = csv.reader(itertools.chain(chunk, lines))
+            size = len(chunk)
+            # `read` is the lines read before the record, so it starts on
+            # line lineno + read + 1
+            while (read := reader.line_num) < size:
+                fields = next(reader)
                 if not ascii_text and not (line := ",".join(fields)).isascii() \
                         and _UNDECODABLE.search(line):
-                    raise DataError(f"tick data is not valid UTF-8 at line {number}")
+                    raise DataError(f"tick data is not valid UTF-8 at line {lineno + read + 1}")
+                # a good record pays for no check of blanks or field counts
                 try:
-                    if len(fields) < 2:
-                        raise ValueError("fewer than 2 fields")
                     ts = int(fields[0])
                     if not _INT64_MIN <= ts <= _INT64_MAX:
                         raise ValueError("timestamp out of range")
                     price = float(fields[1])
                     if not math.isfinite(price):
                         raise ValueError("non-finite price")
-                except ValueError as exc:
+                except (ValueError, IndexError) as exc:
+                    if not fields or (len(fields) == 1 and not fields[0].strip()):
+                        continue  # a blank record
                     malformed += 1
                     if malformed > max_malformed:
-                        raise DataError(
-                            f"malformed tick record at line {number}: {exc}") from None
+                        reason = "fewer than 2 fields" if len(fields) < 2 else exc
+                        raise DataError(f"malformed tick record at line "
+                                        f"{lineno + read + 1}: {reason}") from None
                     continue
                 stamps.append(ts)
                 prices.append(price)
+            lineno += read
             records = np.empty(len(stamps), dtype=_RECORD)
             records["t"], records["p"] = stamps, prices
+        else:
+            lineno += len(chunk)
         parts.append(records)
-        if quoted:
-            break
     return (np.concatenate([part["t"] for part in parts]),
             np.concatenate([part["p"] for part in parts]), malformed)
 
@@ -208,22 +214,23 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0) -> Tick
 
     `source` may be a path (`str` or `os.PathLike`), bytes, or a text/binary
     file object; paths, bytes and binary streams are UTF-8 read with universal
-    newlines. Out-of-order rows are stably sorted by timestamp; rows with
-    non-positive price are dropped and counted. More than `max_malformed`
-    unparsable rows aborts with a DataError naming the offending line, and so
-    does the first byte that is not UTF-8. A negative `max_malformed` raises
-    ValueError before `source` is read.
+    newlines, and a byte-order mark that opens them is dropped. Out-of-order
+    rows are stably sorted by timestamp; rows with non-positive price are
+    dropped and counted. More than `max_malformed` unparsable rows aborts with
+    a DataError naming the offending line, and so does the first byte that is
+    not UTF-8. A negative `max_malformed` raises ValueError before `source` is
+    read.
     """
     if max_malformed < 0:
         raise ValueError(f"max_malformed must be >= 0, got {max_malformed}")
     release = None
     if isinstance(source, (str, os.PathLike)):
-        stream = open(source, "r", encoding="utf-8", errors="surrogateescape")
+        stream = open(source, "r", encoding="utf-8-sig", errors="surrogateescape")
         release = stream.close
     elif isinstance(source, bytes):
-        stream = io.StringIO(source.decode("utf-8", "surrogateescape"), newline=None)
+        stream = io.StringIO(source.decode("utf-8-sig", "surrogateescape"), newline=None)
     elif isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        stream = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
+        stream = io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape")
         release = stream.detach  # a finalised wrapper would close the caller's stream
     else:
         stream = source

@@ -116,8 +116,10 @@ class GHECurve:
             raise ValueError(f"q = {q} is not on the estimated curve")
         return int(match[0])
 
-    def h_at(self, q: float) -> float:
-        return float(self.h_values[self.index(q)])
+    def h_at(self, q: float) -> float | np.ndarray:
+        """h(q): a float for one series, one value per window for a windowed curve."""
+        h = self.h_values[..., self.index(q)]
+        return float(h) if h.ndim == 0 else h
 
 
 def profile(series) -> np.ndarray:

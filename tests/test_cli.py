@@ -111,6 +111,13 @@ class TestMfdfaCommand:
         assert rc == 3
 
 
+    def test_series_byte_order_mark_is_not_data(self, tmp_path):
+        # the mark would make the first value read as a header and be skipped
+        series = tmp_path / "series.csv"
+        series.write_bytes(b"\xef\xbb\xbf0.5\n0.25\n0.125\n")
+        assert cli._read_series_csv(str(series)).tolist() == [0.5, 0.25, 0.125]
+
+
 class TestFitAnsatzCommand:
     def test_exact_sweep(self, tmp_path):
         sweep = tmp_path / "sweep.csv"
@@ -161,6 +168,20 @@ class TestFitAnsatzCommand:
                            "excluded": [], "boundary_warning": fit.boundary_warning}
             docs.append(doc)
         assert docs[0]["h0"] != docs[1]["h0"]  # the stderrs did weight the first fit
+
+    def test_sweep_byte_order_mark_is_not_data(self, tmp_path):
+        # without a header row, the mark would drop the first row, delta 1
+        deltas = np.array([1, 2, 5, 10, 30, 60, 288, 1440])
+        n = 1440 / deltas
+        h2 = 0.13 * n / (n + 3.0) + 0.002 * (-1.0) ** np.arange(len(deltas))
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_bytes(b"\xef\xbb\xbf" + "".join(
+            f"{d},{h!r}\n" for d, h in zip(deltas.tolist(), h2.tolist())).encode())
+        out = tmp_path / "fit.json"
+        assert main(["fit-ansatz", "--sweep", str(sweep), "--out", str(out)]) == 0
+        fit = fit_ansatz(FrequencySweep(deltas=deltas, h2=h2))
+        doc = json.loads(out.read_text())
+        assert (doc["h0"], doc["a"]) == (fit.h0, fit.a)
 
     def test_weighted_flag_is_unrecognised(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
@@ -268,6 +289,11 @@ class TestRollingCommand:
             doc = json.loads(out.read_text())
             assert doc["config"]["step_days"] == 30
             assert doc["config"]["window_days"] == 60
+
+    def test_config_byte_order_mark_is_not_data(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfwindow-days = 60\nstep-days = 30\n")
+        assert cli._load_config_file(str(cfg)) == {"window_days": "60", "step_days": "30"}
 
     def test_config_file_supplies_out(self, tmp_path):
         ticks = write_tick_fixture(tmp_path / "ticks.csv", days=130, step_minutes=5)

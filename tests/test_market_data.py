@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughscale import market_data, pipeline
@@ -137,9 +137,32 @@ class TestParseTicks:
                 parse_ticks(source, max_malformed=5)
 
 
+    @staticmethod
+    def chunk_reads(text, header):
+        """What a parse of `text` in 4-line chunks hands np.loadtxt, call by call,
+        and the lines each csv.reader takes from its input, with its ticks."""
+        read_by = []
+        real_reader = csv.reader
+
+        def reader(source, *args, **kw):
+            read = []
+            read_by.append(read)
+
+            def recorded():
+                for line in source:
+                    read.append(line)
+                    yield line
+            return real_reader(recorded(), *args, **kw)
+
+        with mock.patch.object(market_data, "_CHUNK", 4), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(csv, "reader", reader):
+            ticks = parse_ticks(io.StringIO(text), header=header, max_malformed=1)
+        return [call.args[0] for call in loadtxt.call_args_list], read_by, ticks
+
     @pytest.mark.parametrize("header,bad,loadtxt_calls,row_rule_chunks", [
         (False, None, 3, []),  # a clean file: one loadtxt call a chunk
-        (True, None, 2, [0]),  # the header line's chunk goes to the row rules
+        (True, None, 3, []),   # the header is one record, read first
         (False, 5, 3, [1]),    # only the bad line's chunk goes to the row rules
     ])
     def test_loadtxt_reads_every_chunk_it_can(self, header, bad, loadtxt_calls,
@@ -149,18 +172,36 @@ class TestParseTicks:
         lines = [f"100,{i + 1}.0\n" for i in range(12)]
         if bad is not None:
             lines[bad] = "garbage\n"
-        with mock.patch.object(market_data, "_CHUNK", 4), \
-                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
-                mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
-            ticks = parse_ticks(io.StringIO("".join(lines)), header=header, max_malformed=1)
-        assert loadtxt.call_count == loadtxt_calls
-        assert ([call.args[0] for call in reader.call_args_list]
-                == [lines[4 * c:4 * c + 4] for c in row_rule_chunks])
+        loadtxt_reads, read_by, ticks = self.chunk_reads("".join(lines), header)
+        assert len(loadtxt_reads) == loadtxt_calls
+        assert read_by == ([lines[:1]] if header else []) + [lines[4 * c:4 * c + 4]
+                                                             for c in row_rule_chunks]
         assert ticks.prices.tolist() == [i + 1.0 for i in range(12)
                                          if i != bad and not (header and i == 0)]
         assert ticks.malformed_lines == (bad is not None)
 
-    def test_memory_peak_is_at_most_three_times_the_output(self, tmp_path):
+    @pytest.mark.parametrize("header,edits,loadtxt_reads,reader_reads,missing", [
+        pytest.param(True, {0: '"timestamp","price"\n'}, [(1, 5), (5, 9), (9, 12)],
+                     [(0, 1)], [0], id="quoted header"),
+        pytest.param(True, {0: '"time\n', 1: 'stamp",price\n'}, [(2, 6), (6, 10), (10, 12)],
+                     [(0, 2)], [0, 1], id="header over two lines"),
+        # a quoted field opened on a chunk's last line: its reader reads on
+        # only to the line that closes it, and the next chunk starts after that
+        pytest.param(False, {3: '100,4.0,"a\n', 4: 'note"\n'}, [(5, 9), (9, 12)],
+                     [(0, 5)], [4], id="field over a chunk edge"),
+    ])
+    def test_a_quote_costs_only_its_own_chunk(self, header, edits, loadtxt_reads,
+                                              reader_reads, missing):
+        lines = [f"100,{i + 1}.0\n" for i in range(12)]
+        for i, line in edits.items():
+            lines[i] = line
+        loadtxt_args, read_by, ticks = self.chunk_reads("".join(lines), header)
+        assert loadtxt_args == [lines[a:b] for a, b in loadtxt_reads]
+        assert read_by == [lines[a:b] for a, b in reader_reads]
+        assert ticks.prices.tolist() == [i + 1.0 for i in range(12) if i not in missing]
+
+    @staticmethod
+    def memory_peak_case(tmp_path, row, header):
         # each copy dies as the next is made: at the peak, the records and
         # their field arrays, or the fields, the sort order and one sorted
         # field, twice the output's bytes (4.6 times while every copy lived)
@@ -172,10 +213,11 @@ class TestParseTicks:
         px = np.round(100 + rng.random(n), 2)
         px[n // 2] = -1.0
         path = tmp_path / "ticks.csv"
-        path.write_text("".join(f"{t},{p!r}\n" for t, p in zip(ts.tolist(), px.tolist())))
+        path.write_text(header + "".join(row.format(t, p)
+                                         for t, p in zip(ts.tolist(), px.tolist())))
         tracemalloc.start()
         try:
-            ticks = parse_ticks(path)
+            ticks = parse_ticks(path, header=bool(header))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -183,17 +225,54 @@ class TestParseTicks:
         assert np.array_equal(ticks.timestamps, np.sort(ts[px > 0]))
         assert peak <= 3 * (ticks.timestamps.nbytes + ticks.prices.nbytes)
 
+    def test_memory_peak_is_at_most_three_times_the_output(self, tmp_path):
+        self.memory_peak_case(tmp_path, "{},{!r}\n", "")
+
+    # a quote costs only its own chunk, so quoted files hold no more
+    @pytest.mark.parametrize("row", ["{},{!r}\n", '"{}","{!r}"\n'],
+                             ids=["quoted header", "all quoted"])
+    def test_memory_peak_of_quoted_files_is_at_most_three_times_the_output(self, tmp_path,
+                                                                           row):
+        self.memory_peak_case(tmp_path, row, '"timestamp","price"\n')
+
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        data = b"\xef\xbb\xbf1400000000,1.0\n1400000060,2.0\n"
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(data)
+        for source in (data, io.BytesIO(data), path):
+            ticks = parse_ticks(source)
+            assert ticks.timestamps.tolist() == [1400000000, 1400000060]
+            assert ticks.prices.tolist() == [1.0, 2.0]
+        # a text stream from the caller is not decoded again, and a mark in
+        # mid-file is a malformed record
+        for text in (data.decode("utf-8"), "1,1.0\n" + data.decode("utf-8")):
+            with pytest.raises(DataError, match=r"record at line \d: invalid literal"):
+                parse_ticks(io.StringIO(text))
+
+    def test_errors_name_the_physical_line_a_record_starts_on(self):
+        data = b'1,10.0\n2,11.0,"note\nspanning\nthree lines"\n3,12.0\nbad,row\n'
+        for source in (data, io.StringIO(data.decode()), io.BytesIO(data)):
+            with pytest.raises(DataError, match="malformed tick record at line 6: "):
+                parse_ticks(source)
+        data = b'1,10.0\n2,11.0,"note\nspanning"\n3,12.0,caf\xe9\n'
+        with pytest.raises(DataError, match="not valid UTF-8 at line 4$"):
+            parse_ticks(data)
+
 
 def reference_parse(source, *, header=False, max_malformed=0):
-    """The csv.reader loop parse_ticks replaced, kept as its oracle."""
+    """The csv.reader loop parse_ticks replaced, kept as its oracle.
+
+    A byte-order mark that opens a path, bytes or a binary stream is dropped,
+    and an error names the physical line its record starts on.
+    """
     release = None
     if isinstance(source, (str, os.PathLike)):
-        stream = open(source, "r", encoding="utf-8")
+        stream = open(source, "r", encoding="utf-8-sig")
         release = stream.close
     elif isinstance(source, bytes):
-        stream = io.StringIO(source.decode("utf-8"))
+        stream = io.StringIO(source.decode("utf-8-sig"))
     elif isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        stream = io.TextIOWrapper(source, encoding="utf-8")
+        stream = io.TextIOWrapper(source, encoding="utf-8-sig")
         release = stream.detach
     else:
         stream = source
@@ -204,7 +283,9 @@ def reference_parse(source, *, header=False, max_malformed=0):
     dropped = 0
     try:
         reader = csv.reader(stream)
-        for lineno, row in enumerate(reader, start=1):
+        start = 1  # the physical line the next record starts on
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if header and lineno == 1:
                 continue
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -289,6 +370,10 @@ class TestChunkedParseMatchesReference:
            final_newline=st.booleans(), chunk=st.integers(2, 16),
            header=st.booleans(),
            max_malformed=st.integers(0, 8))
+    # a quoted field opens on chunk 0's last line and closes in chunk 1; the
+    # bad line after it is on physical line 5, the record's fourth
+    @example(records=["100,1.0", '105,"2.5\n",x', "102,3.0", "oops"], newline="\n",
+             final_newline=True, chunk=2, header=False, max_malformed=0)
     def test_equal_to_reference(self, records, newline, final_newline, chunk,
                                 header, max_malformed):
         def join(records):

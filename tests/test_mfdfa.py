@@ -149,6 +149,20 @@ class TestGeneralizedHurst:
         with pytest.raises(ValueError, match="q = 2.25 is not on the estimated curve"):
             curve.h_at(2.25)
 
+    @pytest.mark.parametrize("qs", [[2.0], [-3.0, 2.0, 3.0]])
+    def test_h_at_reads_the_q_axis_of_a_windowed_curve(self, qs):
+        # a single series gets a float, a windowed curve one value per window
+        h = np.arange(4 * len(qs), dtype=float).reshape(4, len(qs)) / 10
+        windowed = mfdfa.GHECurve(q_values=np.array(qs), h_values=h, stderr=0 * h,
+                                  r2=1 + 0 * h, fit_range=(10, 40))
+        i = qs.index(2.0)
+        np.testing.assert_array_equal(windowed.h_at(2.0), h[:, i])
+        for w in range(4):
+            single = mfdfa.GHECurve(q_values=np.array(qs), h_values=h[w], stderr=0 * h[w],
+                                    r2=1 + 0 * h[w], fit_range=(10, 40))
+            assert type(single.h_at(2.0)) is float
+            assert single.h_at(2.0) == windowed.h_at(2.0)[w]
+
     def test_fgn_h03(self):
         x = generate_fgn(0.3, 2 ** 16, seed=11)
         config = MfdfaConfig(q_values=[2.0], scales=default_scales(len(x)))

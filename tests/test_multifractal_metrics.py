@@ -69,3 +69,16 @@ class TestTaylorB1:
         assert b0_sum == pytest.approx(b0s[0][0] + b0s[1][0])
         assert b1_sum == pytest.approx(b0s[0][1] + b0s[1][1])
 
+
+
+def test_windowed_curve_gives_one_value_per_window():
+    qs = np.array([-3.0, 2.0, 3.0])
+    h = np.array([[0.15, 0.13, 0.116], [0.2, 0.2, 0.2], [0.3, 0.25, 0.1]])
+    windowed = GHECurve(q_values=qs, h_values=h, stderr=np.zeros_like(h),
+                        r2=np.ones_like(h), fit_range=(10, 100))
+    width = delta_h(windowed, 3.0)
+    b0, b1 = taylor_b1(windowed, 3.0)
+    for w, row in enumerate(h):
+        single = curve_from(list(zip(qs, row)))
+        assert width[w] == delta_h(single, 3.0)
+        assert (b0[w], b1[w]) == taylor_b1(single, 3.0)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
-import json
 import math
 import sys
 
@@ -17,12 +16,12 @@ import numpy as np
 from . import pipeline
 from .errors import DataError, NumericError
 from .finite_sample import FiniteSampleLaw, density, kurtosis, moment_2k
-from .market_data import (grid_records, intraday_log_returns, parse_ticks,
-                          resample_prices, return_records, samples_per_day,
-                          trade_index)
+from .market_data import (_UNDECODABLE, intraday_log_returns, parse_ticks, resample_prices,
+                          samples_per_day, trade_index)
 from .mfdfa import MfdfaConfig, default_q_values, default_scales, fluctuation_function, \
     generalized_hurst
-from .pipeline import RollingSpec, emit_report, resolve_deltas, run_rolling
+from .pipeline import (RollingSpec, emit_report, resolve_deltas, run_rolling, write_csv,
+                       write_json)
 from .realized_volatility import log_increments
 from .scaling import FrequencySweep, fit_ansatz
 from .synthetic import generate_cascade, generate_fgn, generate_sv_days
@@ -36,34 +35,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_date(text: str) -> dt.date:
+def date(text: str) -> dt.date:
+    """An ISO date; argparse names the type by this function, "invalid date value"."""
     return dt.date.fromisoformat(text)
+
+
+def _lines(path: str):
+    """A text file's lines, decoded as `parse_ticks` decodes a path (an opening
+    byte-order mark is not data); a byte that is not UTF-8 raises DataError."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.isascii() and _UNDECODABLE.search(line):
+                raise DataError(f"not valid UTF-8 at line {number} of {path}")
+            yield line
+
+
+def _read_rows(path: str, parse, what: str) -> list:
+    """`parse(fields)` of each record of a CSV file that is not blank. `parse`
+    raises ValueError when the leading number does not convert, which makes
+    the first record a header and a later one the error `what`, and DataError
+    for any other fault; errors name the line the record starts on."""
+    rows, first, start = [], True, 1  # start: the line the next record starts on
+    reader = csv.reader(_lines(path))
+    for fields in reader:
+        if fields and (len(fields) > 1 or fields[0].strip()):
+            try:
+                rows.append(parse(fields))
+            except ValueError:
+                if not first:
+                    raise DataError(f"{what} at line {start} of {path}") from None
+            except DataError as exc:
+                raise DataError(f"{exc} at line {start} of {path}") from None
+            first = False
+        start = reader.line_num + 1
+    return rows
 
 
 def _load_config_file(path: str) -> dict[str, str]:
     """Plain key=value lines; '#' starts a comment."""
     out = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"bad config line (expected key=value): {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for raw in _lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"bad config line (expected key=value): {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
-
-
-def _write_csv(path, header, rows):
-    out = open(path, "w", newline="", encoding="utf-8") if path != "-" else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _add_tick_args(p):
@@ -71,8 +90,8 @@ def _add_tick_args(p):
     p.add_argument("--header", action="store_true", help="skip the first row")
     p.add_argument("--max-malformed", type=int, default=0)
     p.add_argument("--delta", type=int, default=5, help="sampling period in minutes")
-    p.add_argument("--start", type=_parse_date, default=None)
-    p.add_argument("--end", type=_parse_date, default=None)
+    p.add_argument("--start", type=date, default=None)
+    p.add_argument("--end", type=date, default=None)
     p.add_argument("--min-coverage", type=float, default=0.0)
 
 
@@ -99,11 +118,11 @@ def cmd_ingest(args) -> int:
     _check_grid_args(args)
     index = trade_index(_ticks_from_args(args), [args.delta], args.start, args.end)
     grid = resample_prices(index, args.delta, args.min_coverage)
-    if args.what == "prices":
-        _write_csv(args.out, ["date", "index", "price"], grid_records(grid))
-    else:
-        _write_csv(args.out, ["date", "index", "return"],
-                   return_records(intraday_log_returns(grid)))
+    column, table = (("price", grid.prices) if args.what == "prices"
+                     else ("return", intraday_log_returns(grid).returns))
+    write_csv(args.out, ["date", "index", column],
+              ((day.isoformat(), i, value) for day, row in zip(grid.days, table)
+               for i, value in enumerate(row.tolist())))
     return 0
 
 
@@ -111,32 +130,27 @@ def cmd_rv(args) -> int:
     _check_grid_args(args)
     rv = pipeline.build_rv_by_delta(_ticks_from_args(args), [args.delta], args.start,
                                     args.end, args.min_coverage)[args.delta]
-    _write_csv(args.out, ["date", "rv", "daily_return"],
-               ((d.isoformat(), repr(float(v)), repr(float(r)))
-                for d, v, r in zip(rv.dates, rv.rv, rv.daily_return)))
+    write_csv(args.out, ["date", "rv", "daily_return"],
+              ((d.isoformat(), repr(float(v)), repr(float(r)))
+               for d, v, r in zip(rv.dates, rv.rv, rv.daily_return)))
     if args.increments_out:
         incr = log_increments(rv, zero_policy=args.zero_policy)
-        _write_csv(args.increments_out, ["date", "V"],
-                   ((d.isoformat(), repr(float(v)))
-                    for d, v in zip(incr.dates, incr.values)))
+        write_csv(args.increments_out, ["date", "V"],
+                  ((d.isoformat(), repr(float(v)))
+                   for d, v in zip(incr.dates, incr.values)))
     return 0
 
 
+def _series_value(fields: list[str]) -> float:
+    value = float(fields[-1])
+    if not math.isfinite(value):
+        raise DataError("non-finite value")
+    return value
+
+
 def _read_series_csv(path: str) -> np.ndarray:
-    """One finite value per row, last column taken; a non-numeric first row is skipped."""
-    values = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            try:
-                values.append(float(row[-1]))
-            except ValueError:
-                if i == 0:
-                    continue
-                raise DataError(f"non-numeric value at line {i + 1} of {path}")
-            if not math.isfinite(values[-1]):
-                raise DataError(f"non-finite value at line {i + 1} of {path}")
+    """One finite value per record, last column taken; a non-numeric first record is a header."""
+    values = _read_rows(path, _series_value, "non-numeric value")
     if not values:
         raise DataError(f"no numeric data in {path}")
     return np.asarray(values)
@@ -158,49 +172,39 @@ def cmd_mfdfa(args) -> int:
     surface = fluctuation_function(series, config)
     curve = generalized_hurst(surface)
     if args.surface_out:
-        _write_csv(args.surface_out, ["q", "s", "Fq"],
-                   ((repr(float(q)), int(s), repr(float(surface.values[i, j])))
-                    for i, q in enumerate(surface.q_values)
-                    for j, s in enumerate(surface.scales)))
+        write_csv(args.surface_out, ["q", "s", "Fq"],
+                  ((repr(float(q)), int(s), repr(float(surface.values[i, j])))
+                   for i, q in enumerate(surface.q_values)
+                   for j, s in enumerate(surface.scales)))
     columns = np.column_stack([curve.q_values, curve.h_values, curve.stderr, curve.r2])
-    _write_csv(args.out, ["q", "h", "stderr", "r2"],
-               (map(repr, row) for row in columns.tolist()))
+    write_csv(args.out, ["q", "h", "stderr", "r2"],
+              (map(repr, row) for row in columns.tolist()))
     return 0
+
+
+def _sweep_row(fields: list[str]) -> tuple:
+    """(delta, h2, stderr or None); a delta that is not an integer raises ValueError."""
+    delta = int(fields[0])
+    try:
+        return (delta, float(fields[1]),
+                float(fields[2]) if len(fields) > 2 and fields[2] != "" else None)
+    except (ValueError, IndexError):
+        raise DataError("bad sweep row") from None
 
 
 def cmd_fit_ansatz(args) -> int:
     exclude = _exclude_from_args(args)
-    deltas, h2, stderr = [], [], []
-    with open(args.sweep, encoding="utf-8-sig") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            try:
-                deltas.append(int(row[0]))
-            except ValueError:
-                if i == 0:
-                    continue
-                raise DataError(f"bad sweep row at line {i + 1}")
-            try:
-                h2.append(float(row[1]))
-                if len(row) > 2 and row[2] != "":
-                    stderr.append(float(row[2]))
-            except (ValueError, IndexError):
-                raise DataError(f"bad sweep row at line {i + 1}") from None
-    if stderr and len(stderr) != len(h2):
+    rows = _read_rows(args.sweep, _sweep_row, "bad sweep row")
+    stderr = [row[2] for row in rows if row[2] is not None]
+    if stderr and len(stderr) != len(rows):
         raise DataError("stderr column must be present for all rows or none")
-    sweep = FrequencySweep(deltas=deltas, h2=h2, h2_stderr=stderr or None)
+    sweep = FrequencySweep(deltas=[row[0] for row in rows], h2=[row[1] for row in rows],
+                           h2_stderr=stderr or None)
     fit = fit_ansatz(sweep, exclude=exclude)
-    doc = {"h0": fit.h0, "a": fit.a, "h0_stderr": fit.h0_stderr,
-           "a_stderr": fit.a_stderr, "residual_rms": fit.residual_rms,
-           "excluded": fit.excluded_deltas,
-           "boundary_warning": fit.boundary_warning}
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_json(args.out, {"h0": fit.h0, "a": fit.a, "h0_stderr": fit.h0_stderr,
+                          "a_stderr": fit.a_stderr, "residual_rms": fit.residual_rms,
+                          "excluded": fit.excluded_deltas,
+                          "boundary_warning": fit.boundary_warning})
     return 0
 
 
@@ -209,7 +213,7 @@ def cmd_finite_sample(args) -> int:
     xs = np.linspace(-np.sqrt(args.n), np.sqrt(args.n), args.points)
     pdf = density(law, xs)
     rows = [(repr(float(x)), repr(float(p))) for x, p in zip(xs, pdf)]
-    _write_csv(args.out, ["x", "pdf"], rows)
+    write_csv(args.out, ["x", "pdf"], rows)
     print(f"n={args.n} kurtosis={kurtosis(law)!r}", file=sys.stderr)
     for k in (1, 2, 3):
         print(f"E[r^{2 * k}]={moment_2k(law, k)!r}", file=sys.stderr)
@@ -231,7 +235,7 @@ def cmd_synth(args) -> int:
     else:
         need("n", "sigma")
         series = generate_sv_days(1, args.n, args.sigma, args.seed)[0]
-    _write_csv(args.out, ["value"], ((repr(float(v)),) for v in series))
+    write_csv(args.out, ["value"], ((repr(float(v)),) for v in series))
     return 0
 
 

@@ -72,7 +72,8 @@ class TickSeries:
 
 @dataclass(frozen=True)
 class PriceGrid:
-    """Previous-tick prices on a delta-minute grid, one row per kept day."""
+    """Previous-tick prices on a delta-minute grid, one row per kept day;
+    `prices` may be a view of the `TradeIndex` it was resampled from."""
 
     delta_minutes: int
     days: list[dt.date]
@@ -399,26 +400,11 @@ def resample_prices(index: TradeIndex, delta_minutes: int,
     if index.leading:
         warnings.warn(f"backfilled the day-open of {index.leading} leading day(s) "
                       "with no prior trade", stacklevel=2)
-    return PriceGrid(delta_minutes=delta_minutes,
-                     days=days,
-                     prices=np.ascontiguousarray(prices), coverage=coverage)
+    return PriceGrid(delta_minutes=delta_minutes, days=days, prices=prices,
+                     coverage=coverage)
 
 
 def intraday_log_returns(grid: PriceGrid) -> IntradayReturnGrid:
     """Log returns between consecutive grid prices, n per day."""
     return IntradayReturnGrid(delta_minutes=grid.delta_minutes, days=grid.days,
                               returns=np.diff(np.log(grid.prices), axis=1))
-
-
-def grid_records(grid: PriceGrid):
-    """Long-form (date, index, price) rows for CSV/JSON export."""
-    for day, row in zip(grid.days, grid.prices):
-        for i, p in enumerate(row.tolist()):
-            yield day.isoformat(), i, p
-
-
-def return_records(grid: IntradayReturnGrid):
-    """Long-form (date, index, return) rows for CSV/JSON export."""
-    for day, row in zip(grid.days, grid.returns):
-        for i, r in enumerate(row.tolist()):
-            yield day.isoformat(), i, r

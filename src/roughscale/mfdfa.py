@@ -136,29 +136,29 @@ def profile(series) -> np.ndarray:
 def segment_variances(Y: np.ndarray, s: int, m: int = 1) -> np.ndarray:
     """Mean squared residual of an order-m polynomial fit per segment.
 
-    2*N_s values: N_s segments from the front of the profile, then N_s from
-    the back (covers the tail left over when N is not a multiple of s).
+    2*N_s values per profile, on the last axis of `Y` ((N,) or (..., N)): N_s segments from
+    the front, then N_s from the back (covering the tail when s does not divide N).
     """
     Y = np.asarray(Y, dtype=float)
-    N = len(Y)
+    N = Y.shape[-1]
     if s > N:
         raise DataError(f"scale {s} exceeds series length {N}")
     if s < m + 2:
         raise ValueError(f"scale {s} too small for detrend order {m}")
     n_seg = N // s
-    fwd = Y[: n_seg * s].reshape(n_seg, s)
-    bwd = Y[N - n_seg * s:].reshape(n_seg, s)
-    return _projected_variances(np.concatenate([fwd, bwd], axis=0), m)
+    fwd = Y[..., : n_seg * s].reshape(*Y.shape[:-1], n_seg, s)
+    bwd = Y[..., N - n_seg * s:].reshape(*Y.shape[:-1], n_seg, s)
+    return _projected_variances(np.concatenate([fwd, bwd], axis=-2), m)
 
 
 def _projected_variances(seg: np.ndarray, m: int) -> np.ndarray:
-    """Mean squared residual of an order-m polynomial fit to each row of `seg`."""
+    """Mean squared residual of an order-m polynomial fit along the last axis of `seg`."""
     # shared design matrix: one batched projection instead of a polyfit a row
-    design = np.vander(np.arange(seg.shape[1], dtype=float), m + 1)
+    design = np.vander(np.arange(seg.shape[-1], dtype=float), m + 1)
     fit = (seg @ np.linalg.pinv(design).T) @ design.T
     fit -= seg  # minus the residual; squared in place, with no further temporaries
     fit *= fit
-    return fit.mean(axis=1)
+    return fit.mean(axis=-1)
 
 
 def _power_means(log_f2: np.ndarray, starts: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -323,7 +323,7 @@ def _window_variances(x: np.ndarray, first: np.ndarray, lengths: np.ndarray, col
     their segment variances in `segment_variances`' order over the grid
     `scales[columns[n]]`). Order 1 takes the variances of every grid from
     one table per `_window_groups` run that fits the cap; the rest are
-    projected window by window."""
+    projected a pass at a time, one `segment_variances` call per scale."""
     tabled = order == 1 and np.finfo(np.longdouble).eps < np.finfo(float).eps
     for lo, hi, group in _window_groups(first, lengths):
         at = first - lo  # each window's start in the run's span x[lo:hi]
@@ -337,8 +337,8 @@ def _window_variances(x: np.ndarray, first: np.ndarray, lengths: np.ndarray, col
         for rows, n, cells in passes:
             Y = profile(x[first[rows, None] + np.arange(n)])
             grid = scales[columns[n]].tolist()
-            yield rows, Y, (table[cells + at[rows, None]] if table is not None else np.array(
-                [np.concatenate([segment_variances(y, s, order) for s in grid]) for y in Y]))
+            yield rows, Y, (table[cells + at[rows, None]] if table is not None else
+                            np.concatenate([segment_variances(Y, s, order) for s in grid], axis=1))
 
 
 def fluctuation_function(series, config: MfdfaConfig, starts=None,
@@ -357,7 +357,7 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     detrending takes the segments of windows whose extent spans at most
     _PREFIX_MAX_LENGTH points from one table over that extent
     (`_order1_table`); a longer window, higher orders, and every order where
-    longdouble is no wider than float64, project each window scale by scale.
+    longdouble is no wider than float64, project a pass of windows a scale at a time.
     A scale whose every segment is zero-variance raises NumericError for a
     series and gives a window NaN.
     """

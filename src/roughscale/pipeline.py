@@ -2,9 +2,12 @@
 fits, and multifractality metrics, with JSON/CSV reporting."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
+import itertools
 import json
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
 
@@ -242,27 +245,34 @@ def report_document(reports: list[WindowReport], config_echo: dict | None = None
     }
 
 
+def _output(path: str):
+    """The file `path`, UTF-8 with no newline translation, or stdout for "-"."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(
+        path, "w", newline="", encoding="utf-8")
+
+
+def write_csv(path: str, header: list[str], rows: Iterable) -> None:
+    with _output(path) as out:
+        csv.writer(out).writerows(itertools.chain([header], rows))
+
+
+def write_json(path: str, doc: dict) -> None:
+    with _output(path) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
+
+
 def emit_report(reports: list[WindowReport], json_path: str,
                 h2_csv_path: str | None = None, hq_csv_path: str | None = None,
                 config_echo: dict | None = None) -> dict:
-    """Write the JSON document plus optional long-form CSV tables."""
+    """Write the JSON document plus optional long-form CSV tables ("-" is stdout)."""
     doc = report_document(reports, config_echo)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(json_path, doc)
     if h2_csv_path is not None:
-        with open(h2_csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["window_start", "delta", "h2"])
-            for r in reports:
-                for d in sorted(r.h2_by_delta):
-                    writer.writerow([r.window_start.isoformat(), d,
-                                     repr(r.h2_by_delta[d])])
+        write_csv(h2_csv_path, ["window_start", "delta", "h2"],
+                  ((r.window_start.isoformat(), d, repr(r.h2_by_delta[d]))
+                   for r in reports for d in sorted(r.h2_by_delta)))
     if hq_csv_path is not None:
-        with open(hq_csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["window_start", "q", "h"])
-            for r in reports:
-                for q, h in zip(r.curve_q, r.curve_h):
-                    writer.writerow([r.window_start.isoformat(), repr(q), repr(h)])
+        write_csv(hq_csv_path, ["window_start", "q", "h"],
+                  ((r.window_start.isoformat(), repr(q), repr(h))
+                   for r in reports for q, h in zip(r.curve_q, r.curve_h)))
     return doc

@@ -117,6 +117,11 @@ class TestMfdfaCommand:
         series.write_bytes(b"\xef\xbb\xbf0.5\n0.25\n0.125\n")
         assert cli._read_series_csv(str(series)).tolist() == [0.5, 0.25, 0.125]
 
+    def test_header_after_blank_lines_is_a_header(self, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text("\n  \nvalue\n0.5\n\n0.25\n")
+        assert cli._read_series_csv(str(series)).tolist() == [0.5, 0.25]
+
 
 class TestFitAnsatzCommand:
     def test_exact_sweep(self, tmp_path):
@@ -318,6 +323,17 @@ class TestRollingCommand:
             assert window["reason"] == "insufficient_data"
             assert window["diagnostics"]["short_deltas"] == [30, 60, 120, 288]
 
+    def test_out_dash_is_stdout(self, tmp_path, monkeypatch, capsys):
+        ticks = write_tick_fixture(tmp_path / "ticks.csv", days=130, step_minutes=5)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["rolling", "--ticks", str(ticks), "--window-days", "60",
+                   "--step-days", "30", "--deltas", "30,60,120,288",
+                   "--reference-delta", "30", "--out", "-"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["windows"]) == (130 - 60) // 30 + 1
+        assert not (tmp_path / "-").exists()
+
     def test_usage_error_exit_1(self, tmp_path):
         rc = main(["rolling", "--out", str(tmp_path / "r.json")])
         assert rc == 1
@@ -379,6 +395,9 @@ def _cli_case(name, tmp_path):
     if name == "config_flag_not_a_boolean":
         cfg.write_text(f"ticks = {ticks}\nheader = maybe\n")
         return ["rolling", "--config", str(cfg), *out]
+    if name == "config_not_utf8":
+        cfg.write_bytes(f"ticks = {ticks}\nwindow-days = 60\n".encode() + b"\xff = 1\n")
+        return ["rolling", "--config", str(cfg), *out]
     if name == "missing_config_file":
         return ["rolling", "--config", str(tmp_path / "nope.cfg"), *out]
     if name == "rolling_without_out":
@@ -399,6 +418,8 @@ def _cli_case(name, tmp_path):
                 "detrend_order_above_the_default_grid": ["--detrend-order", "9"]}
     if name in bad_runs:
         return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *bad_runs[name], *out]
+    if name == "rv_start_not_a_date":
+        return ["rv", "--ticks", str(ticks), "--start", "2020-13-01", *out]
     if name in ("rv_delta_not_a_divisor", "ingest_delta_not_a_divisor"):
         return [name.split("_")[0], "--ticks", str(tmp_path / "nope.csv"), "--delta", "7",
                 *out]
@@ -423,9 +444,14 @@ def _cli_case(name, tmp_path):
               "sweep_delta_not_positive": "1,0.12\n-5,0.11\n60,0.09\n",
               "sweep_delta_beyond_int64": "1,0.12\n99999999999999999999,0.1\n60,0.09\n",
               "fit_ansatz_exclude_not_a_divisor": "1,0.12\n5,0.11\n60,0.09\n"}
-    if name in sweeps:
+    # these replace the whole file, header included
+    whole_sweeps = {"sweep_quoted_delta_spans_lines": b'delta,h2\n"1\n",0.1\n5,0.1\nx,0.1\n',
+                    "sweep_first_row_h2_not_a_number": b"5,abc\n1,0.12\n60,0.09\n",
+                    "sweep_not_utf8": b"delta,h2\n1,0.12\n\xff,0.1\n60,0.09\n"}
+    if name in sweeps or name in whole_sweeps:
         sweep = tmp_path / "sweep.csv"
-        sweep.write_text("delta,h2,stderr\n" + sweeps[name])
+        sweep.write_bytes(whole_sweeps.get(name) or
+                          ("delta,h2,stderr\n" + sweeps[name]).encode())
         exclude = ["--exclude", "7"] if name == "fit_ansatz_exclude_not_a_divisor" else []
         return ["fit-ansatz", "--sweep", str(sweep), *exclude, *out]
     bad_values = {"series_with_nan": "nan", "series_with_inf": "-inf",
@@ -438,6 +464,12 @@ def _cli_case(name, tmp_path):
         series = tmp_path / "series.csv"
         series.write_text("value\n" + "\n".join(values) + "\n")
         return ["mfdfa", "--series", str(series), *q_lists.get(name, []), *out]
+    whole_series = {"series_quoted_value_spans_lines": b'value\n"1.0\n"\n2.0\nbad\n',
+                    "series_not_utf8": b"value\n0.5\n\xff\n0.25\n"}
+    if name in whole_series:
+        series = tmp_path / "series.csv"
+        series.write_bytes(whole_series[name])
+        return ["mfdfa", "--series", str(series), *out]
     synth = {"fgn_without_hurst": ["--kind", "fgn", "--len", "1024"],
              "cascade_without_p": ["--kind", "cascade", "--levels", "8"],
              "cascade_without_levels": ["--kind", "cascade", "--p", "0.6"],
@@ -471,6 +503,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name,code,message", [
         ("config_line_without_equals", 2, "bad config line"),
+        ("config_not_utf8", 2, "not valid UTF-8 at line 3"),
         ("config_value_not_an_int", 1, "sixty"),
         ("config_key_not_an_option", 1, "config key 'func'"),
         ("config_key_misspelled", 1, "config key 'window_day'"),
@@ -486,6 +519,7 @@ class TestExitCodes:
         ("detrend_order_above_the_default_grid", 1,
          "smallest scale must be >= detrend_order + 2"),
         ("exclude_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
+        ("rv_start_not_a_date", 1, "invalid date value: '2020-13-01'"),
         ("rv_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("ingest_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("rv_min_coverage_nan", 1, "min_coverage must lie in [0, 1], got nan"),
@@ -498,6 +532,9 @@ class TestExitCodes:
         ("zero_stderr_in_sweep", 1, "stderrs must be finite and positive"),
         ("sweep_row_without_h2", 2, "bad sweep row at line 3"),
         ("sweep_h2_not_a_number", 2, "bad sweep row at line 3"),
+        ("sweep_quoted_delta_spans_lines", 2, "bad sweep row at line 5"),
+        ("sweep_first_row_h2_not_a_number", 2, "bad sweep row at line 1"),
+        ("sweep_not_utf8", 2, "not valid UTF-8 at line 3"),
         ("sweep_delta_not_positive", 1, "delta -5 is not a positive divisor of 1440"),
         ("sweep_delta_beyond_int64", 1,
          "delta 99999999999999999999 is not a positive divisor of 1440"),
@@ -505,6 +542,8 @@ class TestExitCodes:
         ("series_with_nan", 2, "non-finite value at line 252"),
         ("series_with_inf", 2, "non-finite value at line 252"),
         ("series_field_over_csv_limit", 2, "field larger than field limit"),
+        ("series_quoted_value_spans_lines", 2, "non-numeric value at line 5"),
+        ("series_not_utf8", 2, "not valid UTF-8 at line 3"),
         ("ticks_field_over_csv_limit", 2, "field larger than field limit"),
         ("max_malformed_negative", 1, "max_malformed must be >= 0, got -1"),
         ("q_list_nan", 1, "q values must be finite, got [nan, 2.0]"),
@@ -515,7 +554,10 @@ class TestExitCodes:
         ("sv_day_without_n", 1, "--n"),
     ])
     def test_exit_code(self, tmp_path, capsys, name, code, message):
-        rc = main(_cli_case(name, tmp_path))
+        try:
+            rc = main(_cli_case(name, tmp_path))
+        except SystemExit as exc:  # argparse's own usage errors exit from parse_args
+            rc = exc.code
         assert rc == code
         assert message in capsys.readouterr().err
 

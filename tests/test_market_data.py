@@ -681,6 +681,16 @@ class TestSharedIndexMatchesPerDeltaLoop:
             assert rv.rv.tolist() == [float(np.sum(r ** 2)) for r in returns]
             assert rv.daily_return.tolist() == [float(np.sum(r)) for r in returns]
 
+    def test_a_grid_that_keeps_every_day_is_a_view_of_the_index(self):
+        ticks = ticks_from([(T0 + 60 * m, 100.0 + m) for m in range(0, 3 * 1440, 7)])
+        index = trade_index(ticks, [5, 10, 60])
+        for delta in (10, 60):
+            grid = resample_prices(index, delta)
+            assert np.shares_memory(grid.prices, index.prices)
+            np.testing.assert_array_equal(grid.prices, index.prices[:, ::delta // 5])
+            np.testing.assert_array_equal(intraday_log_returns(grid).returns,
+                                          np.diff(np.log(grid.prices.copy()), axis=1))
+
     # not a multiple of the step 5, a multiple it was not built for, no divisor
     @pytest.mark.parametrize("delta", [1, 8, 15, 7])
     def test_delta_must_be_one_the_index_was_built_for(self, delta):

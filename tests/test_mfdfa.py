@@ -539,6 +539,18 @@ class TestStackedRows:
                     assert surface.excluded_segments[0].sum() > 0  # the constant stretch
         assert spy.call_count > 0  # the guard tripped (every scale at order 2)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_segment_variances_of_a_stack_are_each_row_alone(self, order):
+        # bit for bit, with a tail left over at every scale
+        stack = profile(_stack_rows(1600)[:, :1597])
+        for s in (10, 37, 399):
+            got = segment_variances(stack, s, order)
+            assert got.shape == (len(stack), 2 * (1597 // s))
+            for row, want in zip(stack, got):
+                assert segment_variances(row, s, order).tobytes() == want.tobytes()
+            deep = segment_variances(stack[:12].reshape(3, 4, -1), s, order)
+            assert deep.tobytes() == got[:12].tobytes()
+
     def test_a_row_with_only_zero_variance_segments_raises(self):
         # alone; as a window of a span it gets NaN, and the other windows do not
         stack = _stack_rows(1600)[:4]

@@ -54,20 +54,24 @@ def _read_rows(path: str, parse, what: str) -> list:
     """`parse(fields)` of each record of a CSV file that is not blank. `parse`
     raises ValueError when the leading number does not convert, which makes
     the first record a header and a later one the error `what`, and DataError
-    for any other fault; errors name the line the record starts on."""
+    for any other fault; these errors, and csv's own, name the line the record
+    starts on."""
     rows, first, start = [], True, 1  # start: the line the next record starts on
     reader = csv.reader(_lines(path))
-    for fields in reader:
-        if fields and (len(fields) > 1 or fields[0].strip()):
-            try:
-                rows.append(parse(fields))
-            except ValueError:
-                if not first:
-                    raise DataError(f"{what} at line {start} of {path}") from None
-            except DataError as exc:
-                raise DataError(f"{exc} at line {start} of {path}") from None
-            first = False
-        start = reader.line_num + 1
+    try:
+        for fields in reader:
+            if fields and (len(fields) > 1 or fields[0].strip()):
+                try:
+                    rows.append(parse(fields))
+                except ValueError:
+                    if not first:
+                        raise DataError(f"{what} at line {start} of {path}") from None
+                except DataError as exc:
+                    raise DataError(f"{exc} at line {start} of {path}") from None
+                first = False
+            start = reader.line_num + 1
+    except csv.Error as exc:  # a field over csv's size limit
+        raise DataError(f"{exc} at line {start} of {path}") from None
     return rows
 
 

@@ -154,8 +154,9 @@ def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, n
     the lines that finish the chunk's last record. Blank records are skipped,
     a byte that is not UTF-8 raises, and a record without an int64 timestamp
     and a finite price is malformed, the one beyond `max_malformed` raising;
-    both errors name the physical line the record starts on. At the peak, the
-    chunks' records and the two arrays are live, twice the arrays' bytes.
+    these errors, and csv's own (a field over its size limit), name the
+    physical line the record starts on. At the peak, the chunks' records and
+    the two arrays are live, twice the arrays' bytes.
     """
     parts = [np.empty(0, dtype=_RECORD)]  # then one record array a chunk
     malformed = 0
@@ -163,7 +164,10 @@ def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, n
     lineno = 0  # lines read so far
     if header:
         reader = csv.reader(lines)
-        next(reader, None)
+        try:
+            next(reader, None)
+        except csv.Error as exc:  # a field over csv's size limit
+            raise DataError(f"{exc} at line 1") from None
         lineno = reader.line_num
     while chunk := list(itertools.islice(lines, _CHUNK)):
         text = "".join(chunk)
@@ -177,7 +181,10 @@ def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, n
             # `read` is the lines read before the record, so it starts on
             # line lineno + read + 1
             while (read := reader.line_num) < size:
-                fields = next(reader)
+                try:
+                    fields = next(reader)
+                except csv.Error as exc:
+                    raise DataError(f"{exc} at line {lineno + read + 1}") from None
                 if not ascii_text and not (line := ",".join(fields)).isascii() \
                         and _UNDECODABLE.search(line):
                     raise DataError(f"tick data is not valid UTF-8 at line {lineno + read + 1}")

@@ -94,7 +94,8 @@ class FluctuationSurface:
     series_length: int            # points in the series
     config: MfdfaConfig
     excluded_segments: np.ndarray  # ([windows,] len(scales)): zero-variance segments
-                                   # excluded from q<0 sums and the q=0 log-average
+                                   # excluded from q<0 sums and the q=0 log-average;
+                                   # 0 for a q = {2} window off the gather path
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,10 @@ _PREFIX_MAX_LENGTH = 8192
 _PASS_POINTS = 16384
 _TABLE_CHUNK = 4096
 
+# A q = {2} window's sum of table cells from running sums (`_residue_means`)
+# goes to the gather path where their roundoff bound exceeds this share of it.
+_RESIDUE_GUARD = 1e-12
+
 
 def _window_groups(first: np.ndarray, lengths: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     """The windows x[i0:i0+n] in runs of rising i0 whose extent, from the
@@ -317,13 +322,57 @@ def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray) -> np.nda
     return table
 
 
+def _residue_means(x: np.ndarray, table: np.ndarray, scales: np.ndarray, at: np.ndarray,
+                   lengths: np.ndarray, columns: dict) -> tuple[np.ndarray, np.ndarray]:
+    """F_2^2 of the windows at `at` in x, the mean of their table cells at each
+    scale of their grids (NaN off them), and which windows to route to the
+    gather path instead.
+
+    A window at a of n points has its m = n // s forward segments at a,
+    a+s, ... and its backward ones ending at a+n, so each run lies in one
+    residue class mod s of the table's row: with C the running sum along each
+    class, offset by s and 0 at unused cells, a run's sum is C[a+ms] - C[a]
+    (backward: C[a+n] - C[a+n-ms]). A window is routed where a cell of its
+    runs is at or below (s eps 2 L max|x|)^2, at least its zero-variance
+    floor (s eps max|Y|)^2 as |Y| <= 2 n max|x|, or where the sums' roundoff
+    bound k eps (C[a+ms] + C[a+n]), k - 1 >= L/s terms to a class, exceeds
+    _RESIDUE_GUARD of its own.
+    """
+    L = len(x)
+    cells = table.reshape(len(scales), L)
+    flagged = cells <= (scales[:, None] * (np.finfo(float).eps * 2 * L * np.max(np.abs(x)))) ** 2
+    on = np.zeros((len(at), len(scales)), dtype=bool)  # each window's grid
+    for n in np.unique(lengths).tolist():
+        on[np.ix_(lengths == n, columns[n])] = True
+    k = -(-L // scales) + 1
+    start = np.cumsum(k * scales) - k * scales  # row j's classes at C[:, start[j]:]
+    # C[0] sums the cells, 0 at unused (NaN) ones; C[1], where a cell is flagged, counts them
+    C = np.zeros((1 + flagged.any(), np.sum(k * scales)))
+    for j in np.flatnonzero(on.any(axis=0)).tolist():
+        s, o = int(scales[j]), int(start[j])
+        C[0, o + s:o + s + L], C[1:, o + s:o + s + L] = cells[j], flagged[j]
+        runs = C[:, o:o + k[j] * s].reshape(len(C), -1, s)
+        np.fmax(runs, 0.0, out=runs)
+        np.cumsum(runs, axis=1, out=runs)
+    ms = lengths[:, None] // scales * scales
+    # the forward run ends at a+ms, the backward one at a+ms + n mod s = a+n
+    ends = start + at[:, None] + ms + np.stack([0 * ms, lengths[:, None] % scales])
+    last = C[:, ends]
+    total, *flags = (last - C[:, ends - ms]).sum(axis=1)
+    error = k * np.finfo(float).eps * last[0].sum(axis=0)
+    routed = on & ((error > _RESIDUE_GUARD * total) | (np.sum(flags, axis=0) > 0))
+    return np.where(on, total / np.maximum(2 * ms // scales, 1), np.nan), routed.any(axis=1)
+
+
 def _window_variances(x: np.ndarray, first: np.ndarray, lengths: np.ndarray, columns: dict,
-                      scales: np.ndarray, order: int):
+                      scales: np.ndarray, order: int, q2: bool):
     """Each pass of the windows x[i0:i0+n]: (window indices, their profiles,
     their segment variances in `segment_variances`' order over the grid
     `scales[columns[n]]`). Order 1 takes the variances of every grid from
     one table per `_window_groups` run that fits the cap; the rest are
-    projected a pass at a time, one `segment_variances` call per scale."""
+    projected a pass at a time, one `segment_variances` call per scale.
+    With `q2`, a table's windows that `_residue_means` does not route come
+    first, as (window indices, None, F_2^2 over `scales`)."""
     tabled = order == 1 and np.finfo(np.longdouble).eps < np.finfo(float).eps
     for lo, hi, group in _window_groups(first, lengths):
         at = first - lo  # each window's start in the run's span x[lo:hi]
@@ -334,6 +383,12 @@ def _window_variances(x: np.ndarray, first: np.ndarray, lengths: np.ndarray, col
             for rows, _, cells in passes:
                 used[cells + at[rows, None]] = True
             table = _order1_table(x[lo:hi], scales, used)
+            if q2:
+                means, routed = _residue_means(x[lo:hi], table, scales, at[group],
+                                               lengths[group], columns)
+                yield group[~routed], None, means[~routed]
+                group = group[routed]
+                passes = _window_passes(group, lengths[group], columns, scales, hi - lo)
         for rows, n, cells in passes:
             Y = profile(x[first[rows, None] + np.arange(n)])
             grid = scales[columns[n]].tolist()
@@ -360,6 +415,14 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     longdouble is no wider than float64, project a pass of windows a scale at a time.
     A scale whose every segment is zero-variance raises NumericError for a
     series and gives a window NaN.
+
+    A q grid of exactly {2} on such a table takes each window's F_2^2, the
+    mean of its cells, from the table's running sums along residue classes
+    (`_residue_means`), with no profile or power means. A window with a cell
+    at or below (s * eps * 2L * max|x|)^2, L the table's span, which bounds its
+    zero-variance floor, or whose sums' roundoff could show, takes the path
+    above instead; so every window that the sums serve has no zero-variance
+    segment, and 0 excluded segments by construction.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -375,7 +438,11 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     columns = {n: np.searchsorted(scales, grid) for n, grid in grids.items()}
     values = np.full((len(first), len(qs), len(scales)), np.nan)
     excluded = np.zeros((len(first), len(scales)), dtype=np.intp)
-    for rows, Y, f2 in _window_variances(x, first, lengths, columns, scales, config.detrend_order):
+    for rows, Y, f2 in _window_variances(x, first, lengths, columns, scales, config.detrend_order,
+                                         np.array_equal(qs, [2.0])):
+        if Y is None:  # F_2 from the table's running sums: no segment excluded
+            values[rows, 0] = np.sqrt(f2)
+            continue
         grid = grids[Y.shape[1]]
         counts = 2 * (Y.shape[1] // grid)
         roundoff = (grid * (np.finfo(float).eps * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2

@@ -541,10 +541,12 @@ class TestExitCodes:
         ("fit_ansatz_exclude_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("series_with_nan", 2, "non-finite value at line 252"),
         ("series_with_inf", 2, "non-finite value at line 252"),
-        ("series_field_over_csv_limit", 2, "field larger than field limit"),
+        ("series_field_over_csv_limit", 2,
+         "field larger than field limit (131072) at line 252 of"),
         ("series_quoted_value_spans_lines", 2, "non-numeric value at line 5"),
         ("series_not_utf8", 2, "not valid UTF-8 at line 3"),
-        ("ticks_field_over_csv_limit", 2, "field larger than field limit"),
+        ("ticks_field_over_csv_limit", 2,
+         "field larger than field limit (131072) at line 4321"),
         ("max_malformed_negative", 1, "max_malformed must be >= 0, got -1"),
         ("q_list_nan", 1, "q values must be finite, got [nan, 2.0]"),
         ("q_list_inf", 1, "q values must be finite, got [2.0, inf]"),

@@ -307,6 +307,8 @@ def reference_parse(source, *, header=False, max_malformed=0):
                 continue
             timestamps.append(ts)
             prices.append(price)
+    except csv.Error as exc:  # a field over csv's size limit
+        raise DataError(f"{exc} at line {start}") from None
     finally:
         if release is not None:
             release()
@@ -404,6 +406,16 @@ class TestChunkedParseMatchesReference:
         text = f"100,1.0\n101,2.0,{'9' * width}\n102,3.0\n" * 3
         assert (outcome(parse_ticks, io.StringIO(text))
                 == outcome(reference_parse, io.StringIO(text)))
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("text,line", [(f"t,p,{'9' * 140_000}\n100,1.0\n", 1),
+                                           (f"100,1.0\n\n\"1\n{'9' * 140_000}\",2\n", 3)],
+                             ids=["first_line", "quoted_record"])
+    def test_a_field_over_the_limit_names_its_line(self, header, text, line):
+        # the header's too, though the header is skipped
+        want = ("DataError", f"field larger than field limit (131072) at line {line}")
+        assert outcome(parse_ticks, io.StringIO(text), header=header) == want
+        assert outcome(reference_parse, io.StringIO(text), header=header) == want
 
 
 class TestResample:

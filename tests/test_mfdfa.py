@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perfbench.generators import rolling_inputs
 from roughscale import mfdfa
 from roughscale.errors import DataError, NumericError
 from roughscale.mfdfa import (MIN_FIT_LENGTH, SCALE_MIN, FluctuationSurface, MfdfaConfig,
                               aggregate_fluctuation, default_scales,
                               fluctuation_function, generalized_hurst, profile,
                               segment_variances)
+from roughscale.realized_volatility import log_increments
 from roughscale.synthetic import cascade_hq, generate_cascade, generate_fgn
 
 
@@ -482,6 +484,63 @@ class TestWindows:
         config = MfdfaConfig.for_series(100)
         with pytest.raises(DataError, match="a window leaves the series of 200 points"):
             fluctuation_function(np.ones(200), config, [0, 101], 100)
+
+
+@st.composite
+def spiked_windows(draw):
+    """awkward_windows with up to three spikes, whose cells dwarf those after
+    them in their residue class of the order-1 table."""
+    x, starts, lengths, config = draw(awkward_windows())
+    for i in draw(st.lists(st.integers(0, len(x) - 1), max_size=3)):
+        x[i] += draw(st.sampled_from([1e3, -1e8]))
+    return x, starts, lengths, config
+
+
+def _constant_stretch(n, a, b):
+    x = np.diff(np.random.default_rng(13).standard_normal(n + 1))
+    x[a:b] = 0.25
+    return x
+
+
+class TestResidueSums:
+    """q = {2} takes each window's F_2 from running sums of the order-1 table
+    along residue classes, unless a cell of the window is near zero or the
+    sums' roundoff could show; any other q grid gathers the window's cells."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spiked_windows())
+    @example((_constant_stretch(600, 300, 420), np.array([0, 100, 250, 330]),
+              np.array([300, 300, 300, 270]), MfdfaConfig(q_values=[2.0], scales=None)))
+    @example((np.random.default_rng(14).standard_normal(600) * 1e-3 + np.eye(1, 600, 50)[0] * 1e8,
+              np.array([0, 200, 300]), np.array([250, 250, 250]),
+              MfdfaConfig(q_values=[2.0], scales=[10, 20, 40, 62])))
+    def test_equal_to_the_gather_path(self, case):
+        x, starts, lengths, config = case
+        q2, gathered = (fluctuation_function(x, MfdfaConfig(q, config.scales), starts, lengths)
+                        for q in ([2.0], [1.0, 2.0]))
+        np.testing.assert_array_equal(q2.excluded_segments, gathered.excluded_segments)
+        np.testing.assert_array_equal(np.isnan(q2.values[:, 0]), np.isnan(gathered.values[:, 1]))
+        np.testing.assert_allclose(q2.values[:, 0], gathered.values[:, 1], rtol=1e-12, atol=0)
+
+    def test_rv_increments_take_no_power_means(self):
+        # the log-RV increments of a 1000-day span in ten windows 30 days apart
+        rv = rolling_inputs(1, 1000).rv_by_delta[5]
+        incr = log_increments(rv, zero_policy="drop").values
+        starts = np.arange(0, 271, 30)
+        with mock.patch.object(mfdfa, "_power_means", wraps=mfdfa._power_means) as means:
+            surface = fluctuation_function(incr, MfdfaConfig([2.0], None), starts, 700)
+        means.assert_not_called()
+        assert np.isfinite(generalized_hurst(surface).h_values).all()
+
+    def test_only_a_window_over_a_constant_stretch_takes_power_means(self):
+        x = _constant_stretch(2000, 1500, 1700)
+        starts = np.r_[np.arange(0, 800, 100), 1250]
+        with mock.patch.object(mfdfa, "_power_means", wraps=mfdfa._power_means) as means:
+            surface = fluctuation_function(x, MfdfaConfig([2.0], None), starts, 700)
+        (call,) = means.call_args_list
+        assert len(call.args[1]) == len(default_scales(700))  # one run per scale of one window
+        assert surface.excluded_segments[-1].any() and not surface.excluded_segments[:-1].any()
+        assert not np.isnan(surface.values).any()
 
 
 def _stack_rows(n):

@@ -7,14 +7,17 @@ over 5114 days (rough volatility, H = 0.13), so no data download is needed;
 windows are 2922 days stepped by 5 (439 windows), the paper's layout. The job
 runs `REPEATS` times with one BLAS thread. The record goes to
 `bench/BENCH_<label>.json`: per-run wall and CPU seconds, peak resident memory
-during each run, window and degraded-window counts, the median window H₀, and
-provenance (commit, sha256 of `src/roughscale`, Python and numpy versions, the
-scipy version or null where scipy is not installed, processor count, seed and
-input digest).
+during each run, window and degraded-window counts, the median window H₀, the
+sha256 of the report JSON that `pipeline.write_json` writes for the last run
+(equal digests show byte-identical reports across commits), and provenance
+(commit, sha256 of `src/roughscale`, Python and numpy versions, the scipy
+version or null where scipy is not installed, processor count, seed and input
+digest).
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.metadata
 import importlib.util
 import json
@@ -23,6 +26,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,6 +50,19 @@ def src_modified() -> bool | None:
     except (OSError, subprocess.TimeoutExpired):
         return None
     return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
+def file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def report_sha256(reports) -> str:
+    """sha256 of the bytes `pipeline.write_json` writes for `report_document(reports)`."""
+    from roughscale import pipeline
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        pipeline.write_json(str(path), pipeline.report_document(reports))
+        return file_sha256(path)
 
 
 def provenance(seed: int, input_sha256: str) -> dict:
@@ -96,6 +113,7 @@ def main(argv=None) -> int:
         "windows_degraded": sum(r.reason is not None for r in reports),
         "median_window_h0": statistics.median(h0) if h0 else None,
         "h_true": generators.H_TRUE,
+        "report_sha256": report_sha256(reports),
         "median": {k: statistics.median(run[k] for run in runs) for k in runs[0]},
         "runs": runs,
         "generate_s": generate_s,

@@ -10,8 +10,10 @@ all 36 Δ, `run_rolling` on that RV (2922-day windows stepped by 5, 439
 windows) and `emit_report` (JSON and both CSVs). The record goes to
 `bench/BENCH_<label>.json`: per run and per stage wall and CPU seconds and
 peak resident memory during the stage, their medians, window and
-degraded-window counts, the median window H₀, and the provenance of
-`paper_scale.py` with the CSV's sha256.
+degraded-window counts, the median window H₀, the sha256 of the last run's
+`report.json`, `h2.csv` and `hq.csv` (equal digests show byte-identical
+outputs across commits), and the provenance of `paper_scale.py` with the
+CSV's sha256.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import warnings
 from pathlib import Path
 
 # paper_scale, beside this file, puts src/ and the repository root on sys.path
-from paper_scale import NUM_DAYS, ROOT, STEP_DAYS, WINDOW_DAYS, provenance
+from paper_scale import NUM_DAYS, ROOT, STEP_DAYS, WINDOW_DAYS, file_sha256, provenance
 from perfbench.run import BLAS_ENV, PeakRSS, release_free_heap  # noqa: E402
 
 TRADES_PER_DAY = 1000.0
@@ -83,6 +85,8 @@ def main(argv=None) -> int:
                 str(work / "hq.csv")))
             runs.append(run)
             del rv
+        outputs_sha256 = {name: file_sha256(work / name)
+                          for name in ("report.json", "h2.csv", "hq.csv")}
     h0 = [r.ansatz.h0 for r in reports if r.ansatz is not None]
     record = {
         "job": "parse_ticks, build_rv_by_delta, run_rolling and emit_report on "
@@ -95,6 +99,7 @@ def main(argv=None) -> int:
         "windows_degraded": sum(r.reason is not None for r in reports),
         "median_window_h0": statistics.median(h0) if h0 else None,
         "h_true": generators.H_TRUE,
+        "outputs_sha256": outputs_sha256,
         "median": {stage: {k: statistics.median(run[stage][k] for run in runs)
                            for k in timing} for stage, timing in runs[0].items()},
         "runs": runs,

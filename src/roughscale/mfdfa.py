@@ -364,38 +364,6 @@ def _residue_means(x: np.ndarray, table: np.ndarray, scales: np.ndarray, at: np.
     return np.where(on, total / np.maximum(2 * ms // scales, 1), np.nan), routed.any(axis=1)
 
 
-def _window_variances(x: np.ndarray, first: np.ndarray, lengths: np.ndarray, columns: dict,
-                      scales: np.ndarray, order: int, q2: bool):
-    """Each pass of the windows x[i0:i0+n]: (window indices, their profiles,
-    their segment variances in `segment_variances`' order over the grid
-    `scales[columns[n]]`). Order 1 takes the variances of every grid from
-    one table per `_window_groups` run that fits the cap; the rest are
-    projected a pass at a time, one `segment_variances` call per scale.
-    With `q2`, a table's windows that `_residue_means` does not route come
-    first, as (window indices, None, F_2^2 over `scales`)."""
-    tabled = order == 1 and np.finfo(np.longdouble).eps < np.finfo(float).eps
-    for lo, hi, group in _window_groups(first, lengths):
-        at = first - lo  # each window's start in the run's span x[lo:hi]
-        passes = _window_passes(group, lengths[group], columns, scales, hi - lo)
-        table = None
-        if tabled and hi - lo <= _PREFIX_MAX_LENGTH:
-            used = np.zeros(len(scales) * (hi - lo), dtype=bool)
-            for rows, _, cells in passes:
-                used[cells + at[rows, None]] = True
-            table = _order1_table(x[lo:hi], scales, used)
-            if q2:
-                means, routed = _residue_means(x[lo:hi], table, scales, at[group],
-                                               lengths[group], columns)
-                yield group[~routed], None, means[~routed]
-                group = group[routed]
-                passes = _window_passes(group, lengths[group], columns, scales, hi - lo)
-        for rows, n, cells in passes:
-            Y = profile(x[first[rows, None] + np.arange(n)])
-            grid = scales[columns[n]].tolist()
-            yield rows, Y, (table[cells + at[rows, None]] if table is not None else
-                            np.concatenate([segment_variances(Y, s, order) for s in grid], axis=1))
-
-
 def fluctuation_function(series, config: MfdfaConfig, starts=None,
                          lengths=None) -> FluctuationSurface:
     """F_q(s) over the configured q and scales, of one series or, given
@@ -408,21 +376,24 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     q = 0 uses the log-average limit; zero-variance segments, with F^2 <=
     (s * eps * max|Y|)^2 for the window's own profile Y (the roundoff its
     detrending leaves where the series is constant), are excluded from q < 0
-    sums and the log-average, with counts reported per scale. Order-1
-    detrending takes the segments of windows whose extent spans at most
-    _PREFIX_MAX_LENGTH points from one table over that extent
-    (`_order1_table`); a longer window, higher orders, and every order where
-    longdouble is no wider than float64, project a pass of windows a scale at a time.
-    A scale whose every segment is zero-variance raises NumericError for a
-    series and gives a window NaN.
+    sums and the log-average, with counts reported per scale. A scale whose
+    every segment is zero-variance raises NumericError for a series and gives
+    a window NaN.
 
-    A q grid of exactly {2} on such a table takes each window's F_2^2, the
-    mean of its cells, from the table's running sums along residue classes
-    (`_residue_means`), with no profile or power means. A window with a cell
-    at or below (s * eps * 2L * max|x|)^2, L the table's span, which bounds its
-    zero-variance floor, or whose sums' roundoff could show, takes the path
-    above instead; so every window that the sums serve has no zero-variance
-    segment, and 0 excluded segments by construction.
+    The windows go in runs of rising start whose extent spans at most
+    _PREFIX_MAX_LENGTH points (`_window_groups`), and each run takes a table
+    or the projection. Order-1 detrending gathers every grid's segments from
+    one table over the run's extent (`_order1_table`); a longer window, higher
+    orders, and every order where longdouble is no wider than float64,
+    project a pass of windows a scale at a time (`_window_passes`).
+
+    With a q grid of exactly {2}, a table run serves its windows from the
+    table's running sums along residue classes first (`_residue_means`): each
+    F_2^2, the mean of its cells, with no profile or power means. A window
+    with a cell at or below (s * eps * 2L * max|x|)^2, L the table's span,
+    which bounds its zero-variance floor, or whose sums' roundoff could show,
+    is gathered as above instead; so every window that the sums serve has no
+    zero-variance segment, and 0 excluded segments by construction.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -438,34 +409,50 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     columns = {n: np.searchsorted(scales, grid) for n, grid in grids.items()}
     values = np.full((len(first), len(qs), len(scales)), np.nan)
     excluded = np.zeros((len(first), len(scales)), dtype=np.intp)
-    for rows, Y, f2 in _window_variances(x, first, lengths, columns, scales, config.detrend_order,
-                                         np.array_equal(qs, [2.0])):
-        if Y is None:  # F_2 from the table's running sums: no segment excluded
-            values[rows, 0] = np.sqrt(f2)
-            continue
-        grid = grids[Y.shape[1]]
-        counts = 2 * (Y.shape[1] // grid)
-        roundoff = (grid * (np.finfo(float).eps * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
-        keep = f2 > np.repeat(roundoff, counts, axis=1)
-        kept = np.add.reduceat(keep, np.cumsum(counts) - counts, axis=1, dtype=np.intp)
-        excluded[np.ix_(rows, columns[Y.shape[1]])] = counts - kept
-        ok = (kept > 0).all(axis=1)
-        if not windowed and not ok[0]:
-            raise NumericError(f"all segments have zero variance at scale s = "
-                               f"{grid[np.argmin(kept[0])]}")
-        if not ok.all():
-            f2, keep, kept = f2[ok], keep[ok], kept[ok]
-        with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a q > 0 sum
-            log_f2 = np.log(f2, out=f2)
-        # _power_means over the windows laid end to end: one run per (window,
-        # scale), of every segment for q > 0 and of the kept ones otherwise
-        out = np.empty((len(qs), *kept.shape))
-        for group, terms, n in ((qs > 0, log_f2, np.broadcast_to(counts, kept.shape)),
-                                (qs <= 0, log_f2[keep], kept)):
-            if group.any():
-                out[group] = _power_means(terms.ravel(), np.cumsum(n) - n.ravel(), qs[group]) \
-                    .reshape(np.count_nonzero(group), *kept.shape)
-        values[np.ix_(rows[ok], np.arange(len(qs)), columns[Y.shape[1]])] = out.swapaxes(0, 1)
+    tabled = config.detrend_order == 1 and np.finfo(np.longdouble).eps < np.finfo(float).eps
+    for lo, hi, group in _window_groups(first, lengths):
+        at = first - lo  # each window's start in the run's span x[lo:hi]
+        passes = _window_passes(group, lengths[group], columns, scales, hi - lo)
+        table = None
+        if tabled and hi - lo <= _PREFIX_MAX_LENGTH:
+            used = np.zeros(len(scales) * (hi - lo), dtype=bool)
+            for rows, _, cells in passes:
+                used[cells + at[rows, None]] = True
+            table = _order1_table(x[lo:hi], scales, used)
+            if np.array_equal(qs, [2.0]):  # F_2 from the running sums: no segment excluded
+                means, routed = _residue_means(x[lo:hi], table, scales, at[group],
+                                               lengths[group], columns)
+                values[group[~routed], 0] = np.sqrt(means[~routed])
+                group = group[routed]
+                passes = _window_passes(group, lengths[group], columns, scales, hi - lo)
+        for rows, n, cells in passes:
+            Y = profile(x[first[rows, None] + np.arange(n)])
+            grid = grids[n]
+            f2 = table[cells + at[rows, None]] if table is not None else np.concatenate(
+                [segment_variances(Y, s, config.detrend_order) for s in grid.tolist()], axis=1)
+            counts = 2 * (n // grid)
+            roundoff = (grid * (np.finfo(float).eps
+                                * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
+            keep = f2 > np.repeat(roundoff, counts, axis=1)
+            kept = np.add.reduceat(keep, np.cumsum(counts) - counts, axis=1, dtype=np.intp)
+            excluded[np.ix_(rows, columns[n])] = counts - kept
+            ok = (kept > 0).all(axis=1)
+            if not windowed and not ok[0]:
+                raise NumericError(f"all segments have zero variance at scale s = "
+                                   f"{grid[np.argmin(kept[0])]}")
+            if not ok.all():
+                f2, keep, kept = f2[ok], keep[ok], kept[ok]
+            with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a q > 0 sum
+                log_f2 = np.log(f2, out=f2)
+            # _power_means over the windows laid end to end: one run per (window,
+            # scale), of every segment for q > 0 and of the kept ones otherwise
+            out = np.empty((len(qs), *kept.shape))
+            for sign, terms, runs in ((qs > 0, log_f2, np.broadcast_to(counts, kept.shape)),
+                                      (qs <= 0, log_f2[keep], kept)):
+                if sign.any():
+                    out[sign] = _power_means(terms.ravel(), np.cumsum(runs) - runs.ravel(),
+                                             qs[sign]).reshape(np.count_nonzero(sign), *kept.shape)
+            values[np.ix_(rows[ok], np.arange(len(qs)), columns[n])] = out.swapaxes(0, 1)
     if not windowed:
         values, excluded = values[0], excluded[0]
     return FluctuationSurface(q_values=qs, scales=scales, values=values, series_length=len(x),

@@ -17,8 +17,8 @@ from . import __version__
 from .errors import DataError, NumericError
 from .market_data import (TickSeries, intraday_log_returns, resample_prices,
                           samples_per_day, trade_index)
-from .mfdfa import (MIN_FIT_LENGTH, GHECurve, MfdfaConfig, default_q_values,
-                    fluctuation_function, generalized_hurst)
+from .mfdfa import (MIN_FIT_LENGTH, MfdfaConfig, default_q_values, fluctuation_function,
+                    generalized_hurst)
 from .multifractal_metrics import delta_h, taylor_b1
 from .realized_volatility import RVSeries, compute_daily_rv, log_increments
 from .scaling import AnsatzFit, FrequencySweep, divisors_of_1440, fit_ansatz
@@ -84,9 +84,9 @@ def build_rv_by_delta(ticks: TickSeries, deltas: list[int],
 def _delta_column(rv: RVSeries, ordinals: np.ndarray, starts: np.ndarray, window_days: int,
                   reference: bool, detrend_order: int) -> tuple[np.ndarray, list]:
     """One delta's share of every window: its zero-RV days, and the MFDFA of
-    its series as (h(2), its stderr, zero-variance segments, h(q) curve), or
-    None when the series is shorter than MIN_FIT_LENGTH. Only the
-    reference delta gets a curve, over the default q grid.
+    its series as (h(2), its stderr, zero-variance segments, metrics), or None
+    when the series is shorter than MIN_FIT_LENGTH. Only the reference delta has
+    metrics: (q, h(q), delta_h(3), b0, b1) over the default q grid.
 
     `ordinals` are the proleptic ordinals of `rv.dates`, as are `starts`. A
     window's series is the run of full-span log-increments between its days:
@@ -114,10 +114,13 @@ def _delta_column(rv: RVSeries, ordinals: np.ndarray, starts: np.ndarray, window
         surface = fluctuation_function(incr, config, first[rows], length[rows])
         curve = generalized_hurst(surface)
         i = curve.index(2.0)
-        for r, h, se, r2, excluded in zip(rows.tolist(), curve.h_values, curve.stderr, curve.r2,
-                                          surface.excluded_segments.sum(axis=1).tolist()):
-            results[r] = (float(h[i]), float(se[i]), excluded,
-                          GHECurve(curve.q_values, h, se, r2, curve.fit_range) if reference else None)
+        metrics = itertools.repeat(None) if not reference else zip(
+            curve.h_values.tolist(), delta_h(curve, 3.0).tolist(),
+            *(v.tolist() for v in taylor_b1(curve, 3.0)))
+        for r, h, se, excluded, metric in zip(
+                rows.tolist(), curve.h_values[:, i].tolist(), curve.stderr[:, i].tolist(),
+                surface.excluded_segments.sum(axis=1).tolist(), metrics):
+            results[r] = (h, se, excluded, metric and (curve.q_values.tolist(), *metric))
     return np.where(days, zeros[hi] - zeros[lo], 0), results
 
 
@@ -138,13 +141,10 @@ def _window_report(start: dt.date, end: dt.date, dropped_days: int, cells: Itera
         if result is None or np.isnan(result[0]):
             (failed_deltas if result else short_deltas).append(delta)
             continue
-        report.h2_by_delta[delta], report.h2_stderr_by_delta[delta], excluded, curve = result
+        report.h2_by_delta[delta], report.h2_stderr_by_delta[delta], excluded, metrics = result
         if delta == reference_delta:
-            report.curve_q = curve.q_values.tolist()
-            report.curve_h = curve.h_values.tolist()
             report.diagnostics["zero_variance_segments"] = excluded
-            report.delta_h3 = delta_h(curve, 3.0)
-            report.b0, report.b1 = taylor_b1(curve, 3.0)
+            report.curve_q, report.curve_h, report.delta_h3, report.b0, report.b1 = metrics
     report.diagnostics["dropped_days"] = dropped_days
     for key, listed in (("short_deltas", short_deltas), ("mfdfa_failed_deltas", failed_deltas)):
         if listed:

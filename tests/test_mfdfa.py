@@ -749,6 +749,24 @@ class TestSeriesLength:
                                               alone.excluded_segments)
                 np.testing.assert_allclose(surface.values[w], alone.values, rtol=1e-12, atol=0)
 
+    def test_q2_windows_of_a_longer_span_are_routed_run_by_run(self):
+        # a constant stretch in each table's run sends some of its windows to
+        # the gather path, at their offsets in that run
+        n = mfdfa._PREFIX_MAX_LENGTH
+        x = np.diff(np.random.default_rng(12).standard_normal(n + 2))
+        x[1000:1400] = 0.25
+        x[7000:7400] = -0.5
+        starts = np.r_[np.arange(0, n - 2000, 500), n + 1 - 2000]
+        config = MfdfaConfig([2.0], None)
+        with mock.patch.object(mfdfa, "_order1_table", wraps=mfdfa._order1_table) as table:
+            surface = fluctuation_function(x, config, starts, 2000)
+        assert table.call_count == 2
+        assert surface.excluded_segments.any()
+        for w, i0 in enumerate(starts):
+            alone = fluctuation_function(x[i0:i0 + 2000], config)
+            np.testing.assert_array_equal(surface.excluded_segments[w], alone.excluded_segments)
+            np.testing.assert_allclose(surface.values[w], alone.values, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("name", ["fgn_0.1", "white"])
     def test_long_series_match_the_reference(self, name):
         # at the single-series lengths of an oracle study

@@ -417,6 +417,21 @@ class TestStackedDeltas:
                    for r in failed)
         assert any(30 in r.h2_by_delta for r in got)
 
+    def test_one_metrics_call_per_run(self):
+        # Δh(3) and B₁ of every window from one call each on the reference
+        # delta's windowed curve
+        data = {d: gappy_rv_series(470, seed=d, delta=d) for d in (5, 15, 30)}
+        with mock.patch.object(pipeline, "delta_h", wraps=pipeline.delta_h) as widths, \
+                mock.patch.object(pipeline, "taylor_b1", wraps=pipeline.taylor_b1) as slopes:
+            got = run_rolling(data, RollingSpec(window_days=365, step_days=20))
+        assert widths.call_count == slopes.call_count == 1
+        assert len(got) > 1 and all(r.delta_h3 is not None for r in got)
+        want = [reference_window_report(
+            r.window_start, r.window_end,
+            [(d, direct_cell(data[d], r.window_start, r.window_end)) for d in sorted(data)],
+            5, 1, []) for r in got]
+        assert_reports_match(got, want)
+
     def test_memory_peak_of_a_paper_scale_window(self):
         # one 2922-day window of all 36 deltas: one delta's table over its
         # span and one pass of windows at a time (the stacked deltas peaked

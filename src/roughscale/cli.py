@@ -16,7 +16,7 @@ import numpy as np
 from . import pipeline
 from .errors import DataError, NumericError
 from .finite_sample import FiniteSampleLaw, density, kurtosis, moment_2k
-from .market_data import (_UNDECODABLE, intraday_log_returns, parse_ticks, resample_prices,
+from .market_data import (_undecodable, intraday_log_returns, parse_ticks, resample_prices,
                           samples_per_day, trade_index)
 from .mfdfa import MfdfaConfig, default_q_values, default_scales, fluctuation_function, \
     generalized_hurst
@@ -42,25 +42,26 @@ def date(text: str) -> dt.date:
 
 def _lines(path: str):
     """A text file's lines, decoded as `parse_ticks` decodes a path (an opening
-    byte-order mark is not data); a byte that is not UTF-8 raises DataError."""
+    byte-order mark is not data, and a byte that is not UTF-8 is passed on as
+    a surrogate for the caller to reject)."""
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.isascii() and _UNDECODABLE.search(line):
-                raise DataError(f"not valid UTF-8 at line {number} of {path}")
-            yield line
+        yield from fh
 
 
 def _read_rows(path: str, parse, what: str) -> list:
     """`parse(fields)` of each record of a CSV file that is not blank. `parse`
     raises ValueError when the leading number does not convert, which makes
     the first record a header and a later one the error `what`, and DataError
-    for any other fault; these errors, and csv's own, name the line the record
-    starts on."""
+    for any other fault; these errors, a byte that is not UTF-8, and csv's
+    own, name the line the record starts on. A file without a record that
+    `parse` takes raises DataError too."""
     rows, first, start = [], True, 1  # start: the line the next record starts on
     reader = csv.reader(_lines(path))
     try:
         for fields in reader:
             if fields and (len(fields) > 1 or fields[0].strip()):
+                if _undecodable(fields):
+                    raise DataError(f"not valid UTF-8 at line {start} of {path}")
                 try:
                     rows.append(parse(fields))
                 except ValueError:
@@ -72,13 +73,17 @@ def _read_rows(path: str, parse, what: str) -> list:
             start = reader.line_num + 1
     except csv.Error as exc:  # a field over csv's size limit
         raise DataError(f"{exc} at line {start} of {path}") from None
+    if not rows:
+        raise DataError(f"no numeric data in {path}")
     return rows
 
 
 def _load_config_file(path: str) -> dict[str, str]:
     """Plain key=value lines; '#' starts a comment."""
     out = {}
-    for raw in _lines(path):
+    for number, raw in enumerate(_lines(path), 1):
+        if _undecodable([raw]):
+            raise DataError(f"not valid UTF-8 at line {number} of {path}")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -154,10 +159,7 @@ def _series_value(fields: list[str]) -> float:
 
 def _read_series_csv(path: str) -> np.ndarray:
     """One finite value per record, last column taken; a non-numeric first record is a header."""
-    values = _read_rows(path, _series_value, "non-numeric value")
-    if not values:
-        raise DataError(f"no numeric data in {path}")
-    return np.asarray(values)
+    return np.asarray(_read_rows(path, _series_value, "non-numeric value"))
 
 
 def cmd_mfdfa(args) -> int:

@@ -108,6 +108,12 @@ _PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
+def _undecodable(fields: list[str]) -> bool:
+    """True when a record's fields hold a byte that is not UTF-8."""
+    line = ",".join(fields)
+    return not line.isascii() and _UNDECODABLE.search(line) is not None
+
+
 def _plain(text: str) -> bool:
     """True when loadtxt reads `text` exactly as the row rules do.
 
@@ -165,9 +171,11 @@ def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, n
     if header:
         reader = csv.reader(lines)
         try:
-            next(reader, None)
+            fields = next(reader, [])
         except csv.Error as exc:  # a field over csv's size limit
             raise DataError(f"{exc} at line 1") from None
+        if _undecodable(fields):
+            raise DataError("tick data is not valid UTF-8 at line 1")
         lineno = reader.line_num
     while chunk := list(itertools.islice(lines, _CHUNK)):
         text = "".join(chunk)
@@ -185,8 +193,7 @@ def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, n
                     fields = next(reader)
                 except csv.Error as exc:
                     raise DataError(f"{exc} at line {lineno + read + 1}") from None
-                if not ascii_text and not (line := ",".join(fields)).isascii() \
-                        and _UNDECODABLE.search(line):
+                if not ascii_text and _undecodable(fields):
                     raise DataError(f"tick data is not valid UTF-8 at line {lineno + read + 1}")
                 # a good record pays for no check of blanks or field counts
                 try:

@@ -213,7 +213,7 @@ def aggregate_fluctuation(f2: np.ndarray, q: float) -> float:
 _PREFIX_GUARD = 3e14
 _PROFILE_GUARD = 1e14
 
-# Most points one table's running sums span (`_window_groups`): against
+# Most points one table's running sums span, the windows' extent: against
 # the per-segment projection, over fGn (H 0.05 to 0.85), white noise, offsets,
 # trends, steps and a sine, the worst relative error per segment was 4.0e-13
 # at 5113 points (the paper's 14-year span), 5.8e-13 at 8192, 2.7e-12 at 16384.
@@ -228,21 +228,6 @@ _TABLE_CHUNK = 4096
 # A q = {2} window's sum of table cells from running sums (`_residue_means`)
 # goes to the gather path where their roundoff bound exceeds this share of it.
 _RESIDUE_GUARD = 1e-12
-
-
-def _window_groups(first: np.ndarray, lengths: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
-    """The windows x[i0:i0+n] in runs of rising i0 whose extent, from the
-    run's first start to its last end, is at most _PREFIX_MAX_LENGTH points,
-    as (lo, hi, window indices); a window longer than that is a run alone."""
-    starts, ends = first.tolist(), (first + lengths).tolist()
-    groups: list[list] = []
-    for w in np.argsort(first, kind="stable").tolist():
-        if groups and max(groups[-1][1], ends[w]) - groups[-1][0] <= _PREFIX_MAX_LENGTH:
-            groups[-1][1] = max(groups[-1][1], ends[w])
-            groups[-1][2].append(w)
-        else:
-            groups.append([starts[w], ends[w], [w]])
-    return [(lo, hi, np.array(index)) for lo, hi, index in groups]
 
 
 def _window_passes(index: np.ndarray, lengths: np.ndarray, columns: dict, scales: np.ndarray,
@@ -380,17 +365,17 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     every segment is zero-variance raises NumericError for a series and gives
     a window NaN.
 
-    The windows go in runs of rising start whose extent spans at most
-    _PREFIX_MAX_LENGTH points (`_window_groups`), and each run takes a table
-    or the projection. Order-1 detrending gathers every grid's segments from
-    one table over the run's extent (`_order1_table`); a longer window, higher
-    orders, and every order where longdouble is no wider than float64,
-    project a pass of windows a scale at a time (`_window_passes`).
+    Order-1 detrending gathers every grid's segments from one table over the
+    windows' extent, from their first start to their last end
+    (`_order1_table`), when that extent spans at most _PREFIX_MAX_LENGTH
+    points; a longer extent, higher orders, and every order where longdouble
+    is no wider than float64, project a pass of windows a scale at a time
+    (`_window_passes`).
 
-    With a q grid of exactly {2}, a table run serves its windows from the
+    With a q grid of exactly {2}, a table serves the windows from the
     table's running sums along residue classes first (`_residue_means`): each
     F_2^2, the mean of its cells, with no profile or power means. A window
-    with a cell at or below (s * eps * 2L * max|x|)^2, L the table's span,
+    with a cell at or below (s * eps * 2L * max|x|)^2, L the extent's length,
     which bounds its zero-variance floor, or whose sums' roundoff could show,
     is gathered as above instead; so every window that the sums serve has no
     zero-variance segment, and 0 excluded segments by construction.
@@ -410,49 +395,49 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     values = np.full((len(first), len(qs), len(scales)), np.nan)
     excluded = np.zeros((len(first), len(scales)), dtype=np.intp)
     tabled = config.detrend_order == 1 and np.finfo(np.longdouble).eps < np.finfo(float).eps
-    for lo, hi, group in _window_groups(first, lengths):
-        at = first - lo  # each window's start in the run's span x[lo:hi]
-        passes = _window_passes(group, lengths[group], columns, scales, hi - lo)
-        table = None
-        if tabled and hi - lo <= _PREFIX_MAX_LENGTH:
-            used = np.zeros(len(scales) * (hi - lo), dtype=bool)
-            for rows, _, cells in passes:
-                used[cells + at[rows, None]] = True
-            table = _order1_table(x[lo:hi], scales, used)
-            if np.array_equal(qs, [2.0]):  # F_2 from the running sums: no segment excluded
-                means, routed = _residue_means(x[lo:hi], table, scales, at[group],
-                                               lengths[group], columns)
-                values[group[~routed], 0] = np.sqrt(means[~routed])
-                group = group[routed]
-                passes = _window_passes(group, lengths[group], columns, scales, hi - lo)
-        for rows, n, cells in passes:
-            Y = profile(x[first[rows, None] + np.arange(n)])
-            grid = grids[n]
-            f2 = table[cells + at[rows, None]] if table is not None else np.concatenate(
-                [segment_variances(Y, s, config.detrend_order) for s in grid.tolist()], axis=1)
-            counts = 2 * (n // grid)
-            roundoff = (grid * (np.finfo(float).eps
-                                * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
-            keep = f2 > np.repeat(roundoff, counts, axis=1)
-            kept = np.add.reduceat(keep, np.cumsum(counts) - counts, axis=1, dtype=np.intp)
-            excluded[np.ix_(rows, columns[n])] = counts - kept
-            ok = (kept > 0).all(axis=1)
-            if not windowed and not ok[0]:
-                raise NumericError(f"all segments have zero variance at scale s = "
-                                   f"{grid[np.argmin(kept[0])]}")
-            if not ok.all():
-                f2, keep, kept = f2[ok], keep[ok], kept[ok]
-            with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a q > 0 sum
-                log_f2 = np.log(f2, out=f2)
-            # _power_means over the windows laid end to end: one run per (window,
-            # scale), of every segment for q > 0 and of the kept ones otherwise
-            out = np.empty((len(qs), *kept.shape))
-            for sign, terms, runs in ((qs > 0, log_f2, np.broadcast_to(counts, kept.shape)),
-                                      (qs <= 0, log_f2[keep], kept)):
-                if sign.any():
-                    out[sign] = _power_means(terms.ravel(), np.cumsum(runs) - runs.ravel(),
-                                             qs[sign]).reshape(np.count_nonzero(sign), *kept.shape)
-            values[np.ix_(rows[ok], np.arange(len(qs)), columns[n])] = out.swapaxes(0, 1)
+    lo = int(first.min(initial=len(x)))  # the windows' extent x[lo:hi]; empty with no windows
+    hi = int((first + lengths).max(initial=lo))
+    at = first - lo  # each window's start in the extent
+    passes = _window_passes(np.arange(len(first)), lengths, columns, scales, hi - lo)
+    table = None
+    if tabled and 0 < hi - lo <= _PREFIX_MAX_LENGTH:
+        used = np.zeros(len(scales) * (hi - lo), dtype=bool)
+        for rows, _, cells in passes:
+            used[cells + at[rows, None]] = True
+        table = _order1_table(x[lo:hi], scales, used)
+        if np.array_equal(qs, [2.0]):  # F_2 from the running sums: no segment excluded
+            means, routed = _residue_means(x[lo:hi], table, scales, at, lengths, columns)
+            values[~routed, 0] = np.sqrt(means[~routed])
+            index = np.flatnonzero(routed)
+            passes = _window_passes(index, lengths[index], columns, scales, hi - lo)
+    for rows, n, cells in passes:
+        Y = profile(x[first[rows, None] + np.arange(n)])
+        grid = grids[n]
+        f2 = table[cells + at[rows, None]] if table is not None else np.concatenate(
+            [segment_variances(Y, s, config.detrend_order) for s in grid.tolist()], axis=1)
+        counts = 2 * (n // grid)
+        roundoff = (grid * (np.finfo(float).eps
+                            * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
+        keep = f2 > np.repeat(roundoff, counts, axis=1)
+        kept = np.add.reduceat(keep, np.cumsum(counts) - counts, axis=1, dtype=np.intp)
+        excluded[np.ix_(rows, columns[n])] = counts - kept
+        ok = (kept > 0).all(axis=1)
+        if not windowed and not ok[0]:
+            raise NumericError(f"all segments have zero variance at scale s = "
+                               f"{grid[np.argmin(kept[0])]}")
+        if not ok.all():
+            f2, keep, kept = f2[ok], keep[ok], kept[ok]
+        with np.errstate(divide="ignore"):  # log 0 = -inf adds nothing to a q > 0 sum
+            log_f2 = np.log(f2, out=f2)
+        # _power_means over the windows laid end to end: one run per (window,
+        # scale), of every segment for q > 0 and of the kept ones otherwise
+        out = np.empty((len(qs), *kept.shape))
+        for sign, terms, runs in ((qs > 0, log_f2, np.broadcast_to(counts, kept.shape)),
+                                  (qs <= 0, log_f2[keep], kept)):
+            if sign.any():
+                out[sign] = _power_means(terms.ravel(), np.cumsum(runs) - runs.ravel(),
+                                         qs[sign]).reshape(np.count_nonzero(sign), *kept.shape)
+        values[np.ix_(rows[ok], np.arange(len(qs)), columns[n])] = out.swapaxes(0, 1)
     if not windowed:
         values, excluded = values[0], excluded[0]
     return FluctuationSurface(q_values=qs, scales=scales, values=values, series_length=len(x),

@@ -4,9 +4,14 @@
 `layers.SETUP_TARGETS`) and calls `pipeline.run_rolling(mapping, spec,
 workers=1)` and `roughscale rolling ... --workers 2`. A change that drops or
 renames one of those names breaks `perfbench/run.py --trace` without failing
-anything else, so the contract is checked here.
+anything else, so the contract is checked here. The paper-scale record
+scripts under `bench/` import names from `perfbench.run` and from each other,
+and nothing else runs them, so they are started here too.
 """
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +66,11 @@ def test_traced_cli_workload_keeps_its_probes(tmp_path):
 def test_rolling_reference_gate():
     # rolling_rv's gate: h2 of every window and delta within 1e-12 of the stored run
     assert workloads.reference_problems(workloads.REFERENCE_FILE) == []
+
+
+@pytest.mark.parametrize("script", ["bench/paper_scale.py", "bench/paper_scale_ticks.py"])
+def test_paper_scale_script_starts(script):
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, script, "--help"], cwd=root, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -447,10 +447,14 @@ def _cli_case(name, tmp_path):
     # these replace the whole file, header included
     whole_sweeps = {"sweep_quoted_delta_spans_lines": b'delta,h2\n"1\n",0.1\n5,0.1\nx,0.1\n',
                     "sweep_first_row_h2_not_a_number": b"5,abc\n1,0.12\n60,0.09\n",
-                    "sweep_not_utf8": b"delta,h2\n1,0.12\n\xff,0.1\n60,0.09\n"}
+                    "sweep_not_utf8": b"delta,h2\n1,0.12\n\xff,0.1\n60,0.09\n",
+                    "sweep_quoted_record_not_utf8":
+                        b'delta,h2\n"1\n\xff",0.1\n5,0.11\n60,0.09\n',
+                    "sweep_header_only": b"delta,h2\n",
+                    "sweep_empty_file": b""}
     if name in sweeps or name in whole_sweeps:
         sweep = tmp_path / "sweep.csv"
-        sweep.write_bytes(whole_sweeps.get(name) or
+        sweep.write_bytes(whole_sweeps[name] if name in whole_sweeps else
                           ("delta,h2,stderr\n" + sweeps[name]).encode())
         exclude = ["--exclude", "7"] if name == "fit_ansatz_exclude_not_a_divisor" else []
         return ["fit-ansatz", "--sweep", str(sweep), *exclude, *out]
@@ -465,7 +469,8 @@ def _cli_case(name, tmp_path):
         series.write_text("value\n" + "\n".join(values) + "\n")
         return ["mfdfa", "--series", str(series), *q_lists.get(name, []), *out]
     whole_series = {"series_quoted_value_spans_lines": b'value\n"1.0\n"\n2.0\nbad\n',
-                    "series_not_utf8": b"value\n0.5\n\xff\n0.25\n"}
+                    "series_not_utf8": b"value\n0.5\n\xff\n0.25\n",
+                    "series_quoted_record_not_utf8": b'value\n"1.0\n\xff"\n2.0\n'}
     if name in whole_series:
         series = tmp_path / "series.csv"
         series.write_bytes(whole_series[name])
@@ -535,6 +540,9 @@ class TestExitCodes:
         ("sweep_quoted_delta_spans_lines", 2, "bad sweep row at line 5"),
         ("sweep_first_row_h2_not_a_number", 2, "bad sweep row at line 1"),
         ("sweep_not_utf8", 2, "not valid UTF-8 at line 3"),
+        ("sweep_quoted_record_not_utf8", 2, "not valid UTF-8 at line 2 of"),
+        ("sweep_header_only", 2, "no numeric data in"),
+        ("sweep_empty_file", 2, "no numeric data in"),
         ("sweep_delta_not_positive", 1, "delta -5 is not a positive divisor of 1440"),
         ("sweep_delta_beyond_int64", 1,
          "delta 99999999999999999999 is not a positive divisor of 1440"),
@@ -545,6 +553,7 @@ class TestExitCodes:
          "field larger than field limit (131072) at line 252 of"),
         ("series_quoted_value_spans_lines", 2, "non-numeric value at line 5"),
         ("series_not_utf8", 2, "not valid UTF-8 at line 3"),
+        ("series_quoted_record_not_utf8", 2, "not valid UTF-8 at line 2 of"),
         ("ticks_field_over_csv_limit", 2,
          "field larger than field limit (131072) at line 4321"),
         ("max_malformed_negative", 1, "max_malformed must be >= 0, got -1"),

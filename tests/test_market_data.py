@@ -136,6 +136,17 @@ class TestParseTicks:
             with pytest.raises(DataError, match=f"not valid UTF-8 at line {lineno}$"):
                 parse_ticks(source, max_malformed=5)
 
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfeheader,x\n100,1.0\n200,2.0\n",
+        b'"time\nst\xe9mp",price\n100,1.0\n200,2.0\n',  # named where its record starts
+    ])
+    def test_a_header_not_utf8_names_line_1(self, tmp_path, data):
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(data)
+        for source in (data, io.BytesIO(data), path):
+            with pytest.raises(DataError, match="not valid UTF-8 at line 1$"):
+                parse_ticks(source, header=True)
+
 
     @staticmethod
     def chunk_reads(text, header):

@@ -9,7 +9,7 @@ from perfbench.generators import rolling_inputs
 from roughscale import mfdfa
 from roughscale.errors import DataError, NumericError
 from roughscale.mfdfa import (MIN_FIT_LENGTH, SCALE_MIN, FluctuationSurface, MfdfaConfig,
-                              aggregate_fluctuation, default_scales,
+                              aggregate_fluctuation, default_q_values, default_scales,
                               fluctuation_function, generalized_hurst, profile,
                               segment_variances)
 from roughscale.realized_volatility import log_increments
@@ -480,6 +480,16 @@ class TestWindows:
                                    (curve.r2, want.r2)):
                 np.testing.assert_allclose(got[w], alone_fit, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("q_values", [[2.0], default_q_values()])
+    def test_no_windows_give_empty_surfaces(self, q_values):
+        # the series' own grid, and no window to fill it
+        x = np.random.default_rng(14).standard_normal(1000)
+        surface = fluctuation_function(x, MfdfaConfig(q_values, None), [], [])
+        np.testing.assert_array_equal(surface.scales, default_scales(len(x)))
+        assert surface.values.shape == (0, len(q_values), len(surface.scales))
+        assert surface.excluded_segments.shape == (0, len(surface.scales))
+        assert generalized_hurst(surface).h_values.shape == (0, len(q_values))
+
     def test_windows_must_lie_in_the_series(self):
         config = MfdfaConfig.for_series(100)
         with pytest.raises(DataError, match="a window leaves the series of 200 points"):
@@ -731,13 +741,13 @@ class TestSeriesLength:
             assert table.call_count == calls
 
     def test_windows_of_a_longer_span_take_tables(self):
-        # one table per run of windows whose extent fits under the cap; only
-        # a window longer than the cap is projected
+        # one table while the windows' extent fits under the cap; past it,
+        # every window is projected
         n = mfdfa._PREFIX_MAX_LENGTH
         x = np.diff(np.random.default_rng(12).standard_normal(n + 2))
         inside = np.arange(0, n - 2000, 500)
         config = MfdfaConfig.for_series(2000)
-        for starts, tables in [(inside, 1), (np.r_[inside, n + 1 - 2000], 2)]:
+        for starts, tables in [(inside, 1), (np.r_[inside, n + 1 - 2000], 0)]:
             with mock.patch.object(mfdfa, "_order1_table",
                                    wraps=mfdfa._order1_table) as table:
                 surface = fluctuation_function(x, config, starts, 2000)
@@ -750,8 +760,8 @@ class TestSeriesLength:
                 np.testing.assert_allclose(surface.values[w], alone.values, rtol=1e-12, atol=0)
 
     def test_q2_windows_of_a_longer_span_are_routed_run_by_run(self):
-        # a constant stretch in each table's run sends some of its windows to
-        # the gather path, at their offsets in that run
+        # a constant stretch in each half of an extent over the cap gives
+        # some of the projected windows exclusions
         n = mfdfa._PREFIX_MAX_LENGTH
         x = np.diff(np.random.default_rng(12).standard_normal(n + 2))
         x[1000:1400] = 0.25
@@ -760,7 +770,7 @@ class TestSeriesLength:
         config = MfdfaConfig([2.0], None)
         with mock.patch.object(mfdfa, "_order1_table", wraps=mfdfa._order1_table) as table:
             surface = fluctuation_function(x, config, starts, 2000)
-        assert table.call_count == 2
+        assert table.call_count == 0
         assert surface.excluded_segments.any()
         for w, i0 in enumerate(starts):
             alone = fluctuation_function(x[i0:i0 + 2000], config)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,6 +213,9 @@ def aggregate_fluctuation(f2: np.ndarray, q: float) -> float:
 # * max|Y|)^2, the longdouble profile's own roundoff where it sits far from 0.
 _PREFIX_GUARD = 3e14
 _PROFILE_GUARD = 1e14
+# A cell's roundoff in those sums, in longdouble epsilons of the sum of y^2,
+# as `_residue_means` bounds it: twice the 61 measured.
+_CELL_ROUNDOFF = 128
 
 # Most points one table's running sums span, the windows' extent: against
 # the per-segment projection, over fGn (H 0.05 to 0.85), white noise, offsets,
@@ -219,14 +223,18 @@ _PROFILE_GUARD = 1e14
 # at 5113 points (the paper's 14-year span), 5.8e-13 at 8192, 2.7e-12 at 16384.
 _PREFIX_MAX_LENGTH = 8192
 
-# Points of windows in one pass of `fluctuation_function`, and cells in one
-# pass of `_order1_table`: bounded working sets at a small per-pass cost, the
-# cells' 64 kB longdouble temporaries below the allocator's mmap threshold.
+# Points of windows in one pass of `fluctuation_function`, and slots of
+# residue classes in one pass of `_residue_means`; cells in one pass of
+# `_order1_table`: bounded working sets at a small per-pass cost, the cells'
+# 64 kB longdouble temporaries below the allocator's mmap threshold.
 _PASS_POINTS = 16384
 _TABLE_CHUNK = 4096
 
-# A q = {2} window's sum of table cells from running sums (`_residue_means`)
-# goes to the gather path where their roundoff bound exceeds this share of it.
+# A q = {2} window's F_2^2 from the running sums (`_residue_means`), its
+# telescoped sum of y^2 less its cells' float64 line terms, goes to the
+# gather path where the subtraction's roundoff bound exceeds this share of
+# it; so does one at most 2m (s reach)^2, or with a cell that might be near
+# zero variance.
 _RESIDUE_GUARD = 1e-12
 
 
@@ -264,31 +272,51 @@ def _local_variances(x: np.ndarray, starts: np.ndarray, s: int) -> np.ndarray:
     return _projected_variances(seg, 1)
 
 
-def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """Order-1 variance of each used cell j * L + g, the segment [g, g+s_j) of
-    x's profile; NaN elsewhere.
-
-    A linear fit sees no line, and a window's profile is x's profile minus a
-    line, so every window's segments are cells of this one table. A fit's
-    residual sum of squares over [g, g+s) is S2 - S1^2/s - 12 D^2/(s(s^2-1)),
-    with S1, S2 and D the sums of y, y^2 and (i - g - (s-1)/2) y: differences
-    of longdouble running sums, over the profile minus its least-squares line
-    on a centred index, which keeps them small. A cell at or below the guard
-    floor is recomputed by `_local_variances`.
-    """
+def _running_sums(x: np.ndarray) -> tuple[np.ndarray, np.longdouble]:
+    """Longdouble running sums of y, t y and y^2, rows of (3, L+1) from 0,
+    with y x's profile minus its least-squares line on the centred index t,
+    which keeps them small; and the profile's roundoff reach, _PROFILE_GUARD
+    longdouble epsilons of its largest magnitude."""
     L = len(x)
     t = np.arange(L, dtype=np.longdouble) - (L - 1) / 2
     y = np.cumsum(x - x.mean(), dtype=np.longdouble)
-    eps = np.finfo(np.longdouble).eps
-    reach = _PROFILE_GUARD * eps * np.max(np.abs(y))
+    reach = _PROFILE_GUARD * np.finfo(np.longdouble).eps * np.max(np.abs(y))
     y -= y.mean() + (t @ y) / (t @ t) * t
     sums = np.zeros((3, L + 1), dtype=np.longdouble)
     np.cumsum(y, out=sums[0, 1:])
     np.cumsum(t * y, out=sums[1, 1:])
     np.cumsum(y * y, out=sums[2, 1:])
+    return sums, reach
+
+
+def _segment_moments(sums, lower, upper, centre) -> tuple[np.ndarray, np.ndarray]:
+    """S1 and D of the segments [g, g+s) whose running sums, in the rows
+    sums[0] and sums[1] of `_running_sums` or a gather from them, are read at
+    `lower` (g) and `upper` (g+s), index arrays or slices: the sums of y and
+    of (i - g - (s-1)/2) y, the second from sums of t y by the shift `centre`
+    = g - (L-s)/2 of t's origin to each segment's middle."""
+    s1, d = (run[upper] - run[lower] for run in sums[:2])
+    d -= centre * s1
+    return s1, d
+
+
+def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray,
+                  running: tuple[np.ndarray, np.longdouble]) -> np.ndarray:
+    """Order-1 variance of each used cell j * L + g, the segment [g, g+s_j) of
+    x's profile; NaN elsewhere. `running` is `_running_sums(x)`.
+
+    A linear fit sees no line, and a window's profile is x's profile minus a
+    line, so every window's segments are cells of this one table. A fit's
+    residual sum of squares over [g, g+s) is S2 - S1^2/s - 12 D^2/(s(s^2-1)),
+    with S1 and D from `_segment_moments` and S2 the sum of y^2, all
+    longdouble. A cell at or below the guard floor is recomputed by
+    `_local_variances`.
+    """
+    sums, reach = running
+    L = len(x)
     size = scales.astype(np.longdouble)
     weight = 12 / (size * (size * size - 1))  # 1 / sum (t - mean t)^2 over a segment
-    floor = _PREFIX_GUARD * eps * sums[2, -1] + (reach * size) ** 2
+    floor = _PREFIX_GUARD * np.finfo(np.longdouble).eps * sums[2, -1] + (reach * size) ** 2
     table = np.full(len(used), np.nan)
     marked = np.flatnonzero(used)
     for c0 in range(0, len(marked), _TABLE_CHUNK):
@@ -296,8 +324,8 @@ def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray) -> np.nda
         j, g = np.divmod(cells, L)
         s = scales[j]
         # one row at a time: a gather from a 2-D longdouble array is ~6x slower
-        s1, d, rss = (run[g + s] - run[g] for run in sums)
-        d -= (g - (L - s) / 2) * s1  # sum (t - (s-1)/2) y, t the time within the segment
+        s1, d = _segment_moments(sums, g, g + s, g - (L - s) / 2)
+        rss = sums[2][g + s] - sums[2][g]
         rss -= s1 * s1 / size[j] + d * d * weight[j]
         table[cells] = rss.astype(float) / s
         tripped = rss <= floor[j]
@@ -307,46 +335,156 @@ def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray) -> np.nda
     return table
 
 
-def _residue_means(x: np.ndarray, table: np.ndarray, scales: np.ndarray, at: np.ndarray,
-                   lengths: np.ndarray, columns: dict) -> tuple[np.ndarray, np.ndarray]:
-    """F_2^2 of the windows at `at` in x, the mean of their table cells at each
-    scale of their grids (NaN off them), and which windows to route to the
-    gather path instead.
+class _Classes(NamedTuple):
+    """The residue classes mod s that windows' runs lie in, over L points.
 
-    A window at a of n points has its m = n // s forward segments at a,
-    a+s, ... and its backward ones ending at a+n, so each run lies in one
-    residue class mod s of the table's row: with C the running sum along each
-    class, offset by s and 0 at unused cells, a run's sum is C[a+ms] - C[a]
-    (backward: C[a+n] - C[a+n-ms]). A window is routed where a cell of its
-    runs is at or below (s eps 2 L max|x|)^2, at least its zero-variance
-    floor (s eps max|Y|)^2 as |Y| <= 2 n max|x|, or where the sums' roundoff
-    bound k eps (C[a+ms] + C[a+n]), k - 1 >= L/s terms to a class, exceeds
-    _RESIDUE_GUARD of its own.
+    Each class r of scale j is a block of k = L // s + 2 slots, blocks in
+    order of (j, r): slot i stands for the point r + i s (`point`, of scale
+    `size`), and for the cell [r + (i-1) s, r + i s) that ends there, which
+    is a cell while i >= 1 and the point is at most L. A run of m cells in
+    the class, after slot t, takes slots t+1 .. t+m; t + m <= k - 1 as a
+    run ends at most at L.
     """
-    L = len(x)
-    cells = table.reshape(len(scales), L)
-    flagged = cells <= (scales[:, None] * (np.finfo(float).eps * 2 * L * np.max(np.abs(x)))) ** 2
-    on = np.zeros((len(at), len(scales)), dtype=bool)  # each window's grid
+    on: np.ndarray      # (windows, scales): each window's grid
+    m: np.ndarray       # (windows, scales): cells a run, 0 off a window's grid
+    before: np.ndarray  # (2, windows, scales): slot before the forward and the backward run
+    size: np.ndarray    # (slots,): the slot's scale
+    point: np.ndarray   # (slots,)
+    rows: list          # per scale with blocks: (first slot, blocks, k), contiguous
+
+
+def _classes(at: np.ndarray, lengths: np.ndarray, columns: dict, scales: np.ndarray,
+             L: int) -> _Classes:
+    """The `_Classes` of the windows at `at`, of the given lengths, at the
+    scales of their grids `scales[columns[n]]`: a window at a of n points has
+    its m = n // s forward cells at a, a+s, ... and its backward ones ending
+    at a+n."""
+    on = np.zeros((len(at), len(scales)), dtype=bool)
     for n in np.unique(lengths).tolist():
         on[np.ix_(lengths == n, columns[n])] = True
-    k = -(-L // scales) + 1
-    start = np.cumsum(k * scales) - k * scales  # row j's classes at C[:, start[j]:]
-    # C[0] sums the cells, 0 at unused (NaN) ones; C[1], where a cell is flagged, counts them
-    C = np.zeros((1 + flagged.any(), np.sum(k * scales)))
-    for j in np.flatnonzero(on.any(axis=0)).tolist():
-        s, o = int(scales[j]), int(start[j])
-        C[0, o + s:o + s + L], C[1:, o + s:o + s + L] = cells[j], flagged[j]
-        runs = C[:, o:o + k[j] * s].reshape(len(C), -1, s)
-        np.fmax(runs, 0.0, out=runs)
-        np.cumsum(runs, axis=1, out=runs)
-    ms = lengths[:, None] // scales * scales
+    m = np.where(on, lengths[:, None] // scales, 0)
+    lead = np.stack([at[:, None] + 0 * m, (at + lengths)[:, None] - m * scales])
+    lead[:, ~on] = 0
+    offset = np.cumsum(scales) - scales  # class r of scale j is offset[j] + r
+    cls = offset + lead % scales
+    read = np.zeros(int(scales.sum()), dtype=bool)
+    read[cls[:, on]] = True
+    blocks = np.flatnonzero(read)
+    j = np.searchsorted(offset, blocks, side="right") - 1
+    k = L // scales[j] + 2
+    first = np.cumsum(k) - k
+    slot = np.zeros(len(read), dtype=np.intp)
+    slot[blocks] = first
+    size = np.repeat(scales[j], k)
+    point = np.repeat(blocks - offset[j] - first * scales[j], k) + np.arange(len(size)) * size
+    heads = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])  # each scale's first block
+    rows = [(int(first[b]), int(c), int(k[b]))
+            for b, c in zip(heads.tolist(), np.diff(np.r_[heads, len(j)]).tolist())]
+    return _Classes(on, m, slot[cls] + lead // scales, size, point, rows)
+
+
+def _calm_cells(x: np.ndarray, scales: np.ndarray) -> np.ndarray | None:
+    """Which cells [g, g+s), (scales, L) by g, might have an order-1 F^2 at or
+    below (s eps 2L max|x|)^2; None when no cell might.
+
+    On [g, g+s) the residual r of the profile's line has second differences
+    x[i+1] - x[i], for the s - 2 steps between its increments x[g+1..g+s-1],
+    so sum |r| >= max step / 4 and F^2 = sum r^2 / s >= (max step / 4s)^2. A
+    cell is kept clear when one of its steps exceeds 16 s^2 eps L max|x|,
+    which puts F^2 above 4 (s eps 2L max|x|)^2; only a cell that lies in a
+    calm stretch, of s - 2 steps none above that, is returned.
+    """
+    L = len(x)
+    unit = 16 * np.finfo(float).eps * L * np.max(np.abs(x))  # times s^2, a scale's bound
+    steps = np.abs(np.diff(x))
+    calm = steps <= unit * scales[-1] ** 2
+    bounds = np.flatnonzero(np.r_[True, ~calm, True])
+    if np.diff(bounds).max() - 1 < scales[0] - 2:  # the longest calm stretch
+        return None
+    cells = np.zeros((len(scales), L), dtype=bool)
+    for j, s in enumerate(scales.tolist()):
+        # steps above this scale's bound, counted up to each step
+        loud = np.r_[0, np.cumsum(steps > unit * s * s)]
+        cells[j, :L - s + 1] = loud[s - 1:] == loud[1:L - s + 2]
+    return cells
+
+
+@np.errstate(over="ignore", invalid="ignore")  # what overflows routes its windows
+def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
+                   scales: np.ndarray, at: np.ndarray, lengths: np.ndarray,
+                   columns: dict) -> tuple[np.ndarray, np.ndarray]:
+    """F_2^2 of the windows at `at` in x at each scale of their grids (NaN off
+    them), from `running` = `_running_sums(x)`, and which windows to route to
+    the gather path instead.
+
+    A window's F_2^2 2 m s is the sum of its runs' cells' residual sums of
+    squares S2 - (S1^2/s + w D^2), w = 12/(s(s^2-1)). The S2 part telescopes
+    along each run: y^2's longdouble running sum read at a, a+ms, a+n-ms
+    and a+n. The line terms S1^2/s + w D^2 are formed in float64 from S1
+    and D (`_segment_moments`) cast, for the cells of the residue classes
+    mod s that the runs lie in (`_classes`), and summed in longdouble along
+    each class, so a run's sum is the difference of two of those running
+    sums. The subtraction is longdouble, and its result cast.
+
+    A window is routed where its result is at most 2m (s reach)^2, the
+    profile's roundoff that the table's floor holds each cell clear of, there
+    for the cells' mean. It is routed too where the roundoff bound of the
+    subtraction exceeds _RESIDUE_GUARD of the result: 4 eps of the line terms
+    for their casts and float64 arithmetic; 2m _CELL_ROUNDOFF eps_ld of the
+    sum of y^2 for the cells' S1 and D; L eps_ld of the S2 reads at the runs'
+    ends for y^2's running sum; m eps_ld of the class sums at both run ends;
+    eps of the result for its cast; and 2m float64 tinies for underflow. A
+    spike before the window, whose square dwarfs the window's own terms,
+    trips it. And a window is routed where a cell of its runs might be at or
+    below (s eps 2L max|x|)^2 (`_calm_cells`), at least its zero-variance
+    floor (s eps max|Y|)^2 as |Y| <= 2 n max|x|. A line term or a sum that
+    overflows leaves its windows' results non-finite, which routes them too.
+    """
+    L, (sums, reach) = len(x), running
+    classes = _classes(at, lengths, columns, scales, L)
+    on, m, before = classes.on, classes.m, classes.before
+    calm = _calm_cells(x, scales)
+    # C[0] sums the line terms; C[1], where a cell might be near zero variance, counts them
+    C = np.zeros((1 + (calm is not None), len(classes.point)), dtype=np.longdouble)
+    for c0 in range(1, C.shape[1], _PASS_POINTS):
+        # slot t > 0 of a block stands for the cell [point[t-1], point[t]) while point[t] <= L
+        point = classes.point[c0 - 1:c0 + _PASS_POINTS]
+        s = classes.size[c0:c0 + _PASS_POINTS]
+        real = (np.diff(point) == s) & (point[1:] <= L)
+        point = np.minimum(point, L)
+        s1, d = _segment_moments([run[point] for run in sums[:2]], slice(None, -1),
+                                 slice(1, None), point[:-1] - (L - s) / 2)
+        line = s1.astype(float)  # S1^2/s + w D^2 in float64
+        line *= line
+        line /= s
+        d = d.astype(float)
+        d *= d
+        d *= 12 / (s * (s * s - 1.0))
+        line += d
+        np.copyto(C[0, c0:c0 + len(s)], line, where=real)
+        if calm is not None:
+            C[1, c0:c0 + len(s)] = real & calm[np.searchsorted(scales, s),
+                                                np.where(real, point[:-1], 0)]
+    for first, count, k in classes.rows:  # running sums along each class's block
+        runs = C[:, first:first + count * k].reshape(len(C), count, k)
+        np.cumsum(runs, axis=-1, out=runs)
+    ms = m * scales
     # the forward run ends at a+ms, the backward one at a+ms + n mod s = a+n
-    ends = start + at[:, None] + ms + np.stack([0 * ms, lengths[:, None] % scales])
-    last = C[:, ends]
-    total, *flags = (last - C[:, ends - ms]).sum(axis=1)
-    error = k * np.finfo(float).eps * last[0].sum(axis=0)
-    routed = on & ((error > _RESIDUE_GUARD * total) | (np.sum(flags, axis=0) > 0))
-    return np.where(on, total / np.maximum(2 * ms // scales, 1), np.nan), routed.any(axis=1)
+    ends = at[:, None] + ms + np.stack([0 * ms, lengths[:, None] % scales])
+    ends[:, ~on] = 0
+    last = C[:, before + m]
+    lines, *flags = (last - C[:, before]).sum(axis=1)
+    reads = sums[2][ends]
+    total = ((reads - sums[2][ends - ms]).sum(axis=0) - lines).astype(float)
+    eps, eps_ld = np.finfo(float).eps, np.finfo(np.longdouble).eps
+    error = (eps * (4 * lines.astype(float) + total) + 2 * m * np.finfo(float).tiny
+             + (eps_ld * ((L * reads + m * last[0]).sum(axis=0)
+                          + 2 * m * _CELL_ROUNDOFF * sums[2, -1])).astype(float))
+    floor = (2 * m * (reach * scales) ** 2).astype(float)
+    routed = on & ~((error <= _RESIDUE_GUARD * total) & (total > floor))
+    if flags:
+        routed |= on & (flags[0] > 0)
+    return np.where(on, total / np.maximum(2 * ms, 1), np.nan), routed.any(axis=1)
 
 
 def fluctuation_function(series, config: MfdfaConfig, starts=None,
@@ -372,12 +510,14 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     is no wider than float64, project a pass of windows a scale at a time
     (`_window_passes`).
 
-    With a q grid of exactly {2}, a table serves the windows from the
-    table's running sums along residue classes first (`_residue_means`): each
-    F_2^2, the mean of its cells, with no profile or power means. A window
-    with a cell at or below (s * eps * 2L * max|x|)^2, L the extent's length,
-    which bounds its zero-variance floor, or whose sums' roundoff could show,
-    is gathered as above instead; so every window that the sums serve has no
+    With a q grid of exactly {2}, the extent's running sums serve the
+    windows first, with no table, profile or power means (`_residue_means`):
+    each F_2^2 is its runs' telescoped sum of y^2 less their cells' line
+    terms, float64 from longdouble S1 and D and summed along residue
+    classes. A window is gathered as above instead where a bound on that
+    subtraction's roundoff could show, or where a cell might be at or below
+    (s * eps * 2L * max|x|)^2, L the extent's length, which bounds its
+    zero-variance floor; so every window that the sums serve has no
     zero-variance segment, and 0 excluded segments by construction.
     """
     x = np.asarray(series, dtype=float)
@@ -398,18 +538,21 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     lo = int(first.min(initial=len(x)))  # the windows' extent x[lo:hi]; empty with no windows
     hi = int((first + lengths).max(initial=lo))
     at = first - lo  # each window's start in the extent
-    passes = _window_passes(np.arange(len(first)), lengths, columns, scales, hi - lo)
-    table = None
+    index = np.arange(len(first))  # the windows left to gather or project
+    running = None
     if tabled and 0 < hi - lo <= _PREFIX_MAX_LENGTH:
+        running = _running_sums(x[lo:hi])
+        if np.array_equal(qs, [2.0]):  # F_2 from the running sums: no segment excluded
+            means, routed = _residue_means(x[lo:hi], running, scales, at, lengths, columns)
+            values[~routed, 0] = np.sqrt(means[~routed])
+            index = np.flatnonzero(routed)
+    passes = _window_passes(index, lengths[index], columns, scales, hi - lo)
+    table = None
+    if running is not None and len(index):
         used = np.zeros(len(scales) * (hi - lo), dtype=bool)
         for rows, _, cells in passes:
             used[cells + at[rows, None]] = True
-        table = _order1_table(x[lo:hi], scales, used)
-        if np.array_equal(qs, [2.0]):  # F_2 from the running sums: no segment excluded
-            means, routed = _residue_means(x[lo:hi], table, scales, at, lengths, columns)
-            values[~routed, 0] = np.sqrt(means[~routed])
-            index = np.flatnonzero(routed)
-            passes = _window_passes(index, lengths[index], columns, scales, hi - lo)
+        table = _order1_table(x[lo:hi], scales, used, running)
     for rows, n, cells in passes:
         Y = profile(x[first[rows, None] + np.arange(n)])
         grid = grids[n]

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, NumericError
+from .finite_sample import relative_error
 from .market_data import (TickSeries, intraday_log_returns, resample_prices,
                           samples_per_day, trade_index)
 from .mfdfa import (MIN_FIT_LENGTH, MfdfaConfig, default_q_values, fluctuation_function,
@@ -48,6 +49,7 @@ class WindowReport:
     b1: float | None = None
     reference_delta: int = 5
     reference_n: int = 288
+    reference_relative_error: float | None = None  # a/(n+a) at reference_n, with a fit
     diagnostics: dict = field(default_factory=dict)
     reason: str | None = None
 
@@ -126,7 +128,9 @@ def _delta_column(rv: RVSeries, ordinals: np.ndarray, starts: np.ndarray, window
 
 def _window_report(start: dt.date, end: dt.date, dropped_days: int, cells: Iterable[tuple],
                    reference_delta: int, exclude_deltas: list[int]) -> WindowReport:
-    """One window's report from its deltas' MFDFA results, then the ansatz fit.
+    """One window's report from its deltas' MFDFA results, then the ansatz fit
+    and, with a fit, the relative error a/(n+a) of H at the reference delta's
+    n samples a day.
 
     `cells` pairs each delta, in order, with its `_delta_column` result for
     the window. A delta with no result is listed in `short_deltas`, and one
@@ -160,6 +164,9 @@ def _window_report(start: dt.date, end: dt.date, dropped_days: int, cells: Itera
         except NumericError as exc:
             report.reason = "ansatz_fit_failed"
             report.diagnostics["ansatz_error"] = str(exc)
+        else:
+            report.reference_relative_error = relative_error(report.reference_n,
+                                                             report.ansatz.a)
     else:
         report.reason = "too_few_deltas_for_ansatz"
     return report

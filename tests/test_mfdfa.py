@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -346,7 +347,7 @@ def own_table(x, scales):
                                           {len(x): np.arange(len(scales))}, scales, len(x))
     used = np.zeros(len(scales) * len(x), dtype=bool)
     used[cells] = True
-    return mfdfa._order1_table(x, scales, used), cells
+    return mfdfa._order1_table(x, scales, used, mfdfa._running_sums(x)), cells
 
 
 def assert_same_variances(got, want, x, s):
@@ -512,10 +513,39 @@ def _constant_stretch(n, a, b):
     return x
 
 
+def _exact_run_sums(x, scales, starts, n):
+    """Each window's sum of its cells' residual sums of squares at each scale,
+    (windows, scales), in rationals from the longdouble profile minus its
+    line that `mfdfa._running_sums` takes."""
+    L = len(x)
+    t = np.arange(L, dtype=np.longdouble) - (L - 1) / 2
+    y = np.cumsum(x - x.mean(), dtype=np.longdouble)
+    y -= y.mean() + (t @ y) / (t @ t) * t
+    P = [[Fraction(0)] for _ in range(3)]
+    for i, v in enumerate(Fraction(*v.as_integer_ratio()) for v in y):
+        for run, term in zip(P, (v, i * v, v * v)):
+            run.append(run[-1] + term)
+    out = []
+    for a in starts:
+        row = []
+        for s in scales:
+            m = n // s
+            total = Fraction(0)
+            for g in [a + i * s for i in range(m)] + [a + n - m * s + i * s for i in range(m)]:
+                s1, t1, s2 = (run[g + s] - run[g] for run in P)
+                d = t1 - (g + Fraction(s - 1, 2)) * s1
+                total += s2 - s1 * s1 / s - 12 * d * d / (s * (s * s - 1))
+            row.append(total)
+        out.append(row)
+    return out
+
+
 class TestResidueSums:
-    """q = {2} takes each window's F_2 from running sums of the order-1 table
-    along residue classes, unless a cell of the window is near zero or the
-    sums' roundoff could show; any other q grid gathers the window's cells."""
+    """q = {2} takes each window's F_2 from the extent's running sums: its
+    runs' telescoped sum of y^2 less their cells' line terms, summed along
+    residue classes; unless a cell of the window might be near zero
+    variance or the subtraction's roundoff could show. Any other q grid
+    gathers the window's cells."""
 
     @settings(max_examples=300, deadline=None)
     @given(spiked_windows())
@@ -541,6 +571,85 @@ class TestResidueSums:
             surface = fluctuation_function(incr, MfdfaConfig([2.0], None), starts, 700)
         means.assert_not_called()
         assert np.isfinite(generalized_hurst(surface).h_values).all()
+
+    def test_rv_increments_form_no_cell_and_route_no_window(self):
+        # the rolling layout at one delta, 29 windows of 2922 days stepped by
+        # 5; a routed window would tabulate its cells
+        incr = log_increments(rolling_inputs(1, 3062).rv_by_delta[5], zero_policy="drop").values
+        with mock.patch.object(mfdfa, "_order1_table",
+                               side_effect=AssertionError("per-cell table")):
+            surface = fluctuation_function(incr, MfdfaConfig([2.0], None), np.arange(0, 141, 5),
+                                           len(incr) - 140)
+        assert np.isfinite(surface.values).all() and not surface.excluded_segments.any()
+
+    def test_a_window_after_a_spike_is_routed_by_the_roundoff_bound(self):
+        # the spike's square dwarfs the later window's own terms; with the
+        # profile's reach set to 0 and no cell taken as near zero variance,
+        # only the subtraction's roundoff bound can route it, and the window
+        # before, over the spike, too
+        x = np.random.default_rng(15).standard_normal(600) * 1e-3
+        x[50] += 1e8
+        starts, lengths = np.array([0, 300]), np.array([250, 250])
+        config = MfdfaConfig([2.0], [10, 20, 40, 62])
+        with mock.patch.object(mfdfa, "_PROFILE_GUARD", 0.0), \
+                mock.patch.object(mfdfa, "_calm_cells", return_value=None):
+            running = mfdfa._running_sums(x[:550])
+            _, routed = mfdfa._residue_means(x[:550], running, config.scales, starts, lengths,
+                                             {250: np.arange(4)})
+        assert routed.all()
+        with mock.patch.object(mfdfa, "_order1_table", wraps=mfdfa._order1_table) as table:
+            q2 = fluctuation_function(x, config, starts, lengths)
+        assert table.call_count == 1
+        gathered = fluctuation_function(x, MfdfaConfig([1.0, 2.0], config.scales), starts,
+                                        lengths)
+        np.testing.assert_allclose(q2.values[:, 0], gathered.values[:, 1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("starts,n", [([0, 37, 200], 400), ([0, 100], 500)],
+                             ids=["runs_coincide", "ends_at_the_extent"])
+    def test_edge_windows_take_the_sums(self, starts, n):
+        # n % s == 0 at every scale, so a window's backward run is its
+        # forward one; and a window whose backward run ends at the extent's
+        # last point
+        x = np.diff(np.random.default_rng(16).standard_normal(601))
+        starts = np.array(starts)
+        config = MfdfaConfig([2.0], [10, 20, 40, 50, 100] if n == 400 else None)
+        if n == 400:
+            assert (n % config.grid(n) == 0).all()
+        else:
+            assert starts[-1] + n == len(x)
+        with mock.patch.object(mfdfa, "_order1_table",
+                               side_effect=AssertionError("per-cell table")):
+            q2 = fluctuation_function(x, config, starts, n)
+        gathered = fluctuation_function(x, MfdfaConfig([1.0, 2.0], config.scales), starts, n)
+        np.testing.assert_allclose(q2.values[:, 0], gathered.values[:, 1], rtol=1e-12, atol=0)
+        for w, i0 in enumerate(starts):
+            alone = fluctuation_function(x[i0:i0 + n], config)
+            np.testing.assert_allclose(q2.values[w], alone.values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["offset", "trend", "heavy_tails", "spike", "smoothed",
+                                      "rv_like"])
+    def test_served_sums_match_exact_arithmetic(self, kind):
+        # every window that the sums serve, and some are, is within
+        # _RESIDUE_GUARD of its exact sum over the same longdouble profile
+        rng = np.random.default_rng(17)
+        L, n = 180, 150
+        t = np.arange(L)
+        x = {"offset": lambda: rng.standard_normal(L) + 1e6,
+             "trend": lambda: rng.standard_normal(L) + 1e-2 * t,
+             "heavy_tails": lambda: rng.standard_t(1.5, L),
+             "spike": lambda: rng.standard_normal(L) + 1e3 * (t == 20),
+             "smoothed": lambda: np.convolve(rng.standard_normal(L + 9), np.ones(10), "valid"),
+             "rv_like": lambda: np.diff(rng.standard_normal(L + 1))}[kind]()
+        starts = np.array([0, 13, 30])
+        scales = default_scales(n)
+        means, routed = mfdfa._residue_means(x, mfdfa._running_sums(x), scales, starts,
+                                             np.full(3, n), {n: np.arange(len(scales))})
+        assert not routed.all()
+        exact = _exact_run_sums(x, scales.tolist(), starts.tolist(), n)
+        for w in np.flatnonzero(~routed):
+            for j, s in enumerate(scales.tolist()):
+                want = exact[w][j] / (2 * (n // s) * s)
+                assert abs(Fraction(float(means[w, j])) - want) <= 1e-12 * want
 
     def test_only_a_window_over_a_constant_stretch_takes_power_means(self):
         x = _constant_stretch(2000, 1500, 1700)
@@ -801,6 +910,16 @@ class TestExtremeAmplitudes:
         base = generalized_hurst(fluctuation_function(x, config)).h_values
         scaled = generalized_hurst(fluctuation_function(amplitude * x, config)).h_values
         np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("amplitude", [1e-160, 1e-120, 1e120, 1e150])
+    def test_q2_sums_match_the_gather_path(self, amplitude):
+        # line terms that underflow to subnormals, or garbage slots between
+        # classes that overflow, must neither serve a window nor warn
+        x = amplitude * np.diff(np.random.default_rng(5).standard_normal(2049))
+        starts = np.array([0, 100, 300])
+        q2, gathered = (fluctuation_function(x, MfdfaConfig(q, None), starts, 1700)
+                        for q in ([2.0], [1.0, 2.0]))
+        np.testing.assert_allclose(q2.values[:, 0], gathered.values[:, 1], rtol=1e-12, atol=0)
 
 
 class TestDefaultScales:

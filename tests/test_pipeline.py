@@ -12,6 +12,7 @@ import pytest
 from perfbench.generators import rolling_inputs
 from roughscale import mfdfa, pipeline
 from roughscale.errors import DataError, NumericError
+from roughscale.finite_sample import relative_error
 from roughscale.market_data import TickSeries, date_to_epoch_seconds, samples_per_day
 from roughscale.mfdfa import (MIN_FIT_LENGTH, MfdfaConfig, default_scales,
                               fluctuation_function, generalized_hurst)
@@ -59,6 +60,20 @@ class TestRolling:
         data = {5: fgn_rv_series(400)}
         reports = run_rolling(data, RollingSpec(window_days=365, step_days=5))
         assert all(r.reference_n == 288 for r in reports)
+
+    def test_reference_relative_error_of_a_window(self):
+        # the paper's claim (ii): a/(n+a) of the window's fit at the
+        # reference delta's n; null for a window without a fit
+        data = rolling_inputs(1, 800).rv_by_delta
+        rolling = RollingSpec(window_days=730, step_days=70)
+        report = run_rolling(data, rolling)[0]
+        assert report.ansatz is not None
+        want = relative_error(report.reference_n, report.ansatz.a)
+        assert report.reference_relative_error == want
+        assert report.to_dict()["reference_relative_error"] == want
+        alone = run_rolling({5: data[5]}, rolling)[0]
+        assert alone.reason == "too_few_deltas_for_ansatz"
+        assert alone.to_dict()["reference_relative_error"] is None
 
     def test_multi_delta_with_ansatz(self):
         data = {d: fgn_rv_series(420, seed=d, delta=d) for d in (5, 30, 60, 120)}
@@ -303,6 +318,9 @@ def reference_window_report(start, end, cells, reference_delta, detrend_order,
         except NumericError as exc:
             report.reason = "ansatz_fit_failed"
             report.diagnostics["ansatz_error"] = str(exc)
+        else:
+            a = report.ansatz.a
+            report.reference_relative_error = a / (report.reference_n + a)
     return report
 
 
@@ -321,7 +339,7 @@ def assert_reports_match(got, want):
                                                            rel=1e-12, abs=0)
         assert gd["curve_q"] == wd["curve_q"]
         assert gd["curve_h"] == pytest.approx(wd["curve_h"], rel=1e-12, abs=0)
-        for key in ("delta_h3", "b0", "b1"):
+        for key in ("delta_h3", "b0", "b1", "reference_relative_error"):
             assert (gd[key] is None) == (wd[key] is None)
             if wd[key] is not None:
                 assert gd[key] == pytest.approx(wd[key], rel=1e-12, abs=0)
@@ -371,7 +389,9 @@ class TestStackedDeltas:
 
     def test_windows_on_two_grids_take_one_call_and_one_table(self):
         # zero-RV days split each delta's windows over two default scale
-        # grids; the kernel gives each window its own, from one table
+        # grids; the kernel gives each window its own, from one set of
+        # running sums a delta, and only the reference delta's full q grid
+        # tabulates cells in a table
         data = rolling_inputs(3, 3062).rv_by_delta
         rolling = RollingSpec(window_days=2922, step_days=20)
         first = data[5].dates[0]
@@ -387,9 +407,11 @@ class TestStackedDeltas:
         assert all(len(g) == 2 for g in grids.values())
         with mock.patch.object(pipeline, "fluctuation_function",
                                wraps=pipeline.fluctuation_function) as calls, \
+                mock.patch.object(mfdfa, "_running_sums", wraps=mfdfa._running_sums) as sums, \
                 mock.patch.object(mfdfa, "_order1_table", wraps=mfdfa._order1_table) as tables:
             got = run_rolling(data, rolling)
-        assert calls.call_count == tables.call_count == len(data) == 36
+        assert calls.call_count == sums.call_count == len(data) == 36
+        assert tables.call_count == 1
         assert_reports_match(got, want)
 
     def test_a_window_with_a_constant_delta_drops_that_delta(self):

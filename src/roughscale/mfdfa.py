@@ -224,17 +224,14 @@ _CELL_ROUNDOFF = 128
 _PREFIX_MAX_LENGTH = 8192
 
 # Points of windows in one pass of `fluctuation_function`, and slots of
-# residue classes in one pass of `_residue_means`; cells in one pass of
-# `_order1_table`: bounded working sets at a small per-pass cost, the cells'
-# 64 kB longdouble temporaries below the allocator's mmap threshold.
+# residue classes in one pass of `_residue_means`: bounded working sets at a
+# small per-pass cost.
 _PASS_POINTS = 16384
-_TABLE_CHUNK = 4096
 
 # A q = {2} window's F_2^2 from the running sums (`_residue_means`), its
 # telescoped sum of y^2 less its cells' float64 line terms, goes to the
 # gather path where the subtraction's roundoff bound exceeds this share of
-# it; so does one at most 2m (s reach)^2, or with a cell that might be near
-# zero variance.
+# it; so does one at most 2m (s reach)^2.
 _RESIDUE_GUARD = 1e-12
 
 
@@ -309,29 +306,25 @@ def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray,
     line, so every window's segments are cells of this one table. A fit's
     residual sum of squares over [g, g+s) is S2 - S1^2/s - 12 D^2/(s(s^2-1)),
     with S1 and D from `_segment_moments` and S2 the sum of y^2, all
-    longdouble. A cell at or below the guard floor is recomputed by
-    `_local_variances`.
+    longdouble, one scale's row at a time. A cell at or below the guard
+    floor is recomputed by `_local_variances`.
     """
     sums, reach = running
     L = len(x)
-    size = scales.astype(np.longdouble)
-    weight = 12 / (size * (size * size - 1))  # 1 / sum (t - mean t)^2 over a segment
-    floor = _PREFIX_GUARD * np.finfo(np.longdouble).eps * sums[2, -1] + (reach * size) ** 2
     table = np.full(len(used), np.nan)
-    marked = np.flatnonzero(used)
-    for c0 in range(0, len(marked), _TABLE_CHUNK):
-        cells = marked[c0:c0 + _TABLE_CHUNK]
-        j, g = np.divmod(cells, L)
-        s = scales[j]
-        # one row at a time: a gather from a 2-D longdouble array is ~6x slower
+    for j, s in enumerate(scales.tolist()):
+        g = np.flatnonzero(used[j * L:(j + 1) * L])
+        size = np.longdouble(s)
+        weight = 12 / (size * (size * size - 1))  # 1 / sum (t - mean t)^2 over a segment
+        floor = _PREFIX_GUARD * np.finfo(np.longdouble).eps * sums[2, -1] + (reach * size) ** 2
+        # one row of the sums at a time: a gather from a 2-D longdouble array is ~6x slower
         s1, d = _segment_moments(sums, g, g + s, g - (L - s) / 2)
         rss = sums[2][g + s] - sums[2][g]
-        rss -= s1 * s1 / size[j] + d * d * weight[j]
-        table[cells] = rss.astype(float) / s
-        tripped = rss <= floor[j]
-        for s_t in np.unique(s[tripped]).tolist():
-            at = tripped & (s == s_t)
-            table[cells[at]] = _local_variances(x, g[at], s_t)
+        rss -= s1 * s1 / size + d * d * weight
+        table[j * L + g] = rss.astype(float) / s
+        tripped = rss <= floor
+        if tripped.any():
+            table[j * L + g[tripped]] = _local_variances(x, g[tripped], s)
     return table
 
 
@@ -383,30 +376,21 @@ def _classes(at: np.ndarray, lengths: np.ndarray, columns: dict, scales: np.ndar
     return _Classes(on, m, slot[cls] + lead // scales, size, point, rows)
 
 
-def _calm_cells(x: np.ndarray, scales: np.ndarray) -> np.ndarray | None:
-    """Which cells [g, g+s), (scales, L) by g, might have an order-1 F^2 at or
-    below (s eps 2L max|x|)^2; None when no cell might.
+def _calm_stretch(x: np.ndarray, scales: np.ndarray) -> bool:
+    """Whether a cell [g, g+s) of x's profile, s in `scales`, might have an
+    order-1 F^2 at or below (s eps 2L max|x|)^2: whether x holds a calm
+    stretch of scales[0] - 2 steps none above 16 scales[-1]^2 eps L max|x|.
 
     On [g, g+s) the residual r of the profile's line has second differences
     x[i+1] - x[i], for the s - 2 steps between its increments x[g+1..g+s-1],
     so sum |r| >= max step / 4 and F^2 = sum r^2 / s >= (max step / 4s)^2. A
-    cell is kept clear when one of its steps exceeds 16 s^2 eps L max|x|,
-    which puts F^2 above 4 (s eps 2L max|x|)^2; only a cell that lies in a
-    calm stretch, of s - 2 steps none above that, is returned.
+    step above 16 s^2 eps L max|x| puts F^2 above 4 (s eps 2L max|x|)^2, so
+    only a cell that lies in such a stretch can fall below.
     """
-    L = len(x)
-    unit = 16 * np.finfo(float).eps * L * np.max(np.abs(x))  # times s^2, a scale's bound
-    steps = np.abs(np.diff(x))
-    calm = steps <= unit * scales[-1] ** 2
+    unit = 16 * np.finfo(float).eps * len(x) * np.max(np.abs(x))  # times s^2, a scale's bound
+    calm = np.abs(np.diff(x)) <= unit * scales[-1] ** 2
     bounds = np.flatnonzero(np.r_[True, ~calm, True])
-    if np.diff(bounds).max() - 1 < scales[0] - 2:  # the longest calm stretch
-        return None
-    cells = np.zeros((len(scales), L), dtype=bool)
-    for j, s in enumerate(scales.tolist()):
-        # steps above this scale's bound, counted up to each step
-        loud = np.r_[0, np.cumsum(steps > unit * s * s)]
-        cells[j, :L - s + 1] = loud[s - 1:] == loud[1:L - s + 2]
-    return cells
+    return bool(np.diff(bounds).max() - 1 >= scales[0] - 2)  # the longest calm stretch
 
 
 @np.errstate(over="ignore", invalid="ignore")  # what overflows routes its windows
@@ -435,18 +419,16 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
     ends for y^2's running sum; m eps_ld of the class sums at both run ends;
     eps of the result for its cast; and 2m float64 tinies for underflow. A
     spike before the window, whose square dwarfs the window's own terms,
-    trips it. And a window is routed where a cell of its runs might be at or
-    below (s eps 2L max|x|)^2 (`_calm_cells`), at least its zero-variance
-    floor (s eps max|Y|)^2 as |Y| <= 2 n max|x|. A line term or a sum that
-    overflows leaves its windows' results non-finite, which routes them too.
+    trips it. A line term or a sum that overflows leaves its windows' results
+    non-finite, which routes them too. Neither rule sees a cell near zero
+    variance, which the gather path excludes: x must hold no calm stretch
+    (`_calm_stretch`).
     """
     L, (sums, reach) = len(x), running
     classes = _classes(at, lengths, columns, scales, L)
     on, m, before = classes.on, classes.m, classes.before
-    calm = _calm_cells(x, scales)
-    # C[0] sums the line terms; C[1], where a cell might be near zero variance, counts them
-    C = np.zeros((1 + (calm is not None), len(classes.point)), dtype=np.longdouble)
-    for c0 in range(1, C.shape[1], _PASS_POINTS):
+    C = np.zeros(len(classes.point), dtype=np.longdouble)  # the line terms, slot by slot
+    for c0 in range(1, len(C), _PASS_POINTS):
         # slot t > 0 of a block stands for the cell [point[t-1], point[t]) while point[t] <= L
         point = classes.point[c0 - 1:c0 + _PASS_POINTS]
         s = classes.size[c0:c0 + _PASS_POINTS]
@@ -461,29 +443,24 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
         d *= d
         d *= 12 / (s * (s * s - 1.0))
         line += d
-        np.copyto(C[0, c0:c0 + len(s)], line, where=real)
-        if calm is not None:
-            C[1, c0:c0 + len(s)] = real & calm[np.searchsorted(scales, s),
-                                                np.where(real, point[:-1], 0)]
+        np.copyto(C[c0:c0 + len(s)], line, where=real)
     for first, count, k in classes.rows:  # running sums along each class's block
-        runs = C[:, first:first + count * k].reshape(len(C), count, k)
+        runs = C[first:first + count * k].reshape(count, k)
         np.cumsum(runs, axis=-1, out=runs)
     ms = m * scales
     # the forward run ends at a+ms, the backward one at a+ms + n mod s = a+n
     ends = at[:, None] + ms + np.stack([0 * ms, lengths[:, None] % scales])
     ends[:, ~on] = 0
-    last = C[:, before + m]
-    lines, *flags = (last - C[:, before]).sum(axis=1)
+    last = C[before + m]
+    lines = (last - C[before]).sum(axis=0)
     reads = sums[2][ends]
     total = ((reads - sums[2][ends - ms]).sum(axis=0) - lines).astype(float)
     eps, eps_ld = np.finfo(float).eps, np.finfo(np.longdouble).eps
     error = (eps * (4 * lines.astype(float) + total) + 2 * m * np.finfo(float).tiny
-             + (eps_ld * ((L * reads + m * last[0]).sum(axis=0)
+             + (eps_ld * ((L * reads + m * last).sum(axis=0)
                           + 2 * m * _CELL_ROUNDOFF * sums[2, -1])).astype(float))
     floor = (2 * m * (reach * scales) ** 2).astype(float)
     routed = on & ~((error <= _RESIDUE_GUARD * total) & (total > floor))
-    if flags:
-        routed |= on & (flags[0] > 0)
     return np.where(on, total / np.maximum(2 * ms, 1), np.nan), routed.any(axis=1)
 
 
@@ -515,10 +492,11 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     each F_2^2 is its runs' telescoped sum of y^2 less their cells' line
     terms, float64 from longdouble S1 and D and summed along residue
     classes. A window is gathered as above instead where a bound on that
-    subtraction's roundoff could show, or where a cell might be at or below
-    (s * eps * 2L * max|x|)^2, L the extent's length, which bounds its
-    zero-variance floor; so every window that the sums serve has no
-    zero-variance segment, and 0 excluded segments by construction.
+    subtraction's roundoff could show. Every window is gathered where the
+    extent holds a calm stretch (`_calm_stretch`), the only place a cell can
+    be at or below (s * eps * 2L * max|x|)^2, L the extent's length, which
+    bounds its zero-variance floor; so every window that the sums serve has
+    no zero-variance segment, and 0 excluded segments by construction.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -542,7 +520,8 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     running = None
     if tabled and 0 < hi - lo <= _PREFIX_MAX_LENGTH:
         running = _running_sums(x[lo:hi])
-        if np.array_equal(qs, [2.0]):  # F_2 from the running sums: no segment excluded
+        # F_2 from the running sums, where no segment can be excluded
+        if np.array_equal(qs, [2.0]) and not _calm_stretch(x[lo:hi], scales):
             means, routed = _residue_means(x[lo:hi], running, scales, at, lengths, columns)
             values[~routed, 0] = np.sqrt(means[~routed])
             index = np.flatnonzero(routed)

@@ -7,7 +7,9 @@ over 5114 days (rough volatility, H = 0.13), so no data download is needed;
 windows are 2922 days stepped by 5 (439 windows), the paper's layout. The job
 runs `REPEATS` times with one BLAS thread. The record goes to
 `bench/BENCH_<label>.json`: per-run wall and CPU seconds, peak resident memory
-during each run, window and degraded-window counts, the median window H₀, the
+during each run, the tracemalloc peak of one more, untimed run (finer than
+peak RSS, which moves by megabytes from run to run), window and
+degraded-window counts, the median window H₀, the
 sha256 of the report JSON that `pipeline.write_json` writes for the last run
 (equal digests show byte-identical reports across commits), and provenance
 (commit, sha256 of `src/roughscale`, Python and numpy versions, the scipy
@@ -28,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +107,11 @@ def main(argv=None) -> int:
         runs.append({"wall_s": time.perf_counter() - wall0,
                      "cpu_s": time.process_time() - cpu0,
                      "peak_rss_mb": rss.peak_bytes / 2 ** 20})
+    release_free_heap()
+    tracemalloc.start()
+    pipeline.run_rolling(inputs.rv_by_delta, spec)
+    traced_peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
     h0 = [r.ansatz.h0 for r in reports if r.ansatz is not None]
     record = {
         "job": "pipeline.run_rolling on perfbench.generators.rolling_inputs",
@@ -116,6 +124,7 @@ def main(argv=None) -> int:
         "report_sha256": report_sha256(reports),
         "median": {k: statistics.median(run[k] for run in runs) for k in runs[0]},
         "runs": runs,
+        "traced_peak_mb": traced_peak_mb,
         "generate_s": generate_s,
         "provenance": provenance(args.seed, inputs.digest()),
     }
@@ -123,7 +132,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     m = record["median"]
     print(f"{out.relative_to(ROOT)}: wall {m['wall_s']:.2f} s, cpu {m['cpu_s']:.2f} s, "
-          f"peak rss {m['peak_rss_mb']:.1f} MB over {REPEATS} runs; "
+          f"peak rss {m['peak_rss_mb']:.1f} MB over {REPEATS} runs, traced peak "
+          f"{traced_peak_mb:.2f} MB; "
           f"{record['windows']} windows, {record['windows_degraded']} degraded")
     return 0
 

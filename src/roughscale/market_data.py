@@ -239,11 +239,11 @@ def parse_ticks(source, *, header: bool = False, max_malformed: int = 0) -> Tick
     if max_malformed < 0:
         raise ValueError(f"max_malformed must be >= 0, got {max_malformed}")
     release = None
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)  # one decode path for bytes and binary streams
     if isinstance(source, (str, os.PathLike)):
         stream = open(source, "r", encoding="utf-8-sig", errors="surrogateescape")
         release = stream.close
-    elif isinstance(source, bytes):
-        stream = io.StringIO(source.decode("utf-8-sig", "surrogateescape"), newline=None)
     elif isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
         stream = io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape")
         release = stream.detach  # a finalised wrapper would close the caller's stream

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -328,54 +327,6 @@ def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray,
     return table
 
 
-class _Classes(NamedTuple):
-    """The residue classes mod s that windows' runs lie in, over L points.
-
-    Each class r of scale j is a block of k = L // s + 2 slots, blocks in
-    order of (j, r): slot i stands for the point r + i s (`point`, of scale
-    `size`), and for the cell [r + (i-1) s, r + i s) that ends there, which
-    is a cell while i >= 1 and the point is at most L. A run of m cells in
-    the class, after slot t, takes slots t+1 .. t+m; t + m <= k - 1 as a
-    run ends at most at L.
-    """
-    on: np.ndarray      # (windows, scales): each window's grid
-    m: np.ndarray       # (windows, scales): cells a run, 0 off a window's grid
-    before: np.ndarray  # (2, windows, scales): slot before the forward and the backward run
-    size: np.ndarray    # (slots,): the slot's scale
-    point: np.ndarray   # (slots,)
-    rows: list          # per scale with blocks: (first slot, blocks, k), contiguous
-
-
-def _classes(at: np.ndarray, lengths: np.ndarray, columns: dict, scales: np.ndarray,
-             L: int) -> _Classes:
-    """The `_Classes` of the windows at `at`, of the given lengths, at the
-    scales of their grids `scales[columns[n]]`: a window at a of n points has
-    its m = n // s forward cells at a, a+s, ... and its backward ones ending
-    at a+n."""
-    on = np.zeros((len(at), len(scales)), dtype=bool)
-    for n in np.unique(lengths).tolist():
-        on[np.ix_(lengths == n, columns[n])] = True
-    m = np.where(on, lengths[:, None] // scales, 0)
-    lead = np.stack([at[:, None] + 0 * m, (at + lengths)[:, None] - m * scales])
-    lead[:, ~on] = 0
-    offset = np.cumsum(scales) - scales  # class r of scale j is offset[j] + r
-    cls = offset + lead % scales
-    read = np.zeros(int(scales.sum()), dtype=bool)
-    read[cls[:, on]] = True
-    blocks = np.flatnonzero(read)
-    j = np.searchsorted(offset, blocks, side="right") - 1
-    k = L // scales[j] + 2
-    first = np.cumsum(k) - k
-    slot = np.zeros(len(read), dtype=np.intp)
-    slot[blocks] = first
-    size = np.repeat(scales[j], k)
-    point = np.repeat(blocks - offset[j] - first * scales[j], k) + np.arange(len(size)) * size
-    heads = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])  # each scale's first block
-    rows = [(int(first[b]), int(c), int(k[b]))
-            for b, c in zip(heads.tolist(), np.diff(np.r_[heads, len(j)]).tolist())]
-    return _Classes(on, m, slot[cls] + lead // scales, size, point, rows)
-
-
 def _calm_stretch(x: np.ndarray, scales: np.ndarray) -> bool:
     """Whether a cell [g, g+s) of x's profile, s in `scales`, might have an
     order-1 F^2 at or below (s eps 2L max|x|)^2: whether x holds a calm
@@ -406,9 +357,13 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
     along each run: y^2's longdouble running sum read at a, a+ms, a+n-ms
     and a+n. The line terms S1^2/s + w D^2 are formed in float64 from S1
     and D (`_segment_moments`) cast, for the cells of the residue classes
-    mod s that the runs lie in (`_classes`), and summed in longdouble along
-    each class, so a run's sum is the difference of two of those running
-    sums. The subtraction is longdouble, and its result cast.
+    mod s that the runs lie in, and summed in longdouble along each class, so
+    a run's sum is the difference of two of those running sums. Each class r
+    read is a block of k = L // s + 2 slots, in order of (s, r): slot i stands
+    for the point r + i s and the cell [r + (i-1) s, r + i s) ending there, a
+    cell while i >= 1 and the point is at most L. A run of m cells after slot
+    t takes slots t+1 .. t+m, and t+m <= k-1 as a run ends at most at L. The
+    subtraction is longdouble, and its result cast.
 
     A window is routed where its result is at most 2m (s reach)^2, the
     profile's roundoff that the table's floor holds each cell clear of, there
@@ -425,14 +380,40 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
     (`_calm_stretch`).
     """
     L, (sums, reach) = len(x), running
-    classes = _classes(at, lengths, columns, scales, L)
-    on, m, before = classes.on, classes.m, classes.before
-    C = np.zeros(len(classes.point), dtype=np.longdouble)  # the line terms, slot by slot
+    on = np.zeros((len(at), len(scales)), dtype=bool)  # each window's grid
+    for n in np.unique(lengths).tolist():
+        on[np.ix_(lengths == n, columns[n])] = True
+    m = np.where(on, lengths[:, None] // scales, 0)  # cells a run, 0 off a window's grid
+    # a window at a of n points: m = n // s forward cells from a, m backward ones to a+n
+    lead = np.stack([at[:, None] + 0 * m, (at + lengths)[:, None] - m * scales])
+    lead[:, ~on] = 0
+    offset = np.cumsum(scales) - scales  # class r of scale j is offset[j] + r
+    cls = offset + lead % scales
+    read = np.zeros(int(scales.sum()), dtype=bool)
+    read[cls[:, on]] = True
+    blocks = np.flatnonzero(read)
+    j = np.searchsorted(offset, blocks, side="right") - 1
+    k = L // scales[j] + 2
+    first = np.cumsum(k) - k
+    slot = np.zeros(len(read), dtype=np.intp)
+    slot[blocks] = first
+    before = slot[cls] + lead // scales  # slot before the forward and the backward run
+    C = np.zeros(int(k.sum()), dtype=np.longdouble)  # the line terms, slot by slot
+    points = np.empty(len(C), dtype=np.intp)  # slot i of class r's block: r + i s
+    rows = []
+    r = blocks - offset[j]
+    heads = np.flatnonzero(np.r_[True, j[1:] != j[:-1]]).tolist()  # each scale's first block
+    for b, e, c0, kk, s in zip(heads, heads[1:] + [len(j)], first[heads].tolist(),
+                               k[heads].tolist(), scales[j[heads]].tolist()):
+        c1 = c0 + (e - b) * kk
+        np.add(r[b:e, None], np.arange(0, kk * s, s), out=points[c0:c1].reshape(e - b, kk))
+        rows.append(C[c0:c1].reshape(e - b, kk))  # a scale's blocks of C, one a row
     for c0 in range(1, len(C), _PASS_POINTS):
-        # slot t > 0 of a block stands for the cell [point[t-1], point[t]) while point[t] <= L
-        point = classes.point[c0 - 1:c0 + _PASS_POINTS]
-        s = classes.size[c0:c0 + _PASS_POINTS]
-        real = (np.diff(point) == s) & (point[1:] <= L)
+        # a slot's point rises by s inside a block, and falls at a block's first
+        # slot, from past L to r < s: a slot is a cell where it rises to at most L
+        point = points[c0 - 1:c0 + _PASS_POINTS]
+        s = np.diff(point)  # the scale of each slot that is a cell
+        real = (s > 0) & (point[1:] <= L)
         point = np.minimum(point, L)
         s1, d = _segment_moments([run[point] for run in sums[:2]], slice(None, -1),
                                  slice(1, None), point[:-1] - (L - s) / 2)
@@ -444,8 +425,7 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
         d *= 12 / (s * (s * s - 1.0))
         line += d
         np.copyto(C[c0:c0 + len(s)], line, where=real)
-    for first, count, k in classes.rows:  # running sums along each class's block
-        runs = C[first:first + count * k].reshape(count, k)
+    for runs in rows:  # running sums along each class's block
         np.cumsum(runs, axis=-1, out=runs)
     ms = m * scales
     # the forward run ends at a+ms, the backward one at a+ms + n mod s = a+n

@@ -9,7 +9,7 @@ import itertools
 import json
 import sys
 from collections.abc import Iterable, Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,12 +54,25 @@ class WindowReport:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["window_start"] = self.window_start.isoformat()
-        d["window_end"] = self.window_end.isoformat()
-        for key in ("h2_by_delta", "h2_stderr_by_delta"):
-            d[key] = {str(k): d[key][k] for k in sorted(d[key])}
-        return d
+        """The report as plain data, keys in field order: ISO dates, delta keys
+        as sorted strings, the fit as a dict, and copies of its lists and dicts."""
+        fit = self.ansatz
+        return {
+            "window_start": self.window_start.isoformat(),
+            "window_end": self.window_end.isoformat(),
+            "h2_by_delta": {str(k): self.h2_by_delta[k] for k in sorted(self.h2_by_delta)},
+            "h2_stderr_by_delta": {str(k): self.h2_stderr_by_delta[k]
+                                   for k in sorted(self.h2_stderr_by_delta)},
+            "ansatz": None if fit is None else dict(vars(fit),
+                                                    excluded_deltas=list(fit.excluded_deltas)),
+            "curve_q": list(self.curve_q), "curve_h": list(self.curve_h),
+            "delta_h3": self.delta_h3, "b0": self.b0, "b1": self.b1,
+            "reference_delta": self.reference_delta, "reference_n": self.reference_n,
+            "reference_relative_error": self.reference_relative_error,
+            "diagnostics": {k: list(v) if isinstance(v, list) else v
+                            for k, v in self.diagnostics.items()},
+            "reason": self.reason,
+        }
 
 
 def build_rv_by_delta(ticks: TickSeries, deltas: list[int],

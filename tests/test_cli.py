@@ -14,6 +14,7 @@ from perfbench.generators import H_TRUE, write_tick_csv
 from roughscale import cli, pipeline
 from roughscale.cli import main
 from roughscale.market_data import date_to_epoch_seconds
+from roughscale.mfdfa import MfdfaConfig, fluctuation_function, generalized_hurst
 from roughscale.scaling import FrequencySweep, fit_ansatz
 from roughscale.synthetic import generate_cascade, generate_fgn, generate_sv_days
 
@@ -102,6 +103,19 @@ class TestMfdfaCommand:
         assert h2 == pytest.approx(0.5, abs=0.06)
         surf_rows = list(csv.DictReader(surface.open()))
         assert {r["q"] for r in surf_rows} == {"-2.0", "0.0", "2.0"}
+
+    def test_fit_min_or_max_alone_keeps_the_other_end_of_the_grid(self, tmp_path):
+        x = generate_fgn(0.3, 2048, 5)
+        series = tmp_path / "series.csv"
+        series.write_text("\n".join(map(repr, x.tolist())) + "\n")
+        scales = [10, 20, 40, 80, 160, 320]
+        out = tmp_path / "curve.csv"
+        for flag, fit_range in (("--fit-min=20", (20, 320)), ("--fit-max=160", (10, 160))):
+            assert main(["mfdfa", "--series", str(series), "--q-list=2", "--scales",
+                         ",".join(map(str, scales)), flag, "--out", str(out)]) == 0
+            config = MfdfaConfig([2.0], scales, fit_range=fit_range)
+            want = generalized_hurst(fluctuation_function(x, config))
+            assert float(next(csv.DictReader(out.open()))["h"]) == want.h_values[0]
 
     def test_numeric_failure_exit_3(self, tmp_path):
         series = tmp_path / "zeros.csv"
@@ -283,6 +297,7 @@ class TestRollingCommand:
         ticks = write_tick_fixture(tmp_path / "ticks.csv", days=130, step_minutes=5)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
+            "# a whole-line comment, then a blank line\n\n"
             "window-days = 60\nstep-days = 99  # overridden below\n"
             f"deltas = 60,120\nreference-delta = 60\nticks = {ticks}\n")
         out = tmp_path / "report.json"
@@ -439,6 +454,7 @@ def _cli_case(name, tmp_path):
         command = "rv" if name == "ticks_field_over_csv_limit" else "rolling"
         return [command, "--ticks", str(ticks), *out]
     sweeps = {"zero_stderr_in_sweep": "1,0.12,0.01\n5,0.11,0.0\n60,0.09,0.01\n",
+              "sweep_stderr_on_some_rows": "1,0.12,0.01\n5,0.11\n60,0.09,0.01\n",
               "sweep_row_without_h2": "1,0.12\n5\n60,0.09\n",
               "sweep_h2_not_a_number": "1,0.12\n5,abc\n60,0.09\n",
               "sweep_delta_not_positive": "1,0.12\n-5,0.11\n60,0.09\n",
@@ -535,6 +551,7 @@ class TestExitCodes:
         ("ticks_after_the_calendar", 2, "9223372036854775000 lies outside the calendar"),
         ("ticks_before_the_calendar", 2, "-9000000000000000000 lies outside the calendar"),
         ("zero_stderr_in_sweep", 1, "stderrs must be finite and positive"),
+        ("sweep_stderr_on_some_rows", 2, "stderr column must be present for all rows or none"),
         ("sweep_row_without_h2", 2, "bad sweep row at line 3"),
         ("sweep_h2_not_a_number", 2, "bad sweep row at line 3"),
         ("sweep_quoted_delta_spans_lines", 2, "bad sweep row at line 5"),

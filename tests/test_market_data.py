@@ -714,6 +714,10 @@ class TestSharedIndexMatchesPerDeltaLoop:
             np.testing.assert_array_equal(intraday_log_returns(grid).returns,
                                           np.diff(np.log(grid.prices.copy()), axis=1))
 
+    def test_an_index_needs_a_delta(self):
+        with pytest.raises(ValueError, match="a trade index needs at least one delta"):
+            trade_index(ticks_from([(T0, 100.0)]), [])
+
     # not a multiple of the step 5, a multiple it was not built for, no divisor
     @pytest.mark.parametrize("delta", [1, 8, 15, 7])
     def test_delta_must_be_one_the_index_was_built_for(self, delta):

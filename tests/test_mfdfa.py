@@ -65,6 +65,10 @@ class TestSegmentVariances:
 
 
 class TestFluctuationFunction:
+    def test_series_must_be_one_dimensional(self):
+        with pytest.raises(DataError, match="need a one-dimensional series"):
+            fluctuation_function(np.ones((2, 200)), MfdfaConfig(default_q_values(), None))
+
     def test_q2_collapses_to_rms(self):
         assert aggregate_fluctuation(np.array([4.0]), 2.0) == pytest.approx(2.0)
         f2 = np.array([1.0, 4.0, 9.0, 16.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 import re
@@ -112,6 +113,12 @@ class TestRolling:
         data = {5: fgn_rv_series(100)}
         with pytest.raises(DataError):
             run_rolling(data, RollingSpec(window_days=365, step_days=5))
+
+    def test_reference_series_without_days(self):
+        empty = RVSeries(delta_minutes=5, dates=[], rv=np.zeros(0), daily_return=np.zeros(0),
+                         samples_per_day=288)
+        with pytest.raises(DataError, match="no usable days in the data span"):
+            run_rolling({5: empty}, RollingSpec(window_days=365, step_days=5))
 
     def test_missing_reference_delta_in_mapping(self):
         data = {10: fgn_rv_series(400, delta=10)}
@@ -500,6 +507,31 @@ class TestEmitReport:
         for win, orig in zip(parsed["windows"], doc["windows"]):
             for key in ("h2_by_delta", "curve_h", "delta_h3", "b1"):
                 assert win[key] == orig[key]
+
+    def test_to_dict_is_an_independent_asdict_with_iso_dates_and_string_keys(self):
+        spec = RollingSpec(window_days=365, step_days=35)
+        fitted = run_rolling(rolling_inputs(5, 400).rv_by_delta, spec, exclude_deltas=[60])
+        short = run_rolling({5: fgn_rv_series(400)}, RollingSpec(window_days=30, step_days=25))
+        reports = fitted[:2] + short[:2]
+        assert reports[0].ansatz.excluded_deltas and reports[2].diagnostics["short_deltas"]
+        for report in reports:
+            want = dataclasses.asdict(report)
+            want["window_start"] = report.window_start.isoformat()
+            want["window_end"] = report.window_end.isoformat()
+            for key in ("h2_by_delta", "h2_stderr_by_delta"):
+                want[key] = {str(k): want[key][k] for k in sorted(want[key])}
+            want = json.dumps(want)
+            got = report.to_dict()
+            assert json.dumps(got) == want
+
+            def clear(value):
+                for inner in value.values() if isinstance(value, dict) else value:
+                    if isinstance(inner, (dict, list)):
+                        clear(inner)
+                value.clear()
+
+            clear(got)
+            assert json.dumps(report.to_dict()) == want
 
     def test_empty_q_grid_gives_header_only_hq_csv(self, tmp_path):
         data = {5: fgn_rv_series(400)}

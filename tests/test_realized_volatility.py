@@ -64,6 +64,10 @@ class TestLogIncrements:
         with pytest.raises(DataError):
             log_increments(rv_series([1.0]))
 
+    def test_unknown_zero_policy(self):
+        with pytest.raises(ValueError, match="unknown zero_policy 'skip'"):
+            log_increments(rv_series([1.0, 2.0]), zero_policy="skip")
+
     def test_telescoping_sum(self):
         rng = np.random.default_rng(7)
         vals = np.exp(rng.normal(size=50))

@@ -204,6 +204,10 @@ class TestFrequencySweepValidation:
         with pytest.raises(ValueError, match="one entry per delta"):
             FrequencySweep(**kwargs)
 
+    def test_deltas_must_be_distinct(self):
+        with pytest.raises(ValueError, match="delta values must be distinct"):
+            FrequencySweep(deltas=[1, 5, 5], h2=np.full(3, 0.1))
+
     @pytest.mark.parametrize("bad", [0, -5, 7])
     def test_delta_must_be_a_positive_divisor(self, bad):
         with pytest.raises(ValueError, match=f"delta {bad} is not a positive divisor"):

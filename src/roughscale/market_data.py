@@ -11,6 +11,7 @@ import itertools
 import math
 import os
 import re
+import types
 import warnings
 from dataclasses import dataclass
 
@@ -18,6 +19,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
+
+try:  # where np.loadtxt takes numpy's file reader from: numpy 2, then 1.24-1.26
+    from numpy._core._multiarray_umath import _load_from_filelike
+except ImportError:
+    from numpy.core._multiarray_umath import _load_from_filelike
 
 SECONDS_PER_DAY = 86400
 MINUTES_PER_DAY = 1440
@@ -88,24 +94,21 @@ class IntradayReturnGrid:
     returns: np.ndarray  # (days, n), n = 1440/delta
 
 
-# Tick CSVs are read in chunks of _CHUNK lines, after the header record. A
-# chunk is read by one np.loadtxt call where that is exact; a chunk that holds
-# a quote, or that loadtxt rejects or cannot be trusted on, goes through the
-# row rules (`_read_ticks`) whole, with the lines that finish a quoted field
-# crossing its end. So a quote costs only its own chunk. The row
-# rules take ~6 times loadtxt's time a line (~0.7 against ~0.12 us on a 2-core
-# x86-64 VM), so a chunk of 1024 lines with one bad line costs ~0.6 ms, where
-# 8192 cost ~5 ms; a clean file still parses within ~5 % of its time at 8192,
-# as a loadtxt call costs only ~3 us beyond its lines.
-_CHUNK = 1024
+# Tick CSVs are read in blocks of _BLOCK characters and the rest of their last
+# line, after the header record. A `_plain` block with no quote is read by
+# numpy's file reader where that is exact (`_read_block`); any other block goes
+# whole through the row rules (`_read_ticks`), ~5 times slower a line. So a
+# quote or a bad line costs only its own block, ~3 k lines of ticks.
+_BLOCK = 2 ** 16
 _RECORD = np.dtype([("t", "<i8"), ("p", "<f8")])
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
-# loadtxt reads some characters that int()/float() reject (it takes "12,3\x1c"
-# as price 3.0), so a chunk is loadtxt-parsed only when it holds nothing but
-# printable ASCII, tab, CR and LF
-_PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
+# numpy reads some characters that int()/float() reject (it takes "12,3\x1c"
+# as price 3.0), so a block is numpy-read only when it holds nothing but
+# printable ASCII, tab and LF (a CR is left to the row rules' line splitting)
+_PLAIN_BYTES = bytes([9, 10, *range(32, 127)])
 # bytes that are not UTF-8, as the "surrogateescape" decoder hands them on
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
+_BLANKS = re.compile("\n\n")  # a blank line: re finds one in half the time str.find takes
 
 
 def _undecodable(fields: list[str]) -> bool:
@@ -115,7 +118,7 @@ def _undecodable(fields: list[str]) -> bool:
 
 
 def _plain(text: str) -> bool:
-    """True when loadtxt reads `text` exactly as the row rules do.
+    """True when numpy reads `text` exactly as the row rules do.
 
     Besides the character set, no line may be long enough to hold a field
     over csv's size limit, which the row rules reject: every aligned window of
@@ -128,26 +131,21 @@ def _plain(text: str) -> bool:
                for i in range(0, len(text) - half + 1, half))
 
 
-def _loadtxt(lines: list[str]) -> np.ndarray | None:
-    """The records of plain `lines` by one np.loadtxt call, or None when
-    loadtxt rejects a line, reads a non-finite price or skips a line that is
-    not blank."""
+def _read_block(text: str) -> np.ndarray | None:
+    """Plain `text`'s records by numpy's file reader, or None unless one finite record a line."""
+    if text.startswith("\n") or _BLANKS.search(text):
+        return None  # numpy would skip the blank line, and warn as it counts max_rows
+    lines = text.count("\n") + (not text.endswith("\n"))  # max_rows: numpy allocates once
+    reads = iter((text, ""))  # a file's reads, to the "" that ends it; any size will do
     try:
-        with warnings.catch_warnings():
-            # loadtxt warns when every line is blank
-            warnings.simplefilter("ignore", UserWarning)
-            records = np.loadtxt(lines, delimiter=",", usecols=(0, 1),
-                                 dtype=_RECORD, comments=None, ndmin=1)
+        records = _load_from_filelike(
+            types.SimpleNamespace(read=lambda size: next(reads)), delimiter=",",
+            comment=None, quote=None, imaginary_unit="j", usecols=[0, 1], skiplines=0,
+            max_rows=lines, converters=None, dtype=_RECORD, encoding="latin1",
+            filelike=True, byte_converters=False)
     except ValueError:
         return None
-    # loadtxt rejects a line break inside a line, so it reads at most one
-    # record a line: a record for every line means it skipped none, and the
-    # blank lines are counted only when it skipped some
-    if ((len(records) == len(lines)
-         or len(records) == sum(1 for line in lines if line.strip()))
-            and np.isfinite(records["p"]).all()):
-        return records
-    return None
+    return records if len(records) == lines and np.isfinite(records["p"]).all() else None
 
 
 def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -155,18 +153,18 @@ def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, n
     file order, and the count of malformed records.
 
     With `header`, record 1 is read first and skipped, however many lines it
-    spans. Then each chunk of _CHUNK lines is read by `_loadtxt` or else by
-    the row rules: a csv.reader of its own, which reads past the chunk only
-    the lines that finish the chunk's last record. Blank records are skipped,
-    a byte that is not UTF-8 raises, and a record without an int64 timestamp
-    and a finite price is malformed, the one beyond `max_malformed` raising;
-    these errors, and csv's own (a field over its size limit), name the
-    physical line the record starts on. At the peak, the chunks' records and
-    the two arrays are live, twice the arrays' bytes.
+    spans. Then each block is read by `_read_block` or else by the row rules:
+    a csv.reader of its own, which reads past the block only the lines that
+    finish the block's last record. Blank records are skipped, a byte that is
+    not UTF-8 raises, and a record without an int64 timestamp and a finite
+    price is malformed, the one beyond `max_malformed` raising; these errors,
+    and csv's own (a field over its size limit), name the physical line the
+    record starts on. At the peak, the blocks' records and the two arrays are
+    live, twice the arrays' bytes.
     """
-    parts = [np.empty(0, dtype=_RECORD)]  # then one record array a chunk
+    parts = [np.empty(0, dtype=_RECORD)]  # then one record array a block
     malformed = 0
-    lines = iter(stream)
+    lines = iter(stream.readline, "")
     lineno = 0  # lines read so far
     if header:
         reader = csv.reader(lines)
@@ -177,18 +175,20 @@ def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, n
         if _undecodable(fields):
             raise DataError("tick data is not valid UTF-8 at line 1")
         lineno = reader.line_num
-    while chunk := list(itertools.islice(lines, _CHUNK)):
-        text = "".join(chunk)
-        quoted = '"' in text
-        records = _loadtxt(chunk) if not quoted and _plain(text) else None
+    while block := stream.read(_BLOCK):
+        block += stream.readline()  # the rest of its last line
+        quoted = '"' in block
+        records = _read_block(block) if not quoted and _plain(block) else None
         if records is None:
-            ascii_text = not quoted and text.isascii()  # then no byte fails UTF-8
+            ascii_text = not quoted and block.isascii()  # then no byte fails UTF-8
             stamps, prices = [], []
-            reader = csv.reader(itertools.chain(chunk, lines))
-            size = len(chunk)
+            # as the stream splits: one that reports the newlines it met splits at a lone "\r" too
+            rows = io.StringIO(block, newline="" if getattr(stream, "newlines", None)
+                               else "\n").readlines()
+            reader = csv.reader(itertools.chain(rows, lines))
             # `read` is the lines read before the record, so it starts on
             # line lineno + read + 1
-            while (read := reader.line_num) < size:
+            while (read := reader.line_num) < len(rows):
                 try:
                     fields = next(reader)
                 except csv.Error as exc:
@@ -218,7 +218,7 @@ def _read_ticks(stream, header: bool, max_malformed: int) -> tuple[np.ndarray, n
             records = np.empty(len(stamps), dtype=_RECORD)
             records["t"], records["p"] = stamps, prices
         else:
-            lineno += len(chunk)
+            lineno += len(records)
         parts.append(records)
     return (np.concatenate([part["t"] for part in parts]),
             np.concatenate([part["p"] for part in parts]), malformed)

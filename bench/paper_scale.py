@@ -8,7 +8,8 @@ windows are 2922 days stepped by 5 (439 windows), the paper's layout. The job
 runs `REPEATS` times with one BLAS thread. The record goes to
 `bench/BENCH_<label>.json`: per-run wall and CPU seconds, peak resident memory
 during each run, the tracemalloc peak of one more, untimed run (finer than
-peak RSS, which moves by megabytes from run to run), window and
+peak RSS, which moves by megabytes from run to run) and the q = {2} windows
+that `mfdfa._residue_means` routed to the gather path in it, window and
 degraded-window counts, the median window H₀, the
 sha256 of the report JSON that `pipeline.write_json` writes for the last run
 (equal digests show byte-identical reports across commits), and provenance
@@ -19,6 +20,7 @@ digest).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.metadata
 import importlib.util
@@ -32,6 +34,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -66,6 +69,22 @@ def report_sha256(reports) -> str:
         path = Path(tmp) / "report.json"
         pipeline.write_json(str(path), pipeline.report_document(reports))
         return file_sha256(path)
+
+
+def counting_routed(routed: list):
+    """A patcher that wraps `mfdfa._residue_means`, as perfbench wraps the
+    bindings it traces, to append each call's number of routed windows to
+    `routed`."""
+    from roughscale import mfdfa
+    real = mfdfa._residue_means
+
+    @functools.wraps(real)
+    def counted(*args):
+        means, windows = real(*args)
+        routed.append(int(windows.sum()))
+        return means, windows
+
+    return mock.patch.object(mfdfa, "_residue_means", counted)
 
 
 def provenance(seed: int, input_sha256: str) -> dict:
@@ -108,8 +127,10 @@ def main(argv=None) -> int:
                      "cpu_s": time.process_time() - cpu0,
                      "peak_rss_mb": rss.peak_bytes / 2 ** 20})
     release_free_heap()
-    tracemalloc.start()
-    pipeline.run_rolling(inputs.rv_by_delta, spec)
+    routed = []
+    with counting_routed(routed):
+        tracemalloc.start()
+        pipeline.run_rolling(inputs.rv_by_delta, spec)
     traced_peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
     tracemalloc.stop()
     h0 = [r.ansatz.h0 for r in reports if r.ansatz is not None]
@@ -125,6 +146,7 @@ def main(argv=None) -> int:
         "median": {k: statistics.median(run[k] for run in runs) for k in runs[0]},
         "runs": runs,
         "traced_peak_mb": traced_peak_mb,
+        "routed_windows": sum(routed),
         "generate_s": generate_s,
         "provenance": provenance(args.seed, inputs.digest()),
     }
@@ -134,7 +156,8 @@ def main(argv=None) -> int:
     print(f"{out.relative_to(ROOT)}: wall {m['wall_s']:.2f} s, cpu {m['cpu_s']:.2f} s, "
           f"peak rss {m['peak_rss_mb']:.1f} MB over {REPEATS} runs, traced peak "
           f"{traced_peak_mb:.2f} MB; "
-          f"{record['windows']} windows, {record['windows_degraded']} degraded")
+          f"{record['windows']} windows, {record['windows_degraded']} degraded, "
+          f"{record['routed_windows']} routed off the q = {{2}} sums")
     return 0
 
 

@@ -95,7 +95,7 @@ class FluctuationSurface:
     config: MfdfaConfig
     excluded_segments: np.ndarray  # ([windows,] len(scales)): zero-variance segments
                                    # excluded from q<0 sums and the q=0 log-average;
-                                   # 0 for a q = {2} window off the gather path
+                                   # 0 for a q grid without q <= 0
 
 
 @dataclass(frozen=True)
@@ -327,23 +327,6 @@ def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray,
     return table
 
 
-def _calm_stretch(x: np.ndarray, scales: np.ndarray) -> bool:
-    """Whether a cell [g, g+s) of x's profile, s in `scales`, might have an
-    order-1 F^2 at or below (s eps 2L max|x|)^2: whether x holds a calm
-    stretch of scales[0] - 2 steps none above 16 scales[-1]^2 eps L max|x|.
-
-    On [g, g+s) the residual r of the profile's line has second differences
-    x[i+1] - x[i], for the s - 2 steps between its increments x[g+1..g+s-1],
-    so sum |r| >= max step / 4 and F^2 = sum r^2 / s >= (max step / 4s)^2. A
-    step above 16 s^2 eps L max|x| puts F^2 above 4 (s eps 2L max|x|)^2, so
-    only a cell that lies in such a stretch can fall below.
-    """
-    unit = 16 * np.finfo(float).eps * len(x) * np.max(np.abs(x))  # times s^2, a scale's bound
-    calm = np.abs(np.diff(x)) <= unit * scales[-1] ** 2
-    bounds = np.flatnonzero(np.r_[True, ~calm, True])
-    return bool(np.diff(bounds).max() - 1 >= scales[0] - 2)  # the longest calm stretch
-
-
 @np.errstate(over="ignore", invalid="ignore")  # what overflows routes its windows
 def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
                    scales: np.ndarray, at: np.ndarray, lengths: np.ndarray,
@@ -375,9 +358,9 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
     eps of the result for its cast; and 2m float64 tinies for underflow. A
     spike before the window, whose square dwarfs the window's own terms,
     trips it. A line term or a sum that overflows leaves its windows' results
-    non-finite, which routes them too. Neither rule sees a cell near zero
-    variance, which the gather path excludes: x must hold no calm stretch
-    (`_calm_stretch`).
+    non-finite, which routes them too. A scale of only zero-variance cells
+    sums to roundoff, under the floor and within the bound, so its window is
+    routed, and the gather path gives it NaN.
     """
     L, (sums, reach) = len(x), running
     on = np.zeros((len(at), len(scales)), dtype=bool)  # each window's grid
@@ -456,9 +439,10 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     q = 0 uses the log-average limit; zero-variance segments, with F^2 <=
     (s * eps * max|Y|)^2 for the window's own profile Y (the roundoff its
     detrending leaves where the series is constant), are excluded from q < 0
-    sums and the log-average, with counts reported per scale. A scale whose
+    sums and the log-average, with counts reported per scale where the grid
+    holds a q <= 0 (0 otherwise, where no sum excludes them). A scale whose
     every segment is zero-variance raises NumericError for a series and gives
-    a window NaN.
+    a window NaN, whatever the grid.
 
     Order-1 detrending gathers every grid's segments from one table over the
     windows' extent, from their first start to their last end
@@ -472,11 +456,8 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     each F_2^2 is its runs' telescoped sum of y^2 less their cells' line
     terms, float64 from longdouble S1 and D and summed along residue
     classes. A window is gathered as above instead where a bound on that
-    subtraction's roundoff could show. Every window is gathered where the
-    extent holds a calm stretch (`_calm_stretch`), the only place a cell can
-    be at or below (s * eps * 2L * max|x|)^2, L the extent's length, which
-    bounds its zero-variance floor; so every window that the sums serve has
-    no zero-variance segment, and 0 excluded segments by construction.
+    subtraction's roundoff could show, as it can where a scale holds only
+    zero-variance segments.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -500,8 +481,7 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     running = None
     if tabled and 0 < hi - lo <= _PREFIX_MAX_LENGTH:
         running = _running_sums(x[lo:hi])
-        # F_2 from the running sums, where no segment can be excluded
-        if np.array_equal(qs, [2.0]) and not _calm_stretch(x[lo:hi], scales):
+        if np.array_equal(qs, [2.0]):  # F_2 from the running sums
             means, routed = _residue_means(x[lo:hi], running, scales, at, lengths, columns)
             values[~routed, 0] = np.sqrt(means[~routed])
             index = np.flatnonzero(routed)
@@ -522,7 +502,8 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
                             * np.max(np.abs(Y), axis=1, keepdims=True))) ** 2
         keep = f2 > np.repeat(roundoff, counts, axis=1)
         kept = np.add.reduceat(keep, np.cumsum(counts) - counts, axis=1, dtype=np.intp)
-        excluded[np.ix_(rows, columns[n])] = counts - kept
+        if (qs <= 0).any():  # counted only where a q <= 0 sum excludes them
+            excluded[np.ix_(rows, columns[n])] = counts - kept
         ok = (kept > 0).all(axis=1)
         if not windowed and not ok[0]:
             raise NumericError(f"all segments have zero variance at scale s = "

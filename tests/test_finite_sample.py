@@ -27,6 +27,10 @@ class TestDensity:
         with pytest.raises(ValueError):
             density(FiniteSampleLaw(1), 0.0)
 
+    def test_n_below_1_rejected(self):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            FiniteSampleLaw(0)
+
     def test_n2_open_interval(self):
         law = FiniteSampleLaw(2)
         assert density(law, 0.0) > 0
@@ -78,6 +82,10 @@ class TestMoments:
 
     def test_sixth_moment_n4(self):
         assert moment_2k(FiniteSampleLaw(4), 3) == pytest.approx(5.0)
+
+    def test_k_below_1_rejected(self):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            moment_2k(FiniteSampleLaw(288), 0)
 
     def test_monte_carlo_agreement(self):
         # oracle: simulate standardized returns directly

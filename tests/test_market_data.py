@@ -36,6 +36,18 @@ def resample(ticks, delta, start=None, end=None, min_coverage=0.0):
     return resample_prices(trade_index(ticks, [delta], start, end), delta, min_coverage)
 
 
+class TestTickSeriesChecks:
+    @pytest.mark.parametrize("timestamps,prices,message", [
+        ([], [], "tick series must contain at least one event"),
+        ([1, 2], [1.0], "timestamp/price arrays differ in length"),
+        ([2, 1], [1.0, 1.0], "tick timestamps must be non-decreasing"),
+        ([1, 2], [1.0, 0.0], "tick prices must be strictly positive"),
+    ], ids=["empty", "lengths_differ", "decreasing", "nonpositive_price"])
+    def test_rejected(self, timestamps, prices, message):
+        with pytest.raises(DataError, match=message):
+            TickSeries(np.array(timestamps, dtype=np.int64), np.array(prices, dtype=float))
+
+
 class TestParseTicks:
     def test_two_records(self):
         ts = parse_ticks(io.StringIO("1388649600,770.44,0.5\n1388649660,771.00,1.2"))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfbench.generators import rolling_inputs
-from roughscale import mfdfa
+from roughscale import mfdfa, pipeline
 from roughscale.errors import DataError, NumericError
 from roughscale.mfdfa import (MIN_FIT_LENGTH, SCALE_MIN, FluctuationSurface, MfdfaConfig,
                               aggregate_fluctuation, default_q_values, default_scales,
@@ -62,6 +62,10 @@ class TestSegmentVariances:
     def test_scale_larger_than_series(self):
         with pytest.raises(DataError):
             segment_variances(np.arange(10.0), 11)
+
+    def test_scale_too_small_for_the_order(self):
+        with pytest.raises(ValueError, match="scale 3 too small for detrend order 2"):
+            segment_variances(np.arange(10.0), 3, 2)
 
 
 class TestFluctuationFunction:
@@ -323,17 +327,19 @@ def reference_surface(series, config, local=False):
     """F_q(s) and exclusion counts by the per-scale loop: one
     `segment_variances` call per scale, on profile(x) or, when `local`, on
     each segment's own profile (`local_variances`), and the power mean
-    (F^2)^(q/2) per q."""
+    (F^2)^(q/2) per q. Segments are counted only where a q <= 0 excludes
+    them."""
     x = np.asarray(series, dtype=float)
     Y = profile(x)
     roundoff = (config.scales * (np.finfo(float).eps * np.max(np.abs(Y)))) ** 2
     values = np.empty((len(config.q_values), len(config.scales)))
     excluded = np.zeros(len(config.scales), dtype=int)
+    counted = (config.q_values <= 0).any()
     for j, s in enumerate(config.scales):
         f2 = (local_variances(x, int(s), config.detrend_order) if local
               else segment_variances(Y, int(s), config.detrend_order))
         positive = f2[f2 > roundoff[j]]
-        excluded[j] = len(f2) - len(positive)
+        excluded[j] = (len(f2) - len(positive)) * counted
         if len(positive) == 0:
             raise NumericError(f"all segments have zero variance at scale s = {s}")
         for i, q in enumerate(config.q_values):
@@ -551,13 +557,69 @@ def _exact_run_sums(x, scales, starts, n):
     return out
 
 
+def residue_rebuild(x, running, scales, at, lengths, columns):
+    """`mfdfa._residue_means`' F_2^2, scale by scale: each run's line terms
+    from the cells [g, g+s) of its residue class r, g = r + i s, formed as
+    there in float64 from longdouble S1 and D, summed along the class by a
+    longdouble cumsum from 0 and read at the run's ends; less that from the
+    run's telescoped sum of y^2."""
+    L, (sums, _) = len(x), running
+    means = np.full((len(at), len(scales)), np.nan)
+    for j, s in enumerate(scales.tolist()):
+        w = np.flatnonzero([j in columns[n] for n in lengths.tolist()])
+        m = lengths[w] // s
+        heads = np.stack([at[w], at[w] + lengths[w] - m * s])  # forward, backward run
+        lines = np.zeros(heads.shape, dtype=np.longdouble)
+        for r in np.unique(heads % s).tolist():
+            g = np.arange(r, L - s + 1, s)
+            s1, d = mfdfa._segment_moments(sums, g, g + s, g - (L - s) / 2)
+            line = s1.astype(float)
+            line *= line
+            line /= s
+            d = d.astype(float)
+            d *= d
+            d *= 12 / (s * (s * s - 1.0))
+            line += d
+            run = np.zeros(len(g) + 1, dtype=np.longdouble)
+            np.cumsum(line, dtype=np.longdouble, out=run[1:])
+            here = heads % s == r
+            t = (heads // s)[here]
+            lines[here] = run[t + np.broadcast_to(m, heads.shape)[here]] - run[t]
+        total = (sums[2][heads + m * s] - sums[2][heads]).sum(axis=0) - lines.sum(axis=0)
+        means[w, j] = total.astype(float) / (2 * m * s)
+    return means
+
+
+def _one_sums_call(run):
+    """run()'s result, and the arguments and result of the one
+    `mfdfa._residue_means` call that it makes."""
+    real, calls = mfdfa._residue_means, []
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(mfdfa, "_residue_means", side_effect=spy):
+        result = run()
+    (call,) = calls
+    return result, call
+
+
+def _sums_routing(x, starts, lengths):
+    """The q = {2} surface of the windows on their default grids, and which of
+    them `_residue_means` routed to the gather path."""
+    surface, (_, (_, routed)) = _one_sums_call(
+        lambda: fluctuation_function(x, MfdfaConfig([2.0], None), starts, lengths))
+    return surface, routed
+
+
 class TestResidueSums:
     """q = {2} takes each window's F_2 from the extent's running sums: its
     runs' telescoped sum of y^2 less their cells' line terms, summed along
-    residue classes; unless the subtraction's roundoff could show, or the
-    extent holds a calm stretch, where a cell might be near zero variance
-    and every window is gathered. Any other q grid gathers the window's
-    cells."""
+    residue classes; unless the subtraction's roundoff could show, as it
+    can where a scale holds only zero-variance cells, and the window is
+    gathered. Any other q grid gathers the window's cells. No q = {2}
+    window counts excluded segments."""
 
     @settings(max_examples=300, deadline=None)
     @given(spiked_windows())
@@ -661,22 +723,54 @@ class TestResidueSums:
                 want = exact[w][j] / (2 * (n // s) * s)
                 assert abs(Fraction(float(means[w, j])) - want) <= 1e-12 * want
 
-    def test_a_calm_stretch_gathers_every_window(self):
-        # the stretch's cells are at zero variance, which the sums cannot
-        # see: the call takes no sums and one table, and only the window over
-        # the stretch excludes segments
+    @pytest.mark.parametrize("case", ["rolling_delta_60", "mixed_lengths"])
+    def test_slots_match_a_per_scale_rebuild_bit_for_bit(self, case):
+        # a slot taken for a cell that it is not cancels in a run's two class
+        # sums to roundoff, which only a byte comparison sees
+        if case == "rolling_delta_60":  # the rolling layout at delta 60
+            rv = rolling_inputs(3, 3062).rv_by_delta
+            _, (args, _) = _one_sums_call(
+                lambda: pipeline.run_rolling({5: rv[5], 60: rv[60]}, pipeline.RollingSpec()))
+        else:
+            x = np.diff(np.random.default_rng(16).standard_normal(601))
+            at, lengths = np.array([0, 37, 150, 200]), np.array([400, 350, 450, 400])
+            grids = {n: default_scales(n) for n in np.unique(lengths).tolist()}
+            scales = np.unique(np.concatenate(list(grids.values())))
+            args = (x, mfdfa._running_sums(x), scales, at, lengths,
+                    {n: np.searchsorted(scales, grid) for n, grid in grids.items()})
+        with np.errstate(over="ignore", invalid="ignore"):
+            means, _ = mfdfa._residue_means(*args)
+            want = residue_rebuild(*args)
+        assert np.isfinite(means).any()
+        assert means.tobytes() == want.tobytes()
+
+    def test_a_calm_stretch_routes_only_its_windows(self):
+        # the stretch's cells are at zero variance, which a q > 0 sum keeps:
+        # the windows clear of it take the sums, and none counts an exclusion
         x = _constant_stretch(2000, 1500, 1700)
         starts = np.r_[np.arange(0, 800, 100), 1250]
-        with mock.patch.object(mfdfa, "_residue_means", wraps=mfdfa._residue_means) as sums, \
-                mock.patch.object(mfdfa, "_order1_table", wraps=mfdfa._order1_table) as table:
-            q2 = fluctuation_function(x, MfdfaConfig([2.0], None), starts, 700)
-        sums.assert_not_called()
-        assert table.call_count == 1
+        q2, routed = _sums_routing(x, starts, 700)
+        np.testing.assert_array_equal(routed, starts == 1250)
         gathered = fluctuation_function(x, MfdfaConfig([1.0, 2.0], None), starts, 700)
-        np.testing.assert_array_equal(q2.excluded_segments, gathered.excluded_segments)
-        assert q2.excluded_segments[-1].any() and not q2.excluded_segments[:-1].any()
-        assert not np.isnan(q2.values).any()
+        assert not np.isnan(q2.values).any() and not q2.excluded_segments.any()
         np.testing.assert_allclose(q2.values[:, 0], gathered.values[:, 1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_a_window_inside_a_constant_stretch_is_nan(self, offset):
+        # its every cell has zero variance: the sums route it, the gather path
+        # gives it NaN, and the series alone raises
+        x = _constant_stretch(1200, 400, 800) + offset
+        starts, lengths = np.array([0, 420, 700, 450]), np.array([400, 300, 400, 350])
+        q2, routed = _sums_routing(x, starts, lengths)
+        np.testing.assert_array_equal(routed, [False, True, False, True])
+        gathered = fluctuation_function(x, MfdfaConfig([1.0, 2.0], None), starts, lengths)
+        assert np.isnan(q2.values[[1, 3]]).all() and not q2.excluded_segments.any()
+        np.testing.assert_array_equal(np.isnan(q2.values[:, 0]), np.isnan(gathered.values[:, 1]))
+        np.testing.assert_allclose(q2.values[:, 0], gathered.values[:, 1], rtol=1e-12, atol=0)
+        for i0, n in zip(starts[[1, 3]], lengths[[1, 3]]):
+            with pytest.raises(NumericError,
+                               match="all segments have zero variance at scale s = 10"):
+                fluctuation_function(x[i0:i0 + n], MfdfaConfig([2.0], None))
 
 
 def _stack_rows(n):
@@ -730,7 +824,9 @@ class TestStackedRows:
                                       (curve.stderr, alone_curve.stderr),
                                       (curve.r2, alone_curve.r2)):
                         np.testing.assert_allclose(got[w], want, rtol=1e-12, atol=1e-15)
-                if k == 1:
+                if q_values == [2.0]:  # no sum excludes a segment, so none is counted
+                    assert not surface.excluded_segments.any()
+                elif k == 1:
                     assert surface.excluded_segments[0].sum() > 0  # the constant stretch
         assert spy.call_count > 0  # the guard tripped (every scale at order 2)
 
@@ -887,21 +983,24 @@ class TestSeriesLength:
 
     def test_q2_windows_of_a_longer_span_are_routed_run_by_run(self):
         # a constant stretch in each half of an extent over the cap gives
-        # some of the projected windows exclusions
+        # some of the projected windows zero-variance segments, which a grid
+        # with a q <= 0 excludes and counts
         n = mfdfa._PREFIX_MAX_LENGTH
         x = np.diff(np.random.default_rng(12).standard_normal(n + 2))
         x[1000:1400] = 0.25
         x[7000:7400] = -0.5
         starts = np.r_[np.arange(0, n - 2000, 500), n + 1 - 2000]
-        config = MfdfaConfig([2.0], None)
-        with mock.patch.object(mfdfa, "_order1_table", wraps=mfdfa._order1_table) as table:
-            surface = fluctuation_function(x, config, starts, 2000)
-        assert table.call_count == 0
-        assert surface.excluded_segments.any()
-        for w, i0 in enumerate(starts):
-            alone = fluctuation_function(x[i0:i0 + 2000], config)
-            np.testing.assert_array_equal(surface.excluded_segments[w], alone.excluded_segments)
-            np.testing.assert_allclose(surface.values[w], alone.values, rtol=1e-12, atol=0)
+        for q_values in ([2.0], [-1.0, 2.0]):
+            config = MfdfaConfig(q_values, None)
+            with mock.patch.object(mfdfa, "_order1_table", wraps=mfdfa._order1_table) as table:
+                surface = fluctuation_function(x, config, starts, 2000)
+            assert table.call_count == 0
+            assert surface.excluded_segments.any() == (q_values[0] < 0)
+            for w, i0 in enumerate(starts):
+                alone = fluctuation_function(x[i0:i0 + 2000], config)
+                np.testing.assert_array_equal(surface.excluded_segments[w],
+                                              alone.excluded_segments)
+                np.testing.assert_allclose(surface.values[w], alone.values, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", ["fgn_0.1", "white"])
     def test_long_series_match_the_reference(self, name):

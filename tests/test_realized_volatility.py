@@ -5,7 +5,7 @@ import pytest
 
 from roughscale.errors import DataError
 from roughscale.market_data import IntradayReturnGrid
-from roughscale.realized_volatility import (RVSeries, compute_daily_rv,
+from roughscale.realized_volatility import (RVSeries, StandardizedReturns, compute_daily_rv,
                                             log_increments, standardize_returns)
 
 DAY0 = dt.date(2020, 1, 1)
@@ -23,6 +23,23 @@ def rv_series(values, n=288, daily=None):
     dates = [DAY0 + dt.timedelta(days=i) for i in range(len(values))]
     return RVSeries(delta_minutes=1440 // n, dates=dates, rv=values,
                     daily_return=daily, samples_per_day=n)
+
+
+class TestSeriesChecks:
+    def test_negative_rv_rejected(self):
+        with pytest.raises(ValueError, match="realized variance cannot be negative"):
+            rv_series([1.0, -1e-300])
+
+    def test_dates_must_increase(self):
+        rv = rv_series([1.0, 2.0])
+        with pytest.raises(ValueError, match="dates must be strictly increasing"):
+            RVSeries(delta_minutes=rv.delta_minutes, dates=rv.dates[::-1], rv=rv.rv,
+                     daily_return=rv.daily_return, samples_per_day=rv.samples_per_day)
+
+    def test_standardized_return_bound(self):
+        # sqrt(12) = 3.46...
+        with pytest.raises(ValueError, match="exceeds the sqrt\\(n\\) support bound"):
+            StandardizedReturns(values=np.array([0.5, 3.5]), samples_per_day=12)
 
 
 class TestComputeDailyRV:

@@ -134,6 +134,12 @@ class TestDivisors:
 
 
 class TestFitAnsatz:
+    def test_singular_jacobian_raises(self):
+        # one point's weight 1e10 above the others leaves J^T J of rank 1 in float64
+        sweep = FrequencySweep(deltas=[1, 5, 60], h2=[0.1, 0.15, 0.2], h2_stderr=[1e-10, 1, 1])
+        with pytest.raises(NumericError, match="singular Jacobian at the ansatz optimum"):
+            fit_ansatz(sweep)
+
     def test_exact_model_recovery(self):
         fit = fit_ansatz(exact_sweep(0.13, 3.0))
         assert fit.h0 == pytest.approx(0.13, abs=1e-6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roughscale.errors import NumericError
 from roughscale.synthetic import (cascade_hq, fgn_autocovariance, generate_cascade,
                                   generate_fgn, generate_sv_days)
 
@@ -44,6 +45,12 @@ class TestFgn:
         with pytest.raises(ValueError):
             generate_fgn(1.2, 2 ** 10, seed=0)
 
+    def test_embedding_that_is_not_psd_raises(self):
+        # the embedding's middle entry is 0, not the lag-length autocovariance,
+        # so from H ~ 0.9 (0.8999 at 1024 points) it has negative eigenvalues
+        with pytest.raises(NumericError, match="circulant embedding not positive semi-definite"):
+            generate_fgn(0.95, 2 ** 10, seed=0)
+
 
 class TestCascade:
     def test_symmetric_split_is_uniform(self):
@@ -69,6 +76,10 @@ class TestCascade:
             generate_cascade(1.5, 8)
         with pytest.raises(ValueError):
             generate_cascade(0.6, 0)
+
+    def test_closed_form_needs_q_nonzero(self):
+        with pytest.raises(ValueError, match="q = 0 requires the limit form"):
+            cascade_hq(0.6, 0.0)
 
 
 class TestSvDay:
@@ -97,4 +108,6 @@ class TestSvDay:
             generate_sv_days(1, 0, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate_sv_days(1, 10, -1.0, seed=0)
+        with pytest.raises(ValueError, match="num_days must be >= 1"):
+            generate_sv_days(0, 10, 1.0, seed=0)
 

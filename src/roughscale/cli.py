@@ -180,7 +180,7 @@ def cmd_mfdfa(args) -> int:
     if args.surface_out:
         write_csv(args.surface_out, ["q", "s", "Fq"],
                   ((repr(float(q)), int(s), repr(float(surface.values[i, j])))
-                   for i, q in enumerate(surface.q_values)
+                   for i, q in enumerate(config.q_values)
                    for j, s in enumerate(surface.scales)))
     columns = np.column_stack([curve.q_values, curve.h_values, curve.stderr, curve.r2])
     write_csv(args.out, ["q", "h", "stderr", "r2"],

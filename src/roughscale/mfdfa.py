@@ -88,9 +88,8 @@ class FluctuationSurface:
     The leading axis of `values` and `excluded_segments`, present for a
     windowed call only, is the window.
     """
-    q_values: np.ndarray
     scales: np.ndarray
-    values: np.ndarray            # shape ([windows,] len(q), len(scales)), > 0 or NaN
+    values: np.ndarray            # ([windows,] len(config.q_values), len(scales)), > 0 or NaN
     series_length: int            # points in the series
     config: MfdfaConfig
     excluded_segments: np.ndarray  # ([windows,] len(scales)): zero-variance segments
@@ -108,7 +107,6 @@ class GHECurve:
     h_values: np.ndarray
     stderr: np.ndarray
     r2: np.ndarray
-    fit_range: tuple[int, int]
 
     def index(self, q: float) -> int:
         """Position of q on the grid, matched to 1e-9; ValueError when absent."""
@@ -337,10 +335,11 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
 
     A window's F_2^2 2 m s is the sum of its runs' cells' residual sums of
     squares S2 - (S1^2/s + w D^2), w = 12/(s(s^2-1)). The S2 part telescopes
-    along each run: y^2's longdouble running sum read at a, a+ms, a+n-ms
-    and a+n. The line terms S1^2/s + w D^2 are formed in float64 from S1
-    and D (`_segment_moments`) cast, for the cells of the residue classes
-    mod s that the runs lie in, and summed in longdouble along each class, so
+    along each run: y^2's longdouble running sum read where the run starts
+    and m s later, at a and a+ms forward, a+n-ms and a+n backward. The line
+    terms S1^2/s + w D^2 are formed in float64 from S1 and D
+    (`_segment_moments`) cast, for the cells of the residue classes mod s
+    that the runs lie in, and summed in longdouble along each class, so
     a run's sum is the difference of two of those running sums. Each class r
     read is a block of k = L // s + 2 slots, in order of (s, r): slot i stands
     for the point r + i s and the cell [r + (i-1) s, r + i s) ending there, a
@@ -411,13 +410,10 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
     for runs in rows:  # running sums along each class's block
         np.cumsum(runs, axis=-1, out=runs)
     ms = m * scales
-    # the forward run ends at a+ms, the backward one at a+ms + n mod s = a+n
-    ends = at[:, None] + ms + np.stack([0 * ms, lengths[:, None] % scales])
-    ends[:, ~on] = 0
     last = C[before + m]
     lines = (last - C[before]).sum(axis=0)
-    reads = sums[2][ends]
-    total = ((reads - sums[2][ends - ms]).sum(axis=0) - lines).astype(float)
+    reads = sums[2][lead + ms]  # each run ends m s after it starts
+    total = ((reads - sums[2][lead]).sum(axis=0) - lines).astype(float)
     eps, eps_ld = np.finfo(float).eps, np.finfo(np.longdouble).eps
     error = (eps * (4 * lines.astype(float) + total) + 2 * m * np.finfo(float).tiny
              + (eps_ld * ((L * reads + m * last).sum(axis=0)
@@ -523,7 +519,7 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
         values[np.ix_(rows[ok], np.arange(len(qs)), columns[n])] = out.swapaxes(0, 1)
     if not windowed:
         values, excluded = values[0], excluded[0]
-    return FluctuationSurface(q_values=qs, scales=scales, values=values, series_length=len(x),
+    return FluctuationSurface(scales=scales, values=values, series_length=len(x),
                               config=config, excluded_segments=excluded)
 
 
@@ -559,5 +555,4 @@ def generalized_hurst(surface: FluctuationSurface) -> GHECurve:
         rss = dot(sy, sy)
         stderr = np.sqrt(rss / (k - 2) / sxx)
     r2 = 1.0 - rss / np.where(tss > 0, tss, np.inf)  # r^2 = 1 for a flat log F
-    return GHECurve(q_values=surface.q_values, h_values=slope, stderr=stderr, r2=r2,
-                    fit_range=(int(lo), int(hi)))
+    return GHECurve(q_values=surface.config.q_values, h_values=slope, stderr=stderr, r2=r2)

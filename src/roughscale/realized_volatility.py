@@ -39,9 +39,6 @@ class LogIncrementSeries:
     dates: list[dt.date]   # date of the later day of each increment
     dropped_days: int = 0
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class StandardizedReturns:

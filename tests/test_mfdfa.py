@@ -143,8 +143,7 @@ class TestGeneralizedHurst:
         scales = np.array([10, 20, 40, 80, 160])
         config = MfdfaConfig(q_values=np.array([1.0, 2.0]), scales=scales)
         values = np.vstack([scales ** 0.3, scales ** 0.3]).astype(float)
-        surface = FluctuationSurface(q_values=config.q_values, scales=scales,
-                                     values=values, series_length=1000,
+        surface = FluctuationSurface(scales=scales, values=values, series_length=1000,
                                      config=config,
                                      excluded_segments=np.zeros(5, dtype=int))
         curve = generalized_hurst(surface)
@@ -156,7 +155,7 @@ class TestGeneralizedHurst:
     def test_h_at_matches_q_to_1e9(self):
         qs = np.arange(-6, 7) / 2.0  # neighbours 0.5 apart
         curve = mfdfa.GHECurve(q_values=qs, h_values=qs / 10, stderr=np.zeros(13),
-                               r2=np.ones(13), fit_range=(10, 40))
+                               r2=np.ones(13))
         assert curve.h_at(2.0 + 1e-12) == 0.2
         with pytest.raises(ValueError, match="q = 2.25 is not on the estimated curve"):
             curve.h_at(2.25)
@@ -166,12 +165,12 @@ class TestGeneralizedHurst:
         # a single series gets a float, a windowed curve one value per window
         h = np.arange(4 * len(qs), dtype=float).reshape(4, len(qs)) / 10
         windowed = mfdfa.GHECurve(q_values=np.array(qs), h_values=h, stderr=0 * h,
-                                  r2=1 + 0 * h, fit_range=(10, 40))
+                                  r2=1 + 0 * h)
         i = qs.index(2.0)
         np.testing.assert_array_equal(windowed.h_at(2.0), h[:, i])
         for w in range(4):
             single = mfdfa.GHECurve(q_values=np.array(qs), h_values=h[w], stderr=0 * h[w],
-                                    r2=1 + 0 * h[w], fit_range=(10, 40))
+                                    r2=1 + 0 * h[w])
             assert type(single.h_at(2.0)) is float
             assert single.h_at(2.0) == windowed.h_at(2.0)[w]
 
@@ -192,8 +191,7 @@ class TestGeneralizedHurst:
     def test_too_few_scales(self):
         scales = np.array([10, 20, 40])
         config = MfdfaConfig(q_values=np.array([2.0]), scales=scales, fit_range=(10, 20))
-        surface = FluctuationSurface(q_values=config.q_values, scales=scales,
-                                     values=np.array([[1.0, 2.0, 4.0]]),
+        surface = FluctuationSurface(scales=scales, values=np.array([[1.0, 2.0, 4.0]]),
                                      series_length=1000, config=config,
                                      excluded_segments=np.zeros(3, dtype=int))
         with pytest.raises(NumericError):
@@ -207,7 +205,7 @@ class TestGeneralizedHurst:
         values = np.array([scales ** 0.3, scales ** 0.7, scales ** 0.5, scales ** 0.5,
                            np.full(4, np.nan)], dtype=float)[:, None, :]
         values[1, :, 3] = values[2, :, 1:3] = np.nan
-        surface = FluctuationSurface(q_values=config.q_values, scales=scales, values=values,
+        surface = FluctuationSurface(scales=scales, values=values,
                                      series_length=1000, config=config,
                                      excluded_segments=np.zeros((5, 4), dtype=int))
         curve = generalized_hurst(surface)

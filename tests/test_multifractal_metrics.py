@@ -9,7 +9,7 @@ from roughscale.synthetic import cascade_hq
 def curve_from(pairs):
     q, h = np.array(pairs, dtype=float).T
     return GHECurve(q_values=q, h_values=h, stderr=np.zeros(len(q)),
-                    r2=np.ones(len(q)), fit_range=(10, 100))
+                    r2=np.ones(len(q)))
 
 
 def linear_curve(b0, b1, qs=(-3.0, -2.0, 2.0, 3.0)):
@@ -75,7 +75,7 @@ def test_windowed_curve_gives_one_value_per_window():
     qs = np.array([-3.0, 2.0, 3.0])
     h = np.array([[0.15, 0.13, 0.116], [0.2, 0.2, 0.2], [0.3, 0.25, 0.1]])
     windowed = GHECurve(q_values=qs, h_values=h, stderr=np.zeros_like(h),
-                        r2=np.ones_like(h), fit_range=(10, 100))
+                        r2=np.ones_like(h))
     width = delta_h(windowed, 3.0)
     b0, b1 = taylor_b1(windowed, 3.0)
     for w, row in enumerate(h):

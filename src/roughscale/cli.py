@@ -189,13 +189,18 @@ def cmd_mfdfa(args) -> int:
 
 
 def _sweep_row(fields: list[str]) -> tuple:
-    """(delta, h2, stderr or None); a delta that is not an integer raises ValueError."""
+    """(delta, h2, stderr or None); a delta that is not an integer raises
+    ValueError, and an h2 that is not finite or a stderr that is not finite
+    and positive DataError."""
     delta = int(fields[0])
     try:
-        return (delta, float(fields[1]),
-                float(fields[2]) if len(fields) > 2 and fields[2] != "" else None)
+        h2 = float(fields[1])
+        stderr = float(fields[2]) if len(fields) > 2 and fields[2] != "" else None
     except (ValueError, IndexError):
         raise DataError("bad sweep row") from None
+    if not math.isfinite(h2) or not (stderr is None or 0 < stderr < math.inf):
+        raise DataError("bad sweep row")
+    return delta, h2, stderr
 
 
 def cmd_fit_ansatz(args) -> int:
@@ -204,7 +209,12 @@ def cmd_fit_ansatz(args) -> int:
     stderr = [row[2] for row in rows if row[2] is not None]
     if stderr and len(stderr) != len(rows):
         raise DataError("stderr column must be present for all rows or none")
-    sweep = FrequencySweep(deltas=[row[0] for row in rows], h2=[row[1] for row in rows],
+    deltas, seen = [row[0] for row in rows], set()
+    for delta in deltas:
+        if delta in seen:
+            raise DataError(f"delta {delta} is listed more than once in {args.sweep}")
+        seen.add(delta)
+    sweep = FrequencySweep(deltas=deltas, h2=[row[1] for row in rows],
                            h2_stderr=stderr or None)
     fit = fit_ansatz(sweep, exclude=exclude)
     write_json(args.out, {"h0": fit.h0, "a": fit.a, "h0_stderr": fit.h0_stderr,

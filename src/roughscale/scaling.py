@@ -153,11 +153,14 @@ def fit_ansatz(sweep: FrequencySweep, exclude: list[int] | None = None) -> Ansat
 
     s2 = float(resid @ resid) / max(len(h2) - 2, 1)
     jac = np.column_stack([-w * n / (n + a), w * h0 * n * a / (n + a) ** 2])
+    # (J^T J)^-1 = R^-1 R^-T for J = QR: no product that squares J's condition
     try:
-        cov_theta = np.linalg.inv(jac.T @ jac) * s2
+        r_inv = np.linalg.inv(np.linalg.qr(jac, mode="r"))
     except np.linalg.LinAlgError as exc:
         raise NumericError("singular Jacobian at the ansatz optimum") from exc
-    h0_stderr, alpha_stderr = np.sqrt(np.diag(cov_theta))
+    h0_stderr, alpha_stderr = np.sqrt(s2) * np.linalg.norm(r_inv, axis=1)
+    if not np.isfinite([h0_stderr, alpha_stderr]).all():
+        raise NumericError("ansatz stderrs are not finite")
     # delta method: var(a) = a^2 var(alpha)
     return AnsatzFit(h0=float(h0), a=a, h0_stderr=float(h0_stderr),
                      a_stderr=float(a * alpha_stderr),

@@ -21,9 +21,11 @@ def fgn_autocovariance(H: float, k) -> np.ndarray:
 def generate_fgn(H: float, length: int, seed: int) -> np.ndarray:
     """Fractional Gaussian noise by circulant embedding (exact covariance).
 
-    Requires a power-of-two length >= 1024. The embedding is positive
-    semi-definite for every H in (0,1); tiny negative eigenvalues from
-    roundoff are clipped.
+    Requires a power-of-two length >= 1024. The circulant's middle entry is
+    0, not the lag-`length` autocovariance, so the embedding is positive
+    semi-definite only up to H of about 0.90 (0.8999 at 1024 points, 0.922
+    at 65536); above that it raises NumericError. Tiny negative eigenvalues
+    from roundoff are clipped.
     """
     if not (0.0 < H < 1.0):
         raise ValueError("H must lie in (0, 1)")
@@ -33,7 +35,8 @@ def generate_fgn(H: float, length: int, seed: int) -> np.ndarray:
     row = np.concatenate([gamma, [0.0], gamma[:0:-1]])
     eigvals = np.fft.fft(row).real
     if eigvals.min() < -1e-8:
-        raise NumericError("circulant embedding not positive semi-definite")
+        raise NumericError(f"circulant embedding not positive semi-definite at H = {H}, "
+                           f"length {length}")
     eigvals = np.clip(eigvals, 0.0, None)
     m = 2 * length
     rng = np.random.default_rng(seed)

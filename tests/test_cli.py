@@ -454,6 +454,10 @@ def _cli_case(name, tmp_path):
         command = "rv" if name == "ticks_field_over_csv_limit" else "rolling"
         return [command, "--ticks", str(ticks), *out]
     sweeps = {"zero_stderr_in_sweep": "1,0.12,0.01\n5,0.11,0.0\n60,0.09,0.01\n",
+              "sweep_stderr_nan": "1,0.12,0.01\n5,0.11,nan\n60,0.09,0.01\n",
+              "sweep_h2_nan": "1,0.12\n5,nan\n60,0.09\n",
+              "sweep_h2_inf": "1,0.12\n5,inf\n60,0.09\n",
+              "sweep_delta_twice": "1,0.12\n5,0.11\n5,0.1\n60,0.09\n",
               "sweep_stderr_on_some_rows": "1,0.12,0.01\n5,0.11\n60,0.09,0.01\n",
               "sweep_row_without_h2": "1,0.12\n5\n60,0.09\n",
               "sweep_h2_not_a_number": "1,0.12\n5,abc\n60,0.09\n",
@@ -550,7 +554,11 @@ class TestExitCodes:
         ("ticks_timestamp_out_of_range", 2, "line 4321: timestamp out of range"),
         ("ticks_after_the_calendar", 2, "9223372036854775000 lies outside the calendar"),
         ("ticks_before_the_calendar", 2, "-9000000000000000000 lies outside the calendar"),
-        ("zero_stderr_in_sweep", 1, "stderrs must be finite and positive"),
+        ("zero_stderr_in_sweep", 2, "bad sweep row at line 3"),
+        ("sweep_stderr_nan", 2, "bad sweep row at line 3"),
+        ("sweep_h2_nan", 2, "bad sweep row at line 3"),
+        ("sweep_h2_inf", 2, "bad sweep row at line 3"),
+        ("sweep_delta_twice", 2, "delta 5 is listed more than once in"),
         ("sweep_stderr_on_some_rows", 2, "stderr column must be present for all rows or none"),
         ("sweep_row_without_h2", 2, "bad sweep row at line 3"),
         ("sweep_h2_not_a_number", 2, "bad sweep row at line 3"),

@@ -262,6 +262,23 @@ class TestParseTicks:
                 assert (outcome(parse_ticks, io.StringIO(text), max_malformed=max_malformed)
                         == outcome(reference_parse, io.StringIO(text), max_malformed=max_malformed))
 
+    def test_a_blank_line_after_every_row_sends_every_block_to_the_row_rules(self, tmp_path):
+        # "\r\r\n" ends a row and then a blank line once newlines are
+        # translated; the file is over 64 KiB, so it is read in several blocks
+        rows = [f"{1_000_000 + i},{1 + i % 7}.5" for i in range(8000)]
+        rows[6000] = "bad"
+        data = ("\r\r\n".join(rows) + "\r\r\n").encode()
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(data)
+        for max_malformed in (0, 1):
+            for source in (lambda: path, lambda: data, lambda: io.BytesIO(data)):
+                with mock.patch.object(market_data, "_read_block",
+                                       wraps=market_data._read_block) as read_block, \
+                        mock.patch.object(market_data, "_load_from_filelike") as load:
+                    got = outcome(parse_ticks, source(), max_malformed=max_malformed)
+                assert read_block.call_count > 1 and load.call_count == 0
+                assert got == outcome(reference_parse, source(), max_malformed=max_malformed)
+
     def test_numpy_load_from_filelike_reads_a_block_as_loadtxt_reads_its_lines(self):
         # numpy's private file reader, imported where np.loadtxt takes it
         # from; a numpy that moves or changes it fails here by name
@@ -347,11 +364,11 @@ def reference_parse(source, *, header=False, max_malformed=0):
     and an error names the physical line its record starts on.
     """
     release = None
+    if isinstance(source, bytes):  # read as a binary stream, with universal newlines
+        source = io.BytesIO(source)
     if isinstance(source, (str, os.PathLike)):
         stream = open(source, "r", encoding="utf-8-sig")
         release = stream.close
-    elif isinstance(source, bytes):
-        stream = io.StringIO(source.decode("utf-8-sig"))
     elif isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
         stream = io.TextIOWrapper(source, encoding="utf-8-sig")
         release = stream.detach

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
@@ -133,12 +134,32 @@ class TestDivisors:
                 samples_per_day(bad)
 
 
+def mpmath_stderrs(sweep, h0, a):
+    """The (H0, alpha) stderrs sqrt(diag((J^T J)^-1) s^2) at the given h0 and a,
+    with J, the residuals and the inverse at 60 digits."""
+    with mpmath.workdps(60):
+        h0, a = mpmath.mpf(h0), mpmath.mpf(a)
+        rows, resid = [], []
+        for n, h, se in zip(sweep.n.tolist(), sweep.h2.tolist(), sweep.h2_stderr.tolist()):
+            w = 1 / mpmath.mpf(se)
+            rows.append([-w * n / (n + a), w * h0 * n * a / (n + a) ** 2])
+            resid.append(w * (h - h0 * n / (n + a)))
+        jac = mpmath.matrix(rows)
+        cov = (jac.T * jac) ** -1 * (sum(r * r for r in resid) / max(len(resid) - 2, 1))
+        return float(mpmath.sqrt(cov[0, 0])), float(mpmath.sqrt(cov[1, 1]))
+
+
 class TestFitAnsatz:
-    def test_singular_jacobian_raises(self):
-        # one point's weight 1e10 above the others leaves J^T J of rank 1 in float64
+    def test_a_dominant_weight_fits_with_exact_stderrs(self):
+        # one point's weight 1e10 above the others leaves J^T J of rank 1 in
+        # float64; J's R factor keeps both directions
         sweep = FrequencySweep(deltas=[1, 5, 60], h2=[0.1, 0.15, 0.2], h2_stderr=[1e-10, 1, 1])
-        with pytest.raises(NumericError, match="singular Jacobian at the ansatz optimum"):
-            fit_ansatz(sweep)
+        fit = fit_ansatz(sweep)
+        assert fit.h0 == pytest.approx(0.1, rel=1e-12)
+        assert fit.a == pytest.approx(3.21e-12, rel=1e-3) and fit.boundary_warning
+        h0_stderr, alpha_stderr = mpmath_stderrs(sweep, fit.h0, fit.a)
+        assert fit.h0_stderr == pytest.approx(h0_stderr, rel=1e-10)
+        assert fit.a_stderr == pytest.approx(fit.a * alpha_stderr, rel=1e-10)
 
     def test_exact_model_recovery(self):
         fit = fit_ansatz(exact_sweep(0.13, 3.0))

@@ -48,7 +48,8 @@ class TestFgn:
     def test_embedding_that_is_not_psd_raises(self):
         # the embedding's middle entry is 0, not the lag-length autocovariance,
         # so from H ~ 0.9 (0.8999 at 1024 points) it has negative eigenvalues
-        with pytest.raises(NumericError, match="circulant embedding not positive semi-definite"):
+        with pytest.raises(NumericError, match="circulant embedding not positive "
+                                               "semi-definite at H = 0.95, length 1024$"):
             generate_fgn(0.95, 2 ** 10, seed=0)
 
 

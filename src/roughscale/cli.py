@@ -6,6 +6,7 @@ cannot be opened), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import datetime as dt
 import math
@@ -209,11 +210,10 @@ def cmd_fit_ansatz(args) -> int:
     stderr = [row[2] for row in rows if row[2] is not None]
     if stderr and len(stderr) != len(rows):
         raise DataError("stderr column must be present for all rows or none")
-    deltas, seen = [row[0] for row in rows], set()
-    for delta in deltas:
-        if delta in seen:
-            raise DataError(f"delta {delta} is listed more than once in {args.sweep}")
-        seen.add(delta)
+    deltas = [row[0] for row in rows]
+    delta, count = collections.Counter(deltas).most_common(1)[0]
+    if count > 1:
+        raise DataError(f"delta {delta} is listed more than once in {args.sweep}")
     sweep = FrequencySweep(deltas=deltas, h2=[row[1] for row in rows],
                            h2_stderr=stderr or None)
     fit = fit_ansatz(sweep, exclude=exclude)

@@ -9,8 +9,9 @@ stages in turn, with one BLAS thread: `parse_ticks`, `build_rv_by_delta` at
 all 36 Δ, `run_rolling` on that RV (2922-day windows stepped by 5, 439
 windows) and `emit_report` (JSON and both CSVs). The record goes to
 `bench/BENCH_<label>.json`: per run and per stage wall and CPU seconds and
-peak resident memory during the stage, their medians, window and
-degraded-window counts, the median window H₀, the sha256 of the last run's
+peak resident memory during the stage, their medians, the tracemalloc peak
+of each stage in one more, untimed run (finer than peak RSS, which follows
+the allocator's layout), window and degraded-window counts, the median window H₀, the sha256 of the last run's
 `report.json`, `h2.csv` and `hq.csv` (equal digests show byte-identical
 outputs across commits), and the provenance of `paper_scale.py` with the
 CSV's sha256.
@@ -18,12 +19,14 @@ CSV's sha256.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -63,6 +66,25 @@ def main(argv=None) -> int:
                       "peak_rss_mb": rss.peak_bytes / 2 ** 20}
         return result
 
+    def traced(peaks: dict, stage: str, call):
+        """`call()`, the tracemalloc peak during it recorded in `peaks`."""
+        tracemalloc.reset_peak()
+        result = call()
+        peaks[stage] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        return result
+
+    def job(stage):
+        """The four stages of one run, each as `stage(name, call)`; the reports."""
+        held = [stage("parse_ticks", lambda: parse_ticks(inputs.path,
+                                                         max_malformed=inputs.malformed))]
+        # as `roughscale rolling` does, the ticks are handed over with no
+        # other reference, so they die once the trade index is built
+        rv = stage("build_rv_by_delta", lambda: pipeline.build_rv_by_delta(held.pop(), deltas))
+        reports = stage("run_rolling", lambda: pipeline.run_rolling(rv, spec))
+        stage("emit_report", lambda: pipeline.emit_report(
+            reports, str(work / "report.json"), str(work / "h2.csv"), str(work / "hq.csv")))
+        return reports
+
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         t0 = time.perf_counter()
@@ -72,21 +94,16 @@ def main(argv=None) -> int:
         for _ in range(REPEATS):
             reports = None  # free the last run's outputs first
             release_free_heap()
-            run = {}
-            held = [timed(run, "parse_ticks", lambda: parse_ticks(
-                inputs.path, max_malformed=inputs.malformed))]
-            # as `roughscale rolling` does, the ticks are handed over with no
-            # other reference, so they die once the trade index is built
-            rv = timed(run, "build_rv_by_delta",
-                       lambda: pipeline.build_rv_by_delta(held.pop(), deltas))
-            reports = timed(run, "run_rolling", lambda: pipeline.run_rolling(rv, spec))
-            timed(run, "emit_report", lambda: pipeline.emit_report(
-                reports, str(work / "report.json"), str(work / "h2.csv"),
-                str(work / "hq.csv")))
-            runs.append(run)
-            del rv
+            runs.append({})
+            reports = job(functools.partial(timed, runs[-1]))
         outputs_sha256 = {name: file_sha256(work / name)
                           for name in ("report.json", "h2.csv", "hq.csv")}
+        reports = None
+        release_free_heap()
+        traced_peak_mb = {}
+        tracemalloc.start()
+        reports = job(functools.partial(traced, traced_peak_mb))
+        tracemalloc.stop()
     h0 = [r.ansatz.h0 for r in reports if r.ansatz is not None]
     record = {
         "job": "parse_ticks, build_rv_by_delta, run_rolling and emit_report on "
@@ -103,6 +120,7 @@ def main(argv=None) -> int:
         "median": {stage: {k: statistics.median(run[stage][k] for run in runs)
                            for k in timing} for stage, timing in runs[0].items()},
         "runs": runs,
+        "traced_peak_mb": traced_peak_mb,
         "generate_s": generate_s,
         "provenance": provenance(args.seed, inputs.sha256),
     }
@@ -112,7 +130,8 @@ def main(argv=None) -> int:
           f"{record['windows_degraded']} degraded; median over {REPEATS} runs:")
     for stage, m in record["median"].items():
         print(f"  {stage:18s} wall {m['wall_s']:7.2f} s  cpu {m['cpu_s']:7.2f} s  "
-              f"peak rss {m['peak_rss_mb']:6.1f} MB")
+              f"peak rss {m['peak_rss_mb']:6.1f} MB  traced peak "
+              f"{traced_peak_mb[stage]:6.1f} MB")
     return 0
 
 

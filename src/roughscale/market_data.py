@@ -386,6 +386,11 @@ def trade_index(ticks: TickSeries, deltas: list[int],
                       prices=prices, coverage=coverage, leading=leading)
 
 
+def kept_days(coverage: np.ndarray, min_coverage: float) -> np.ndarray:
+    """The days a coverage floor keeps, as a mask: those not below it."""
+    return ~(coverage < min_coverage)
+
+
 def resample_prices(index: TradeIndex, delta_minutes: int,
                     min_coverage: float = 0.0) -> PriceGrid:
     """Previous-tick resampling onto a delta-minute UTC grid.
@@ -405,7 +410,7 @@ def resample_prices(index: TradeIndex, delta_minutes: int,
         raise ValueError(f"delta_minutes={delta_minutes} is not among the index's "
                          f"deltas {sorted(index.coverage)}")
     coverage = index.coverage[delta_minutes]
-    keep = ~(coverage < min_coverage)
+    keep = kept_days(coverage, min_coverage)
     prices = index.prices[:, ::delta_minutes // index.step_minutes]
     days = index.days  # shared by every delta's grid that keeps all days
     if not keep.all():

@@ -13,15 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, market_data
 from .errors import DataError, NumericError
 from .finite_sample import relative_error
-from .market_data import (TickSeries, intraday_log_returns, resample_prices,
-                          samples_per_day, trade_index)
+# intraday_log_returns and compute_daily_rv are not called here: they are the
+# per-grid form of build_rv_by_delta's run loop, kept at these bindings, which
+# perfbench traces
+from .market_data import (TickSeries, intraday_log_returns, kept_days,  # noqa: F401
+                          resample_prices, samples_per_day, trade_index)
 from .mfdfa import (MIN_FIT_LENGTH, MfdfaConfig, default_q_values, fluctuation_function,
                     generalized_hurst)
 from .multifractal_metrics import delta_h, taylor_b1
-from .realized_volatility import RVSeries, compute_daily_rv, log_increments
+from .realized_volatility import RVSeries, compute_daily_rv, log_increments  # noqa: F401
 from .scaling import AnsatzFit, FrequencySweep, divisors_of_1440, fit_ansatz
 
 
@@ -83,16 +86,40 @@ def build_rv_by_delta(ticks: TickSeries, deltas: list[int],
 
     The index is built once, on the grid of the deltas' greatest common
     divisor, and each delta's grid is a column stride of it: one
-    `resample_prices` call per delta, with no further pass over the ticks.
-    The ticks are let go once the index is built, so ticks that the caller
-    passes as a temporary are freed before the grids are made.
+    `resample_prices` call per delta gives its days, with no further pass
+    over the ticks. The ticks are let go once the index is built, so ticks
+    that the caller passes as a temporary are freed before any per-delta
+    work.
+
+    Returns and RV are then taken a run of index rows at a time, about
+    _RUN_POINTS prices, so no array of the index's size is made beside it:
+    each run's log prices once, then each delta's returns from its column
+    stride of them. These are the values and the row sums that
+    `compute_daily_rv(intraday_log_returns(grid))` gives, bit for bit: log is
+    elementwise, and each row sum runs over a contiguous row of the same
+    length.
     """
     index = trade_index(ticks, deltas, start_date, end_date)
     del ticks
+    dates = {delta: resample_prices(index, delta, min_coverage=min_coverage).days
+             for delta in deltas}
+    days = len(index.days)
+    run = max(1, market_data._RUN_POINTS // index.prices.shape[1])
+    sums = {delta: np.empty((2, days)) for delta in deltas}  # RV, then the daily return
+    for r0 in range(0, days, run):
+        logs = np.log(index.prices[r0:r0 + run])
+        for delta, (rv, daily_return) in sums.items():
+            returns = np.diff(logs[:, ::delta // index.step_minutes], axis=1)
+            np.sum(returns ** 2, axis=1, out=rv[r0:r0 + run])
+            np.sum(returns, axis=1, out=daily_return[r0:r0 + run])
     out = {}
-    for delta in deltas:
-        grid = resample_prices(index, delta, min_coverage=min_coverage)
-        out[delta] = compute_daily_rv(intraday_log_returns(grid))
+    for delta, (rv, daily_return) in sums.items():
+        keep = kept_days(index.coverage[delta], min_coverage)
+        if not keep.all():
+            rv, daily_return = rv[keep], daily_return[keep]
+        out[delta] = RVSeries(delta_minutes=delta, dates=dates[delta], rv=rv,
+                              daily_return=daily_return,
+                              samples_per_day=samples_per_day(delta))
     return out
 
 

@@ -121,9 +121,9 @@ def fit_ansatz(sweep: FrequencySweep, exclude: list[int] | None = None) -> Ansat
     H0 is linear for fixed a, so only alpha is searched: a fixed log-a grid
     brackets the reduced cost's minimum (ties go to the smaller a) and one
     `least_squares` call polishes it between the grid neighbours. Weighted by
-    1/stderr exactly when the sweep carries stderrs. Standard errors come from
-    the analytic Jacobian in (H0, alpha) at the optimum, scaled by the reduced
-    chi-square.
+    1/stderr exactly when the sweep carries stderrs, after one power-of-two
+    scale of them all. Standard errors come from the analytic Jacobian in
+    (H0, alpha) at the optimum, scaled by the reduced chi-square.
     """
     mask = ~np.isin(sweep.deltas, list(exclude or []))
     h2 = sweep.h2[mask]
@@ -133,7 +133,15 @@ def fit_ansatz(sweep: FrequencySweep, exclude: list[int] | None = None) -> Ansat
     if np.any(h2 <= 0):
         raise NumericError("h2 values must be positive to fit the ansatz")
 
-    w = np.ones_like(h2) if sweep.h2_stderr is None else 1.0 / sweep.h2_stderr[mask]
+    if sweep.h2_stderr is None:
+        w = np.ones_like(h2)
+    else:
+        # the fit does not change under a common scale of the stderrs: a power
+        # of two, exact, brings the least into [0.5, 1), so that the greatest
+        # weight lies in (1, 2] and no sum of the weights overflows or
+        # underflows. A weight below 2^-1074 of it is 0.
+        mantissa, exponent = np.frexp(sweep.h2_stderr[mask])
+        w = np.ldexp(1.0 / mantissa, exponent.min() - exponent)
     y = w * h2
 
     def reduced(alpha):
@@ -158,7 +166,9 @@ def fit_ansatz(sweep: FrequencySweep, exclude: list[int] | None = None) -> Ansat
         r_inv = np.linalg.inv(np.linalg.qr(jac, mode="r"))
     except np.linalg.LinAlgError as exc:
         raise NumericError("singular Jacobian at the ansatz optimum") from exc
-    h0_stderr, alpha_stderr = np.sqrt(s2) * np.linalg.norm(r_inv, axis=1)
+    # an overflow here, or 0*inf on an exact fit, is a stderr that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0_stderr, alpha_stderr = np.sqrt(s2) * np.linalg.norm(r_inv, axis=1)
     if not np.isfinite([h0_stderr, alpha_stderr]).all():
         raise NumericError("ansatz stderrs are not finite")
     # delta method: var(a) = a^2 var(alpha)

@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 
 from perfbench.generators import rolling_inputs
-from roughscale import mfdfa, pipeline
+from roughscale import market_data, mfdfa, pipeline
 from roughscale.errors import DataError, NumericError
 from roughscale.finite_sample import relative_error
-from roughscale.market_data import TickSeries, date_to_epoch_seconds, samples_per_day
+from roughscale.market_data import (TickSeries, date_to_epoch_seconds, intraday_log_returns,
+                                    resample_prices, samples_per_day, trade_index)
 from roughscale.mfdfa import (MIN_FIT_LENGTH, MfdfaConfig, default_scales,
                               fluctuation_function, generalized_hurst)
 from roughscale.multifractal_metrics import delta_h, taylor_b1
 from roughscale.pipeline import (RollingSpec, WindowReport,
                                  build_rv_by_delta, emit_report, report_document,
                                  resolve_deltas, run_rolling)
-from roughscale.realized_volatility import RVSeries, log_increments
+from roughscale.realized_volatility import RVSeries, compute_daily_rv, log_increments
 from roughscale.scaling import FrequencySweep, divisors_of_1440, fit_ansatz
 from roughscale.synthetic import generate_fgn
 
@@ -547,6 +548,21 @@ class TestEmitReport:
             emit_report([], str(tmp_path / "r.json"))
 
 
+def long_ticks():
+    """Ticks over 200 days, 199 of them with trades: the data starts mid-day,
+    day 57 has no trade, and the day's trade count runs from 20 to 3000, so
+    the 1-minute coverage runs from ~0.01 to ~0.9."""
+    rng = np.random.default_rng(11)
+    t0 = date_to_epoch_seconds(DAY0)
+    per_day = rng.integers(20, 3000, 200)
+    per_day[57] = 0
+    timestamps = np.concatenate([t0 + 86400 * day + np.sort(rng.integers(0, 86400, count))
+                                 for day, count in enumerate(per_day.tolist())])
+    timestamps = timestamps[timestamps >= t0 + 13 * 3600]
+    return TickSeries(timestamps=timestamps, prices=100 * np.exp(
+        np.cumsum(rng.normal(0, 1e-3, len(timestamps)))))
+
+
 class TestBuildRvByDelta:
     def test_from_ticks(self):
         rng = np.random.default_rng(7)
@@ -615,3 +631,50 @@ class TestBuildRvByDelta:
         assert spy.call_count == len(backfills) == len(deltas)
         assert [g.delta_minutes for g in grids] == deltas
         assert sum(len(g.days) for g in grids) == len(deltas) * trading_days
+
+    # a run of 30 index rows at the 1-minute step, so 199 trading days end
+    # in a run of 19; the default runs 90 rows, and ends in one of 19 too
+    @pytest.mark.parametrize("run_points", [market_data._RUN_POINTS, 30 * 1441 + 5])
+    @pytest.mark.parametrize("min_coverage", [0.0, 0.5])
+    @pytest.mark.filterwarnings("ignore:backfilled the day-open")
+    def test_runs_of_days_equal_the_per_grid_reference(self, run_points, min_coverage):
+        ticks = long_ticks()
+        deltas = divisors_of_1440()
+        index = trade_index(ticks, deltas)
+        assert len(index.days) == 199
+        with mock.patch.object(market_data, "_RUN_POINTS", run_points):
+            out = build_rv_by_delta(ticks, deltas, min_coverage=min_coverage)
+        assert list(out) == deltas
+        kept = [len(out[delta].dates) for delta in deltas]
+        # the floor drops days at the finer deltas and none at a day
+        assert (min(kept) < 199) == (min_coverage > 0) and kept[-1] == 199
+        for delta in deltas:
+            ref = compute_daily_rv(intraday_log_returns(
+                resample_prices(index, delta, min_coverage)))
+            assert out[delta].dates == ref.dates
+            assert out[delta].rv.tobytes() == ref.rv.tobytes()
+            assert out[delta].daily_return.tobytes() == ref.daily_return.tobytes()
+            assert out[delta].samples_per_day == ref.samples_per_day
+
+    @pytest.mark.filterwarnings("ignore:backfilled the day-open")
+    def test_no_array_of_the_index_size_beside_it(self):
+        # the returns and RV of the 1-minute grid are made a run of days at a
+        # time: the peak is the index's prices, the per-day sums of every
+        # delta and a few runs, where a whole-grid log, diff and square would
+        # add two more arrays of the index's size
+        deltas = divisors_of_1440()
+        rng = np.random.default_rng(5)
+        t0 = date_to_epoch_seconds(DAY0) + 13 * 3600
+        timestamps = np.sort(t0 + rng.integers(0, 200 * 86400, 8000))
+        held = [TickSeries(timestamps=timestamps,
+                           prices=100 * np.exp(np.cumsum(rng.normal(0, 1e-3, 8000))))]
+        index_bytes = trade_index(held[0], deltas).prices.nbytes
+        run_points = 2 ** 14
+        with mock.patch.object(market_data, "_RUN_POINTS", run_points):
+            tracemalloc.start()
+            try:
+                build_rv_by_delta(held.pop(), deltas)  # as `roughscale rolling` passes them
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < index_bytes + 8 * 8 * run_points

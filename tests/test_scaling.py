@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -209,6 +211,45 @@ class TestFitAnsatz:
         sweep = exact_sweep(0.13, 3.0, stderr=np.full(36, 0.001))
         fit = fit_ansatz(sweep)  # stderrs present -> weighted by default
         assert fit.h0 == pytest.approx(0.13, abs=1e-6)
+
+    # a five-point sweep with every stderr 1e-160 overflowed the weighted sums,
+    # and one with every stderr 1e160 or more underflowed them, before the
+    # weights were scaled by a power of two
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_a_common_stderr_far_from_one_fits_as_unit_stderrs(self, scale):
+        deltas = [1, 5, 15, 60, 240]
+        n = 1440.0 / np.array(deltas)
+        h2 = 0.13 * n / (n + 3.0) + 0.002 * np.array([1, -1, 1, -1, 1])
+        unit = fit_ansatz(FrequencySweep(deltas=deltas, h2=h2, h2_stderr=np.ones(5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_ansatz(FrequencySweep(deltas=deltas, h2=h2, h2_stderr=np.full(5, scale)))
+        for name in ("h0", "a", "h0_stderr", "a_stderr", "residual_rms"):
+            assert getattr(fit, name) == pytest.approx(getattr(unit, name), rel=1e-12)
+        assert fit.boundary_warning == unit.boundary_warning
+
+    def test_stderrs_too_far_apart_raise_with_no_warning(self):
+        # one weight 1e160 above the rest leaves R near singular, so its
+        # inverse's row norms overflow: an error, not a RuntimeWarning
+        deltas = [1, 5, 15, 60, 240]
+        n = 1440.0 / np.array(deltas)
+        sweep = FrequencySweep(deltas=deltas, h2=0.13 * n / (n + 3.0),
+                               h2_stderr=[1e-160, 1, 1e160, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="ansatz stderrs are not finite"):
+                fit_ansatz(sweep)
+
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_stderrs_scaled_by_a_power_of_two_fit_the_same(self, power):
+        rng = np.random.default_rng(4)
+        sweep = exact_sweep(0.13, 3.0, deltas=[1, 2, 5, 10, 30, 60, 240],
+                            stderr=rng.uniform(1e-3, 1e-2, 7))
+        sweep = FrequencySweep(deltas=sweep.deltas,
+                               h2=sweep.h2 + rng.normal(0, 0.002, 7), h2_stderr=sweep.h2_stderr)
+        scaled = FrequencySweep(deltas=sweep.deltas, h2=sweep.h2,
+                                h2_stderr=np.ldexp(sweep.h2_stderr, power))
+        assert fit_ansatz(scaled) == fit_ansatz(sweep)
 
     def test_too_few_points(self):
         with pytest.raises(NumericError):

@@ -8,9 +8,11 @@ windows are 2922 days stepped by 5 (439 windows), the paper's layout. The job
 runs `REPEATS` times with one BLAS thread. The record goes to
 `bench/BENCH_<label>.json`: per-run wall and CPU seconds, peak resident memory
 during each run, the tracemalloc peak of one more, untimed run (finer than
-peak RSS, which moves by megabytes from run to run) and the q = {2} windows
-that `mfdfa._residue_means` routed to the gather path in it, window and
-degraded-window counts, the median window H₀, the
+peak RSS, which moves by megabytes from run to run), the q = {2} windows
+that `mfdfa._residue_means` routed to the gather path in it and the q = {2}
+layouts it built (`layout_builds`, null for a tree without the layout
+cache, which is emptied first so that the traced peak counts the layout it
+holds), window and degraded-window counts, the median window H₀, the
 sha256 of the report JSON that `pipeline.write_json` writes for the last run
 (equal digests show byte-identical reports across commits), and provenance
 (commit, sha256 of `src/roughscale`, Python and numpy versions, the scipy
@@ -87,6 +89,21 @@ def counting_routed(routed: list):
     return mock.patch.object(mfdfa, "_residue_means", counted)
 
 
+def cleared_layouts():
+    """`mfdfa`'s q = {2} layout cache, emptied, so that a traced run builds and
+    counts the layout that it holds; None for a tree without the cache."""
+    from roughscale import mfdfa
+    cache = getattr(mfdfa, "_residue_layout", None)
+    if cache is not None:
+        cache.cache_clear()
+    return cache
+
+
+def layout_builds(cache) -> int | None:
+    """The layouts built since `cleared_layouts()` gave `cache`."""
+    return None if cache is None else cache.cache_info().misses
+
+
 def provenance(seed: int, input_sha256: str) -> dict:
     """Where a record's numbers come from; call after `BLAS_ENV` is set."""
     import numpy
@@ -128,6 +145,7 @@ def main(argv=None) -> int:
                      "peak_rss_mb": rss.peak_bytes / 2 ** 20})
     release_free_heap()
     routed = []
+    layouts = cleared_layouts()
     with counting_routed(routed):
         tracemalloc.start()
         pipeline.run_rolling(inputs.rv_by_delta, spec)
@@ -147,6 +165,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "traced_peak_mb": traced_peak_mb,
         "routed_windows": sum(routed),
+        "layout_builds": layout_builds(layouts),
         "generate_s": generate_s,
         "provenance": provenance(args.seed, inputs.digest()),
     }
@@ -157,7 +176,8 @@ def main(argv=None) -> int:
           f"peak rss {m['peak_rss_mb']:.1f} MB over {REPEATS} runs, traced peak "
           f"{traced_peak_mb:.2f} MB; "
           f"{record['windows']} windows, {record['windows_degraded']} degraded, "
-          f"{record['routed_windows']} routed off the q = {{2}} sums")
+          f"{record['routed_windows']} routed off the q = {{2}} sums, "
+          f"{record['layout_builds']} q = {{2}} layouts built")
     return 0
 
 

@@ -11,10 +11,12 @@ windows) and `emit_report` (JSON and both CSVs). The record goes to
 `bench/BENCH_<label>.json`: per run and per stage wall and CPU seconds and
 peak resident memory during the stage, their medians, the tracemalloc peak
 of each stage in one more, untimed run (finer than peak RSS, which follows
-the allocator's layout), window and degraded-window counts, the median window H₀, the sha256 of the last run's
-`report.json`, `h2.csv` and `hq.csv` (equal digests show byte-identical
-outputs across commits), and the provenance of `paper_scale.py` with the
-CSV's sha256.
+the allocator's layout), the q = {2} windows routed off the sums and the
+q = {2} layouts built in that run (as `paper_scale.py` records them),
+window and degraded-window counts, the median window H₀, the sha256 of the
+last run's `report.json`, `h2.csv` and `hq.csv` (equal digests show
+byte-identical outputs across commits), and the provenance of
+`paper_scale.py` with the CSV's sha256.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ import warnings
 from pathlib import Path
 
 # paper_scale, beside this file, puts src/ and the repository root on sys.path
-from paper_scale import NUM_DAYS, ROOT, STEP_DAYS, WINDOW_DAYS, file_sha256, provenance
+from paper_scale import NUM_DAYS, ROOT, STEP_DAYS, WINDOW_DAYS, cleared_layouts, \
+    counting_routed, file_sha256, layout_builds, provenance
 from perfbench.run import BLAS_ENV, PeakRSS, release_free_heap  # noqa: E402
 
 TRADES_PER_DAY = 1000.0
@@ -100,10 +103,12 @@ def main(argv=None) -> int:
                           for name in ("report.json", "h2.csv", "hq.csv")}
         reports = None
         release_free_heap()
-        traced_peak_mb = {}
-        tracemalloc.start()
-        reports = job(functools.partial(traced, traced_peak_mb))
-        tracemalloc.stop()
+        traced_peak_mb, routed = {}, []
+        layouts = cleared_layouts()
+        with counting_routed(routed):
+            tracemalloc.start()
+            reports = job(functools.partial(traced, traced_peak_mb))
+            tracemalloc.stop()
     h0 = [r.ansatz.h0 for r in reports if r.ansatz is not None]
     record = {
         "job": "parse_ticks, build_rv_by_delta, run_rolling and emit_report on "
@@ -121,13 +126,17 @@ def main(argv=None) -> int:
                            for k in timing} for stage, timing in runs[0].items()},
         "runs": runs,
         "traced_peak_mb": traced_peak_mb,
+        "routed_windows": sum(routed),
+        "layout_builds": layout_builds(layouts),
         "generate_s": generate_s,
         "provenance": provenance(args.seed, inputs.sha256),
     }
     out = ROOT / "bench" / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"{out.relative_to(ROOT)}: {record['rows']} rows, {record['windows']} windows, "
-          f"{record['windows_degraded']} degraded; median over {REPEATS} runs:")
+          f"{record['windows_degraded']} degraded, {record['routed_windows']} routed off "
+          f"the q = {{2}} sums, {record['layout_builds']} q = {{2}} layouts built; "
+          f"median over {REPEATS} runs:")
     for stage, m in record["median"].items():
         print(f"  {stage:18s} wall {m['wall_s']:7.2f} s  cpu {m['cpu_s']:7.2f} s  "
               f"peak rss {m['peak_rss_mb']:6.1f} MB  traced peak "

@@ -263,6 +263,8 @@ def cmd_rolling(args) -> int:
                             args.reference_delta)
     exclude = _exclude_from_args(args)
     MfdfaConfig(default_q_values(), None, args.detrend_order)  # the order fits the default grid
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     rv_by_delta = pipeline.build_rv_by_delta(_ticks_from_args(args), deltas)
     reports = run_rolling(rv_by_delta, rolling, reference_delta=args.reference_delta,
                           detrend_order=args.detrend_order,
@@ -341,7 +343,7 @@ def build_parser() -> _Parser:
     p.add_argument("--detrend-order", type=int, default=1)
     p.add_argument("--exclude", default=None)
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
+                   help="at least 1; accepted for compatibility, has no effect")
     p.add_argument("--out", required=False)
     p.add_argument("--h2-csv", default=None)
     p.add_argument("--hq-csv", default=None)

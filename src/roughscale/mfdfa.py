@@ -325,6 +325,50 @@ def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray,
     return table
 
 
+@functools.lru_cache(maxsize=2)
+def _residue_layout(L: int, step: int, *keys: tuple) -> tuple:
+    """`_residue_means`' index layout over L points, read-only: m, the runs'
+    first points and the slots before them, the slot count, each scale's
+    class blocks (first slot, end, slots a block) and passes of `step` slots
+    (first slot, points, s, real). `keys` are the (bytes, dtype, shape) of
+    scales, at, lengths and the grid mask: no value of x goes in."""
+    scales, at, lengths, on = (np.frombuffer(b, dtype).reshape(shape) for b, dtype, shape in keys)
+    m = np.where(on, lengths[:, None] // scales, 0)  # cells a run, 0 off a window's grid
+    # a window at a of n points: m = n // s forward cells from a, m backward ones to a+n
+    lead = np.stack([at[:, None] + 0 * m, (at + lengths)[:, None] - m * scales])
+    lead[:, ~on] = 0
+    offset = np.cumsum(scales) - scales  # class r of scale j is offset[j] + r
+    cls = offset + lead % scales
+    read = np.zeros(int(scales.sum()), dtype=bool)
+    read[cls[:, on]] = True
+    blocks = np.flatnonzero(read)
+    j = np.searchsorted(offset, blocks, side="right") - 1
+    k = L // scales[j] + 2
+    first = np.cumsum(k) - k
+    slot = np.zeros(len(read), dtype=np.intp)
+    slot[blocks] = first
+    before = slot[cls] + lead // scales  # slot before the forward and the backward run
+    points = np.empty(int(k.sum()), dtype=np.intp)  # slot i of class r's block: r + i s
+    rows = []
+    r = blocks - offset[j]
+    heads = np.flatnonzero(np.r_[True, j[1:] != j[:-1]]).tolist()  # each scale's first block
+    for b, e, c0, kk, s in zip(heads, heads[1:] + [len(j)], first[heads].tolist(),
+                               k[heads].tolist(), scales[j[heads]].tolist()):
+        c1 = c0 + (e - b) * kk
+        np.add(r[b:e, None], np.arange(0, kk * s, s), out=points[c0:c1].reshape(e - b, kk))
+        rows.append((c0, c1, kk))
+    passes = []
+    for c0 in range(1, len(points), step):
+        # a slot's point rises by s inside a block, and falls at a block's first
+        # slot, from past L to r < s: a slot is a cell where it rises to at most L
+        point = points[c0 - 1:c0 + step]
+        s = np.diff(point)  # the scale of each slot that is a cell
+        passes.append((c0, np.minimum(point, L), s, (s > 0) & (point[1:] <= L)))
+    for a in (m, lead, before, *(a for p in passes for a in p[1:])):
+        a.flags.writeable = False
+    return m, lead, before, len(points), tuple(rows), tuple(passes)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # what overflows routes its windows
 def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
                    scales: np.ndarray, at: np.ndarray, lengths: np.ndarray,
@@ -345,7 +389,8 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
     for the point r + i s and the cell [r + (i-1) s, r + i s) ending there, a
     cell while i >= 1 and the point is at most L. A run of m cells after slot
     t takes slots t+1 .. t+m, and t+m <= k-1 as a run ends at most at L. The
-    subtraction is longdouble, and its result cast.
+    subtraction is longdouble, and its result cast. The slots are index
+    arithmetic on the windows alone, cached across calls (`_residue_layout`).
 
     A window is routed where its result is at most 2m (s reach)^2, the
     profile's roundoff that the table's floor holds each cell clear of, there
@@ -365,38 +410,10 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
     on = np.zeros((len(at), len(scales)), dtype=bool)  # each window's grid
     for n in np.unique(lengths).tolist():
         on[np.ix_(lengths == n, columns[n])] = True
-    m = np.where(on, lengths[:, None] // scales, 0)  # cells a run, 0 off a window's grid
-    # a window at a of n points: m = n // s forward cells from a, m backward ones to a+n
-    lead = np.stack([at[:, None] + 0 * m, (at + lengths)[:, None] - m * scales])
-    lead[:, ~on] = 0
-    offset = np.cumsum(scales) - scales  # class r of scale j is offset[j] + r
-    cls = offset + lead % scales
-    read = np.zeros(int(scales.sum()), dtype=bool)
-    read[cls[:, on]] = True
-    blocks = np.flatnonzero(read)
-    j = np.searchsorted(offset, blocks, side="right") - 1
-    k = L // scales[j] + 2
-    first = np.cumsum(k) - k
-    slot = np.zeros(len(read), dtype=np.intp)
-    slot[blocks] = first
-    before = slot[cls] + lead // scales  # slot before the forward and the backward run
-    C = np.zeros(int(k.sum()), dtype=np.longdouble)  # the line terms, slot by slot
-    points = np.empty(len(C), dtype=np.intp)  # slot i of class r's block: r + i s
-    rows = []
-    r = blocks - offset[j]
-    heads = np.flatnonzero(np.r_[True, j[1:] != j[:-1]]).tolist()  # each scale's first block
-    for b, e, c0, kk, s in zip(heads, heads[1:] + [len(j)], first[heads].tolist(),
-                               k[heads].tolist(), scales[j[heads]].tolist()):
-        c1 = c0 + (e - b) * kk
-        np.add(r[b:e, None], np.arange(0, kk * s, s), out=points[c0:c1].reshape(e - b, kk))
-        rows.append(C[c0:c1].reshape(e - b, kk))  # a scale's blocks of C, one a row
-    for c0 in range(1, len(C), _PASS_POINTS):
-        # a slot's point rises by s inside a block, and falls at a block's first
-        # slot, from past L to r < s: a slot is a cell where it rises to at most L
-        point = points[c0 - 1:c0 + _PASS_POINTS]
-        s = np.diff(point)  # the scale of each slot that is a cell
-        real = (s > 0) & (point[1:] <= L)
-        point = np.minimum(point, L)
+    key = ((a.tobytes(), a.dtype.str, a.shape) for a in (scales, at, lengths, on))
+    m, lead, before, size, rows, passes = _residue_layout(L, _PASS_POINTS, *key)
+    C = np.zeros(size, dtype=np.longdouble)  # the line terms, slot by slot
+    for c0, point, s, real in passes:
         s1, d = _segment_moments([run[point] for run in sums[:2]], slice(None, -1),
                                  slice(1, None), point[:-1] - (L - s) / 2)
         line = s1.astype(float)  # S1^2/s + w D^2 in float64
@@ -407,7 +424,8 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
         d *= 12 / (s * (s * s - 1.0))
         line += d
         np.copyto(C[c0:c0 + len(s)], line, where=real)
-    for runs in rows:  # running sums along each class's block
+    for c0, c1, kk in rows:  # running sums along each class's block, a scale's blocks at a time
+        runs = C[c0:c1].reshape(-1, kk)
         np.cumsum(runs, axis=-1, out=runs)
     ms = m * scales
     last = C[before + m]
@@ -451,9 +469,10 @@ def fluctuation_function(series, config: MfdfaConfig, starts=None,
     windows first, with no table, profile or power means (`_residue_means`):
     each F_2^2 is its runs' telescoped sum of y^2 less their cells' line
     terms, float64 from longdouble S1 and D and summed along residue
-    classes. A window is gathered as above instead where a bound on that
-    subtraction's roundoff could show, as it can where a scale holds only
-    zero-variance segments.
+    classes, whose layout calls with the same windows and grids share. A
+    window is gathered as above instead where a bound on that subtraction's
+    roundoff could show, as it can where a scale holds only zero-variance
+    segments.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:

@@ -237,10 +237,12 @@ def run_rolling(data: Mapping[int, RVSeries], rolling: RollingSpec,
     divisor of 1440 equal to its series' `delta_minutes`, else ValueError
     before any MFDFA runs. Windows advance by `rolling.step_days`; each
     delta's MFDFA covers them all at once (`_delta_column`), and
-    `_window_report` assembles each window. `workers` is accepted and has no
-    effect: a thread pool over the deltas was slower than one thread on every
-    input measured.
+    `_window_report` assembles each window. `workers` must be at least 1 and
+    has no other effect: a thread pool over the deltas was slower than one
+    thread on every input measured.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     for delta, rv in data.items():
         samples_per_day(delta)
         if rv.delta_minutes != delta:

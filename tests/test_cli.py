@@ -413,6 +413,9 @@ def _cli_case(name, tmp_path):
     if name == "config_not_utf8":
         cfg.write_bytes(f"ticks = {ticks}\nwindow-days = 60\n".encode() + b"\xff = 1\n")
         return ["rolling", "--config", str(cfg), *out]
+    if name == "config_workers_zero":  # a usage error, before the tick file is opened
+        cfg.write_text(f"ticks = {tmp_path / 'nope.csv'}\nworkers = 0\n")
+        return ["rolling", "--config", str(cfg), *out]
     if name == "missing_config_file":
         return ["rolling", "--config", str(tmp_path / "nope.cfg"), *out]
     if name == "rolling_without_out":
@@ -430,7 +433,9 @@ def _cli_case(name, tmp_path):
                 "window_not_longer_than_step": ["--window-days", "5", "--step-days", "10"],
                 "exclude_not_a_divisor": ["--exclude", "60,7"],
                 "detrend_order_zero": ["--detrend-order", "0"],
-                "detrend_order_above_the_default_grid": ["--detrend-order", "9"]}
+                "detrend_order_above_the_default_grid": ["--detrend-order", "9"],
+                "workers_zero": ["--workers", "0"],
+                "workers_negative": ["--workers=-2"]}
     if name in bad_runs:
         return ["rolling", "--ticks", str(tmp_path / "nope.csv"), *bad_runs[name], *out]
     if name == "rv_start_not_a_date":
@@ -544,6 +549,9 @@ class TestExitCodes:
         ("detrend_order_above_the_default_grid", 1,
          "smallest scale must be >= detrend_order + 2"),
         ("exclude_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
+        ("workers_zero", 1, "workers must be >= 1, got 0"),
+        ("workers_negative", 1, "workers must be >= 1, got -2"),
+        ("config_workers_zero", 1, "workers must be >= 1, got 0"),
         ("rv_start_not_a_date", 1, "invalid date value: '2020-13-01'"),
         ("rv_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),
         ("ingest_delta_not_a_divisor", 1, "delta 7 is not a positive divisor of 1440"),

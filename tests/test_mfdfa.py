@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from fractions import Fraction
 from unittest import mock
 
@@ -769,6 +770,97 @@ class TestResidueSums:
             with pytest.raises(NumericError,
                                match="all segments have zero variance at scale s = 10"):
                 fluctuation_function(x[i0:i0 + n], MfdfaConfig([2.0], None))
+
+
+def _mixed_length_args(explicit=False, at=(0, 37, 150, 200), lengths=(400, 350, 450, 400),
+                       points=600):
+    """`_residue_means` arguments for windows of mixed lengths in `points`
+    points, on the union of their default grids: each window on its own grid,
+    or with `explicit` every window on the union."""
+    x = np.diff(np.random.default_rng(16).standard_normal(points + 1))
+    at, lengths = np.array(at), np.array(lengths)
+    grids = {n: default_scales(n) for n in np.unique(lengths).tolist()}
+    scales = np.unique(np.concatenate(list(grids.values())))
+    columns = {n: np.arange(len(scales)) if explicit else np.searchsorted(scales, grid)
+               for n, grid in grids.items()}
+    return x, mfdfa._running_sums(x), scales, at, lengths, columns
+
+
+def _layout_of(args):
+    """The layout that `mfdfa._residue_means(*args)` takes."""
+    real, layouts = mfdfa._residue_layout, []
+
+    def spy(*key):
+        layouts.append(real(*key))
+        return layouts[-1]
+
+    with mock.patch.object(mfdfa, "_residue_layout", side_effect=spy):
+        mfdfa._residue_means(*args)
+    (layout,) = layouts
+    return layout
+
+
+class TestResidueLayoutCache:
+    """The q = {2} index layout is built once for the calls that share their
+    windows, grids and extent, and held read-only; what it gives is what a
+    fresh build gives, bit for bit."""
+
+    def test_a_rolling_sweep_builds_the_layout_once(self):
+        # 35 q = {2} calls, one per delta but the reference, on one list of dates
+        mfdfa._residue_layout.cache_clear()
+        pipeline.run_rolling(rolling_inputs(1, 3062).rv_by_delta, pipeline.RollingSpec())
+        info = mfdfa._residue_layout.cache_info()
+        assert (info.misses, info.hits) == (1, 34)
+
+    @pytest.mark.parametrize("other", [
+        # explicit scales, every window on the union, next to the default grids
+        # of the same union: one L, scales, at and lengths, two grid masks
+        _mixed_length_args(explicit=False),
+        _mixed_length_args(explicit=True, lengths=(401, 350, 450, 400)),
+        _mixed_length_args(explicit=True, at=(0, 37, 149, 200)),
+        _mixed_length_args(explicit=True, points=610),
+    ], ids=["grid_mask", "lengths", "starts", "extent"])
+    def test_layouts_that_differ_get_their_own_entries(self, other):
+        calls = (_mixed_length_args(explicit=True), other, _mixed_length_args(explicit=True))
+        mfdfa._residue_layout.cache_clear()
+        cached = [mfdfa._residue_means(*args) for args in calls]
+        info = mfdfa._residue_layout.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+        assert cached[0][0].tobytes() != cached[1][0].tobytes()
+        for (means, routed), args in zip(cached, calls):
+            mfdfa._residue_layout.cache_clear()
+            fresh_means, fresh_routed = mfdfa._residue_means(*args)
+            assert means.tobytes() == fresh_means.tobytes()
+            assert routed.tobytes() == fresh_routed.tobytes()
+
+    def test_a_cached_array_cannot_be_written(self):
+        m, lead, before, _, _, passes = _layout_of(_mixed_length_args())
+        for array in (m, lead, before, *(a for p in passes for a in p[1:])):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_a_delta_with_its_own_layout_matches_fresh_builds(self):
+        # extra zero-RV days at delta 60 shorten its windows, so its call
+        # comes between calls on the shared layout, in delta order
+        data = dict(rolling_inputs(2, 3062).rv_by_delta)
+        rv = data[60].rv.copy()
+        rv[[700, 1500, 2400]] = 0.0
+        data[60] = dataclasses.replace(data[60], rv=rv)
+        spec = pipeline.RollingSpec()
+        mfdfa._residue_layout.cache_clear()
+        cached = pipeline.report_document(pipeline.run_rolling(data, spec))
+        info = mfdfa._residue_layout.cache_info()
+        assert (info.misses, info.hits) == (2, 33)
+        real = mfdfa._residue_means
+
+        def fresh(*args):
+            mfdfa._residue_layout.cache_clear()
+            return real(*args)
+
+        with mock.patch.object(mfdfa, "_residue_means", side_effect=fresh):
+            rebuilt = pipeline.report_document(pipeline.run_rolling(data, spec))
+        assert mfdfa._residue_layout.cache_info().misses == 1
+        assert json.dumps(cached, indent=2) == json.dumps(rebuilt, indent=2)
 
 
 def _stack_rows(n):

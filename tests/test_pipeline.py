@@ -110,6 +110,13 @@ class TestRolling:
         doc4 = report_document(run_rolling(data, rolling, workers=4))
         assert json.dumps(doc1) == json.dumps(doc4)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_rolling({5: fgn_rv_series(420, seed=44)}, RollingSpec(window_days=365,
+                                                                      step_days=10),
+                        workers=workers)
+
     def test_short_span_rejected(self):
         data = {5: fgn_rv_series(100)}
         with pytest.raises(DataError):

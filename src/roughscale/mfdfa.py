@@ -327,11 +327,12 @@ def _order1_table(x: np.ndarray, scales: np.ndarray, used: np.ndarray,
 
 @functools.lru_cache(maxsize=2)
 def _residue_layout(L: int, step: int, *keys: tuple) -> tuple:
-    """`_residue_means`' index layout over L points, read-only: m, the runs'
-    first points and the slots before them, the slot count, each scale's
-    class blocks (first slot, end, slots a block) and passes of `step` slots
-    (first slot, points, s, real). `keys` are the (bytes, dtype, shape) of
-    scales, at, lengths and the grid mask: no value of x goes in."""
+    """`_residue_means`' layout over L points, read-only: m, the runs' first
+    points and the slots before them, the slot count, each scale's class
+    blocks (first slot, end, slots a block) and passes of `step` slots (first
+    slot, points, centre shifts, s, weights w, real). `keys` are the (bytes,
+    dtype, shape) of scales, at, lengths and the grid mask: no value of x
+    goes in."""
     scales, at, lengths, on = (np.frombuffer(b, dtype).reshape(shape) for b, dtype, shape in keys)
     m = np.where(on, lengths[:, None] // scales, 0)  # cells a run, 0 off a window's grid
     # a window at a of n points: m = n // s forward cells from a, m backward ones to a+n
@@ -363,7 +364,9 @@ def _residue_layout(L: int, step: int, *keys: tuple) -> tuple:
         # slot, from past L to r < s: a slot is a cell where it rises to at most L
         point = points[c0 - 1:c0 + step]
         s = np.diff(point)  # the scale of each slot that is a cell
-        passes.append((c0, np.minimum(point, L), s, (s > 0) & (point[1:] <= L)))
+        clipped = np.minimum(point, L)
+        passes.append((c0, clipped, clipped[:-1] - (L - s) / 2, s, 12 / (s * (s * s - 1.0)),
+                       (s > 0) & (point[1:] <= L)))
     for a in (m, lead, before, *(a for p in passes for a in p[1:])):
         a.flags.writeable = False
     return m, lead, before, len(points), tuple(rows), tuple(passes)
@@ -389,8 +392,9 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
     for the point r + i s and the cell [r + (i-1) s, r + i s) ending there, a
     cell while i >= 1 and the point is at most L. A run of m cells after slot
     t takes slots t+1 .. t+m, and t+m <= k-1 as a run ends at most at L. The
-    subtraction is longdouble, and its result cast. The slots are index
-    arithmetic on the windows alone, cached across calls (`_residue_layout`).
+    subtraction is longdouble, and its result cast. The slots, and each
+    slot's centre shift and w, depend on the windows alone and are cached
+    across calls (`_residue_layout`).
 
     A window is routed where its result is at most 2m (s reach)^2, the
     profile's roundoff that the table's floor holds each cell clear of, there
@@ -413,15 +417,15 @@ def _residue_means(x: np.ndarray, running: tuple[np.ndarray, np.longdouble],
     key = ((a.tobytes(), a.dtype.str, a.shape) for a in (scales, at, lengths, on))
     m, lead, before, size, rows, passes = _residue_layout(L, _PASS_POINTS, *key)
     C = np.zeros(size, dtype=np.longdouble)  # the line terms, slot by slot
-    for c0, point, s, real in passes:
+    for c0, point, centre, s, weight, real in passes:
         s1, d = _segment_moments([run[point] for run in sums[:2]], slice(None, -1),
-                                 slice(1, None), point[:-1] - (L - s) / 2)
+                                 slice(1, None), centre)
         line = s1.astype(float)  # S1^2/s + w D^2 in float64
         line *= line
         line /= s
         d = d.astype(float)
         d *= d
-        d *= 12 / (s * (s * s - 1.0))
+        d *= weight
         line += d
         np.copyto(C[c0:c0 + len(s)], line, where=real)
     for c0, c1, kk in rows:  # running sums along each class's block, a scale's blocks at a time

@@ -367,8 +367,8 @@ def _residue_layout(L: int, step: int, *keys: tuple) -> tuple:
         clipped = np.minimum(point, L)
         passes.append((c0, clipped, clipped[:-1] - (L - s) / 2, s, 12 / (s * (s * s - 1.0)),
                        (s > 0) & (point[1:] <= L)))
-    for a in (m, lead, before, *(a for p in passes for a in p[1:])):
-        a.flags.writeable = False
+    for held in (m, lead, before, *(a for p in passes for a in p[1:])):
+        held.flags.writeable = False
     return m, lead, before, len(points), tuple(rows), tuple(passes)
 
 

@@ -801,7 +801,7 @@ def _layout_of(args):
 
 
 class TestResidueLayoutCache:
-    """The q = {2} index layout is built once for the calls that share their
+    """The q = {2} layout is built once for the calls that share their
     windows, grids and extent, and held read-only; what it gives is what a
     fresh build gives, bit for bit."""
 
@@ -812,9 +812,9 @@ class TestResidueLayoutCache:
         info = mfdfa._residue_layout.cache_info()
         assert (info.misses, info.hits) == (1, 34)
 
+    # each layout shares all but one of L, scales, at, lengths and the grid
+    # mask with one on explicit scales; the default grids share the union
     @pytest.mark.parametrize("other", [
-        # explicit scales, every window on the union, next to the default grids
-        # of the same union: one L, scales, at and lengths, two grid masks
         _mixed_length_args(explicit=False),
         _mixed_length_args(explicit=True, lengths=(401, 350, 450, 400)),
         _mixed_length_args(explicit=True, at=(0, 37, 149, 200)),

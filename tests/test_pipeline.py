@@ -112,10 +112,9 @@ class TestRolling:
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_rejected(self, workers):
+        data = {5: fgn_rv_series(420, seed=44)}
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-            run_rolling({5: fgn_rv_series(420, seed=44)}, RollingSpec(window_days=365,
-                                                                      step_days=10),
-                        workers=workers)
+            run_rolling(data, RollingSpec(window_days=365, step_days=10), workers=workers)
 
     def test_short_span_rejected(self):
         data = {5: fgn_rv_series(100)}
